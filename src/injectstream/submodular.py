@@ -9,6 +9,13 @@ values.
 
 Every oracle counts its evaluations, one counter per oracle instance.  Run
 one oracle per trial; counters are not meant to be shared across runs.
+
+Besides ``evaluate`` on a set, every oracle offers the batched extension the
+prefix tree runs on: ``empty_states(n)`` gives n rows of per-set state for
+the empty set, and ``extend_states(states, values, e)`` maps rows (S, f(S))
+to (S + e, f(S + e)), counting one call per row.  Coverage keeps its rows as
+bit-packed point masks; the other oracles use the base class, which keeps
+frozensets and calls ``_eval``, so any subclass works.
 """
 
 from __future__ import annotations
@@ -83,6 +90,35 @@ class SubmodularOracle:
             raise PreconditionError(f"element {e!r} already in the set")
         return self.evaluate(ids | {e}) - base
 
+    def empty_states(self, n: int):
+        """(states, values): n rows holding the empty set and f(empty) = 0.
+
+        Row i of ``states`` is whatever per-set state ``extend_states``
+        needs; the fallback keeps the set itself as a frozenset.
+        """
+        return _frozenset_rows(n), np.zeros(n, dtype=object)
+
+    def extend_states(self, states, values, e: Hashable):
+        """Batched extension: rows (S, f(S)) -> (S + e, f(S + e)).
+
+        ``states``/``values`` are row arrays in the layout of
+        :meth:`empty_states`; e must not be in any row's set.  Counts one
+        oracle call per row, as one ``marginal_from`` per row would.
+        """
+        self.call_counter += len(values)
+        new_states = _frozenset_rows(len(values))
+        new_values = np.empty(len(values), dtype=object)
+        for i, s in enumerate(states):
+            new_states[i] = s | {e}
+            new_values[i] = self._eval(new_states[i])
+        return new_states, new_values
+
+
+def _frozenset_rows(n: int) -> np.ndarray:
+    rows = np.empty(n, dtype=object)
+    rows.fill(frozenset())
+    return rows
+
 
 def marginal(oracle: SubmodularOracle, e: Hashable, S: Iterable[Hashable]):
     """f(e | S) = f(S + e) - f(S).  Two evaluations (one if you cache f(S))."""
@@ -113,7 +149,9 @@ class CoverageOracle(SubmodularOracle):
     """f(S) = number of points covered by the union of S's point sets.
 
     Points are bit-packed so an evaluation is an integer-or and a popcount,
-    which keeps the long-stream memory experiments cheap.
+    which keeps the long-stream memory experiments cheap.  Batched states are
+    the same masks as rows of ``words`` uint64 words, so one extension is a
+    row-wise or and ``np.bitwise_count``.
     """
 
     def __init__(self, instance: CoverageInstance) -> None:
@@ -124,12 +162,25 @@ class CoverageOracle(SubmodularOracle):
         self._mask = {
             eid: sum(bit[p] for p in pts) for eid, pts in instance.rect_of.items()
         }
+        self.words = max(1, -(-len(points) // 64))
+        packed = b"".join(m.to_bytes(8 * self.words, "little") for m in self._mask.values())
+        table = np.frombuffer(packed, dtype="<u8").reshape(len(self._mask), self.words)
+        self._row = dict(zip(self._mask, table))
 
     def _eval(self, ids: frozenset) -> int:
         m = 0
         for e in ids:
             m |= self._mask[e]
         return m.bit_count()
+
+    def empty_states(self, n: int):
+        return np.zeros((n, self.words), dtype=np.uint64), np.zeros(n, dtype=np.int64)
+
+    def extend_states(self, states, values, e: Hashable):
+        self.call_counter += len(values)
+        covered = states | self._row[e]
+        counts = np.bitwise_count(covered)
+        return covered, counts[:, 0] if self.words == 1 else counts.sum(axis=1, dtype=np.int64)
 
 
 class WeightedCoverageOracle(SubmodularOracle):

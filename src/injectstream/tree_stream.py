@@ -11,6 +11,17 @@ tests) and bucketed (the gain range 0..g is split into ceil(k/delta) buckets
 of width delta*g/k, plus one clamp bucket for marginals at or above the top,
 which can happen when the guess g undershoots OPT).
 
+The tree lives in node arrays, one row per node in creation order: the
+oracle state of the node's set, its value and gain, depth, parent row, the
+arrival that created it, the interned element ids of its path, and a bitset
+of the child keys already present.  One arriving element is one vectorized
+pass over the rows: the live rows (depth < k, element not on the path) are
+extended in one batch through the oracle's ``extend_states`` (one counted
+call per row), their gains are keyed by the keyer's vectorized ``keys``,
+rows that already hold that key are dropped, and the rest get a child whose
+value is its parent's value plus its gain.  ``tree.root``, ``tree.nodes``
+and ``node.children`` are lazy views built from the arrays.
+
 When OPT is unknown, a guess manager runs one tree per active geometric
 guess g = (1+delta)^j, keyed to the running maximum singleton value m:
 guesses outside [m/(1+delta), (k/delta)*m] are dismissed, new guesses start
@@ -24,21 +35,42 @@ selection argument, and its path provably appears in the exact-mode tree.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Optional, Union
+
+import numpy as np
 
 from .errors import InvalidInstanceError, InvariantError, PreconditionError
 from .geomgrid import snap_ceil_log, snap_floor_log
 from .stream_model import Element, InjectedStream
 from .submodular import SubmodularOracle, Solution
 
+INITIAL_ROWS = 64
+_BIT = np.array([1 << i for i in range(8)], dtype=np.uint8)
+
 
 class ExactKeys:
-    """Child keying by the raw marginal value (dedup on exact equality)."""
+    """Child keying by the raw marginal value (dedup on exact equality).
+
+    ``keys`` interns each distinct gain into a dense id, so exact keys share
+    the bucketed trees' presence bitsets; use one ExactKeys per tree.
+    """
+
+    def __init__(self) -> None:
+        self._ids: dict = {}
+
+    @property
+    def key_count(self) -> int:
+        return len(self._ids)
 
     def key(self, gain) -> Hashable:
         return gain
+
+    def keys(self, gains: np.ndarray) -> np.ndarray:
+        ids = self._ids
+        return np.array([ids.setdefault(g, len(ids)) for g in gains.tolist()], dtype=np.int64)
 
 
 class IncreaseBuckets:
@@ -46,8 +78,11 @@ class IncreaseBuckets:
 
     width = delta*g/k and bucket_count = ceil(k/delta), computed in exact
     rational arithmetic (delta is taken as Fraction(str(delta))) whenever the
-    guess g is an int or Fraction, so integer-valued oracles bucket exactly.
-    Index bucket_count is the clamp bucket for gains at or above the range top.
+    guess g is an int or Fraction, so integer-valued oracles bucket exactly:
+    with width = p/q an int or Fraction gain keys to gain*q // p in integer
+    arithmetic.  A float gain, or a float guess (float width), keys by float
+    floor division gain // float(width).  Index bucket_count is the clamp
+    bucket for gains at or above the range top; gains <= 0 key to 0.
     """
 
     def __init__(self, g, k: int, delta: Union[float, str, Fraction]) -> None:
@@ -59,77 +94,211 @@ class IncreaseBuckets:
         self.g = g
         self.k = k
         self.bucket_count = math.ceil(k / self.delta)
+        self.key_count = self.bucket_count + 1
         if isinstance(g, (int, Fraction)):
             self.width = self.delta * g / k
+            self._p, self._q = self.width.numerator, self.width.denominator
+            # gains at or above top all key to the clamp bucket; clamped to
+            # [0, top], gain*q stays inside int64 unless top*q does not
+            top = -(-self.bucket_count * self._p // self._q)
+            self._top = top if top * self._q < 2**63 else None
         else:
             self.width = float(self.delta) * g / k
+            self._p = None
 
     def key(self, gain) -> int:
         if gain <= 0:
             return 0
-        return min(int(gain // self.width), self.bucket_count)
+        if self._p is not None and isinstance(gain, (int, Fraction)):
+            return min(int(gain * self._q // self._p), self.bucket_count)
+        return min(int(gain // self.width), self.bucket_count)  # float floor division
+
+    def keys(self, gains: np.ndarray) -> np.ndarray:
+        """``key`` over an array of gains, elementwise identical."""
+        kind = gains.dtype.kind
+        if kind == "f" or (kind == "i" and self._p is None):
+            raw = gains // float(self.width)
+        elif kind == "i" and self._top is not None:
+            clamped = np.minimum(np.maximum(gains, 0), self._top)
+            return np.minimum(clamped * self._q // self._p, self.bucket_count)
+        else:  # exact rationals, and widths too fine for int64
+            return np.array([self.key(g) for g in gains.tolist()], dtype=np.int64)
+        return np.minimum(np.maximum(raw, 0), self.bucket_count).astype(np.int64)
 
 
-class TreeNode:
-    __slots__ = ("element", "key", "gain", "value", "depth", "children", "path_ids", "created")
+class NodeView:
+    """One tree node, read lazily from the tree's arrays."""
 
-    def __init__(self, element, key, gain, value, depth, path_ids, created) -> None:
-        self.element = element
-        self.key = key
-        self.gain = gain
-        self.value = value
-        self.depth = depth
-        self.children: dict = {}
-        self.path_ids = path_ids
-        self.created = created
+    __slots__ = ("tree", "index")
+
+    def __init__(self, tree: "PrefixTree", index: int) -> None:
+        self.tree = tree
+        self.index = index
+
+    @property
+    def depth(self) -> int:
+        return int(self.tree.depth[self.index])
+
+    @property
+    def value(self):
+        return self.tree.value(self.index)
+
+    @property
+    def gain(self):
+        return 0 if self.tree.gains is None else self.tree.gains.item(self.index)
+
+    @property
+    def element(self) -> Optional[Element]:
+        """The arrival that created this node (None for the root)."""
+        a = int(self.tree.origin[self.index])
+        return self.tree.arrivals[a] if a >= 0 else None
+
+    @property
+    def path_ids(self) -> frozenset:
+        return self.tree.path_ids(self.index)
+
+    @property
+    def children(self) -> dict:
+        """Child views by gain key, in creation order."""
+        tree = self.tree
+        rows = np.flatnonzero(tree.parent[: tree.size] == self.index)
+        views = [NodeView(tree, int(r)) for r in rows]
+        return {tree.keyer.key(c.gain): c for c in views}
+
+
+class NodeList(Sequence):
+    """``tree.nodes``: node views in creation order, built on access."""
+
+    def __init__(self, tree: "PrefixTree") -> None:
+        self.tree = tree
+
+    def __len__(self) -> int:
+        return self.tree.size
+
+    def __getitem__(self, i: int) -> NodeView:
+        return NodeView(self.tree, range(self.tree.size)[i])
 
 
 class PrefixTree:
-    """The bounded-height solution tree for one (guess, stream) run."""
+    """The bounded-height solution tree for one (guess, stream) run.
+
+    Row arrays, one row per node in creation order (row 0 is the root):
+    ``states``/``values`` in the layout of the oracle's ``empty_states``
+    (allocated on the first ``tree_process``, which binds the tree to that
+    oracle), ``gains`` (the marginal each node's element had on arrival),
+    ``depth``, ``parent`` (-1 for the root), ``origin`` (index into
+    ``arrivals`` of the element that created the node, -1 for the root),
+    ``path`` (interned element ids of the path in ``path[i, :depth[i]]``, -1
+    after it), and ``presence`` (bit ``key`` of row i is set when row i has a
+    child with that gain key).
+    """
 
     def __init__(self, k: int, keyer=None) -> None:
         if k < 0:
             raise PreconditionError("k must be >= 0")
         self.k = k
         self.keyer = keyer if keyer is not None else ExactKeys()
-        self.root = TreeNode(None, None, 0, 0, 0, frozenset(), 0)
-        self.nodes: list[TreeNode] = [self.root]
+        self.size = 1
+        self.states = self.values = self.gains = None
+        self.depth = np.zeros(INITIAL_ROWS, dtype=np.int32)
+        self.parent = np.full(INITIAL_ROWS, -1, dtype=np.int32)
+        self.origin = np.full(INITIAL_ROWS, -1, dtype=np.int32)
+        self.path = np.full((INITIAL_ROWS, k), -1, dtype=np.int32)
+        self.presence = np.zeros((INITIAL_ROWS, 1), dtype=np.uint8)
+        self.arrivals: list[Element] = []  # one entry per arrival that made children
+        self.ids: list = []                # interned id -> element id
+        self.element_index: dict = {}      # element id -> interned id
+
+    @property
+    def nodes(self) -> NodeList:
+        # built per access: a stored view would make a reference cycle, and a
+        # dismissed guess's tree would then wait for the cyclic collector
+        return NodeList(self)
+
+    @property
+    def root(self) -> NodeView:
+        return NodeView(self, 0)
 
     @property
     def live_node_count(self) -> int:
-        return len(self.nodes)
+        return self.size
+
+    def value(self, i: int):
+        return 0 if self.values is None else self.values.item(i)
+
+    def path_ids(self, i: int) -> frozenset:
+        return frozenset(self.ids[x] for x in self.path[i, : self.depth[i]].tolist())
+
+    def _reserve(self, rows: int, keys: int) -> None:
+        """Room for ``rows`` nodes and ``keys`` presence bits per node."""
+        cap = len(self.depth)
+        if rows > cap:
+            extra = max(rows, 2 * cap) - cap
+            for name in ("states", "values", "gains", "depth", "parent", "origin", "path",
+                         "presence"):
+                a = getattr(self, name)
+                fill = -1 if name in ("parent", "origin", "path") else 0
+                pad = np.full((extra,) + a.shape[1:], fill, dtype=a.dtype)
+                setattr(self, name, np.concatenate([a, pad]))
+        words = -(-keys // 8)
+        if words > self.presence.shape[1]:
+            pad = np.zeros((len(self.presence), words - self.presence.shape[1]), np.uint8)
+            self.presence = np.concatenate([self.presence, pad], axis=1)
+
+    def _append(self, parents: np.ndarray, states, values, gains, e: Element, x: int) -> None:
+        """Children of rows ``parents`` for arrival e, interned as x (room reserved)."""
+        n, m = self.size, len(parents)
+        d = self.depth[parents]
+        self.states[n : n + m] = states
+        self.values[n : n + m] = values
+        self.gains[n : n + m] = gains
+        self.depth[n : n + m] = d + 1
+        self.parent[n : n + m] = parents
+        self.origin[n : n + m] = len(self.arrivals)
+        self.arrivals.append(e)
+        path = self.path[parents]
+        path[np.arange(m), d] = x
+        self.path[n : n + m] = path
+        self.size = n + m
 
 
 def tree_process(tree: PrefixTree, e: Element, oracle: SubmodularOracle) -> PrefixTree:
     """Feed one stream element to the tree.
 
     Every node at depth < k without a child for this element's gain key gets
-    one.  The node list is snapshotted first, so children created for e are
-    not themselves extended by e, and visitation order cannot matter.  An
-    element already on a node's path is skipped there (its marginal is zero
-    and a duplicate id cannot enlarge the solution).
+    one.  Only the rows that exist before e are read, so children created
+    for e are not themselves extended by e.  An element already on a node's
+    path is skipped there (its marginal is zero and a duplicate id cannot
+    enlarge the solution).
     """
-    snapshot = list(tree.nodes)
-    for node in snapshot:
-        if node.depth >= tree.k:
-            continue
-        if e.id in node.path_ids:
-            continue
-        gain = oracle.marginal_from(e.id, node.path_ids, node.value)
-        key = tree.keyer.key(gain)
-        if key in node.children:
-            continue
-        child = TreeNode(
-            element=e,
-            key=key,
-            gain=gain,
-            value=node.value + gain,
-            depth=node.depth + 1,
-            path_ids=node.path_ids | {e.id},
-            created=len(tree.nodes),
-        )
-        node.children[key] = child
-        tree.nodes.append(child)
+    if tree.values is None:
+        tree.states, tree.values = oracle.empty_states(len(tree.depth))
+        tree.gains = np.zeros_like(tree.values)
+    n = tree.size
+    live = (tree.depth[:n] < tree.k).nonzero()[0]
+    x = tree.element_index.get(e.id)
+    if x is not None:  # e is on some path already
+        live = live[(tree.path[live] != x).all(axis=1)]
+    if not live.size:
+        return tree
+    base = tree.values[live]
+    states, values = oracle.extend_states(tree.states[live], base, e.id)
+    gains = values - base
+    keys = tree.keyer.keys(gains)
+    tree._reserve(n + live.size, tree.keyer.key_count)
+    word, bit = keys >> 3, _BIT[keys & 7]
+    new = ((tree.presence[live, word] & bit) == 0).nonzero()[0]
+    if not new.size:
+        return tree
+    parents = live[new]
+    tree.presence[parents, word[new]] |= bit[new]
+    if x is None:
+        x = tree.element_index[e.id] = len(tree.ids)
+        tree.ids.append(e.id)
+    # a child's value is its parent's value plus its gain: with float values
+    # that can differ in the last bits from f(S + e) summed in another order
+    gains = gains[new]
+    tree._append(parents, states[new], base[new] + gains, gains, e, x)
     return tree
 
 
@@ -140,11 +309,8 @@ def best_solution(tree: PrefixTree) -> Solution:
     nodes rather than only depth-k leaves is safe by monotonicity and covers
     trees that never filled (short streams).
     """
-    best = tree.root
-    for node in tree.nodes[1:]:
-        if node.value > best.value:
-            best = node
-    return Solution(elements=best.path_ids, value=best.value)
+    best = 0 if tree.values is None else int(np.argmax(tree.values[: tree.size]))
+    return Solution(elements=tree.path_ids(best), value=tree.value(best))
 
 
 def node_count_bound(k: int, delta: Union[float, str, Fraction]) -> int:

@@ -1,0 +1,75 @@
+"""The object prefix tree: a short reference the array tree is tested against.
+
+One Python object per node, one ``marginal_from`` per (live node, element),
+the keyer's scalar ``key``; the same skip, dedup and tie rules as
+``injectstream.tree_stream``.  Test-only.
+"""
+
+from injectstream.submodular import Solution
+from injectstream.tree_stream import GuessManager, RunStats
+
+
+class RefNode:
+    __slots__ = ("element", "gain", "value", "depth", "children", "path_ids")
+
+    def __init__(self, element, gain, value, depth, path_ids):
+        self.element, self.gain, self.value = element, gain, value
+        self.depth, self.path_ids, self.children = depth, path_ids, {}
+
+
+class RefTree:
+    def __init__(self, k, keyer):
+        self.k, self.keyer = k, keyer
+        self.root = RefNode(None, 0, 0, 0, frozenset())
+        self.nodes = [self.root]
+
+
+def ref_process(tree, e, oracle):
+    for node in list(tree.nodes):  # children made for e are not extended by e
+        if node.depth >= tree.k or e.id in node.path_ids:
+            continue
+        gain = oracle.marginal_from(e.id, node.path_ids, node.value)
+        key = tree.keyer.key(gain)
+        if key not in node.children:
+            child = RefNode(e, gain, node.value + gain, node.depth + 1, node.path_ids | {e.id})
+            node.children[key] = child
+            tree.nodes.append(child)
+
+
+def ref_best(tree):
+    best = tree.root
+    for node in tree.nodes[1:]:
+        if node.value > best.value:  # ties: the earliest-created node wins
+            best = node
+    return Solution(elements=best.path_ids, value=best.value)
+
+
+def ref_run(stream, k, keyer, oracle):
+    """Known-guess (or exact) run: (solution, stats, tree)."""
+    tree, calls0, nodes_max = RefTree(k, keyer), oracle.call_counter, 1
+    for e in stream:
+        ref_process(tree, e, oracle)
+        nodes_max = max(nodes_max, len(tree.nodes))
+    stats = RunStats(nodes_max, 1, oracle.call_counter - calls0, "known")
+    return ref_best(tree), stats, tree
+
+
+def ref_guess_run(stream, k, delta, oracle):
+    """Guessed run: the library's guess window, one reference tree per guess."""
+    manager, trees, calls0 = GuessManager(k, delta), {}, oracle.call_counter
+    nodes_max = 0
+    for e in stream:
+        manager.observe(oracle.evaluate((e.id,)))
+        # a guess keeps its reference tree while its window entry is unchanged
+        trees = {j: trees[j] if j in trees and trees[j][0] is t else (t, RefTree(k, t.keyer))
+                 for j, t in manager.runs.items()}
+        for _, tree in trees.values():
+            ref_process(tree, e, oracle)
+        nodes_max = max(nodes_max, sum(len(t.nodes) for _, t in trees.values()))
+    best = Solution(elements=frozenset(), value=0)
+    for j in sorted(trees):
+        sol = ref_best(trees[j][1])
+        if sol.value > best.value:
+            best = sol
+    stats = RunStats(nodes_max, manager.guesses_live_max, oracle.call_counter - calls0, "auto")
+    return best, stats

@@ -1,0 +1,151 @@
+"""The array-backed prefix tree against the object reference in reference_tree.py."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from injectstream.stream_model import Element
+from injectstream.submodular import (
+    AdditiveOracle,
+    CoverageInstance,
+    CoverageOracle,
+    WeightedCoverageOracle,
+)
+from injectstream.tree_stream import (
+    ExactKeys,
+    IncreaseBuckets,
+    PrefixTree,
+    RunStats,
+    best_solution,
+    guess_run,
+    run_tree_stream,
+    tree_process,
+)
+from reference_tree import ref_guess_run, ref_run
+
+ORACLE_KINDS = (
+    "coverage", "weighted-int", "weighted-fraction", "weighted-float",
+    "additive-int", "additive-fraction", "additive-float",
+)
+WEIGHTS = {
+    "int": st.integers(0, 9),
+    "fraction": st.fractions(min_value=0, max_value=5, max_denominator=6),
+    # decimal tenths make sums and bucket edges round in the last bits; no
+    # weights near the float minimum, where the guess grid's widths underflow
+    "float": st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7]), st.floats(1e-3, 5)),
+}
+
+
+@st.composite
+def oracle_and_stream(draw):
+    """(oracle factory, stream); streams may repeat element ids, and each
+    arrival carries its stream position as payload."""
+    kind = draw(st.sampled_from(ORACLE_KINDS))
+    members = draw(st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True))
+    weight = WEIGHTS[kind.partition("-")[2] or "int"]
+    if kind.startswith("additive"):
+        weights = {m: draw(weight) for m in members}
+
+        def make():
+            return AdditiveOracle(weights)
+    else:
+        points = draw(st.sampled_from([10, 150]))  # one and three mask words
+        point = st.integers(0, points - 1)
+        inst = CoverageInstance({m: draw(st.frozensets(point, max_size=6)) for m in members})
+        if kind == "coverage":
+            def make():
+                return CoverageOracle(inst)
+        else:
+            weights = {p: draw(weight) for p in inst.universe}
+
+            def make():
+                return WeightedCoverageOracle(inst, weights)
+    ids = draw(st.lists(st.sampled_from(members), max_size=10))
+    stream = [Element(i, payload=pos) for pos, i in enumerate(ids)]
+    return make, stream
+
+
+def node_rows(nodes):
+    """Nodes in creation order as comparable tuples; a node's element is
+    the arrival that created it, payload included."""
+    return [(n.element, n.gain, n.value, n.depth, n.path_ids) for n in nodes]
+
+
+guesses = st.one_of(
+    st.integers(1, 30), st.fractions(min_value=Fraction(1, 3), max_value=30),
+    st.floats(min_value=0.5, max_value=30),
+)
+
+
+@given(
+    oracle_and_stream(), st.integers(0, 3),
+    st.one_of(st.none(), guesses), st.sampled_from(["0.1", "0.25", "0.5", "1"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_array_tree_matches_reference(case, k, g, delta):
+    """Exact (g None) and bucketed trees: same nodes in the same creation
+    order, same best solution (earliest node on ties), same stats."""
+    make, stream = case
+    mode = "exact" if g is None else "bucketed"
+    if g is not None:
+        k = max(k, 1)  # bucket widths delta*g/k need k >= 1
+
+    def keyer():
+        return ExactKeys() if g is None else IncreaseBuckets(g, k, delta)
+
+    ref_sol, ref_stats, ref_tree = ref_run(stream, k, keyer(), make())
+
+    oracle = make()
+    tree = PrefixTree(k, keyer())
+    for e in stream:
+        tree_process(tree, e, oracle)
+    assert node_rows(tree.nodes) == node_rows(ref_tree.nodes)
+    assert best_solution(tree) == ref_sol
+
+    stats = RunStats()
+    sol = run_tree_stream(iter(stream), k, delta, make(), mode=mode, g=g, stats=stats)
+    assert sol == ref_sol
+    assert stats == ref_stats
+
+
+@given(oracle_and_stream(), st.integers(1, 3), st.sampled_from([0.1, 0.2, 0.5]))
+@settings(max_examples=80, deadline=None)
+def test_guess_run_matches_reference(case, k, delta):
+    make, stream = case
+    ref_sol, ref_stats = ref_guess_run(stream, k, delta, make())
+    stats = RunStats()
+    assert guess_run(iter(stream), k, delta, make(), stats=stats) == ref_sol
+    assert stats == ref_stats
+
+
+def test_float_values_add_up_along_the_path():
+    """f({0, 1, 2}) evaluates to 1.5000000000000002 here, but the node's value
+    is its parent's 0.4 plus its gain 1.1, which is 1.5, as in the reference."""
+    weights = {0: 0.1, 1: 1.1, 2: 0.3}
+    stream = [Element(0), Element(2), Element(1)]
+    ref_sol, ref_stats, ref_tree = ref_run(stream, 3, ExactKeys(), AdditiveOracle(weights))
+    assert AdditiveOracle(weights).evaluate({0, 1, 2}) != ref_sol.value == 1.5
+    tree = PrefixTree(3, ExactKeys())
+    oracle = AdditiveOracle(weights)
+    for e in stream:
+        tree_process(tree, e, oracle)
+    assert node_rows(tree.nodes) == node_rows(ref_tree.nodes)
+    assert best_solution(tree) == ref_sol
+
+
+def test_array_tree_grows_past_its_first_allocation():
+    """Hundreds of nodes and dozens of distinct exact gains: the row arrays
+    and the presence bitsets both have to grow."""
+    rects = {i: frozenset(range(i, 3 * i + 1)) for i in range(14)}
+    stream = [Element(i) for i in (5, 0, 13, 2, 9, 7, 11, 1, 12, 4, 8, 3, 10, 6, 9, 2)]
+    for keyer in (ExactKeys, lambda: IncreaseBuckets(40, 3, "0.05")):
+        ref_sol, ref_stats, ref_tree = ref_run(stream, 3, keyer(), CoverageOracle(CoverageInstance(rects)))
+        tree = PrefixTree(3, keyer())
+        oracle = CoverageOracle(CoverageInstance(rects))
+        for e in stream:
+            tree_process(tree, e, oracle)
+        assert len(tree.nodes) == ref_stats.nodes_live_max > 200
+        assert node_rows(tree.nodes) == node_rows(ref_tree.nodes)
+        assert best_solution(tree) == ref_sol
+        assert oracle.call_counter == ref_stats.oracle_calls

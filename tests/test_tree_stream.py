@@ -1,7 +1,11 @@
 """Prefix-tree streaming: structure, bucketing, guessing, leaf traces."""
 
+import math
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +159,63 @@ def test_bucket_guards():
     IncreaseBuckets(g=1, k=2, delta="1")  # delta = 1 is legal
 
 
+def bucket_edge_gains(b: IncreaseBuckets) -> list:
+    """Gains at, just below and just above every bucket edge j * width."""
+    out = []
+    for j in range(b.bucket_count + 2):
+        edge = j * b.width
+        out += [edge, math.floor(edge), math.ceil(edge), math.ceil(edge) - 1]
+    return out
+
+
+@given(
+    st.one_of(st.integers(1, 500),
+              st.fractions(min_value=Fraction(1, 7), max_value=500, max_denominator=10**6),
+              st.floats(min_value=0.01, max_value=500)),
+    st.integers(1, 6),
+    st.sampled_from(["0.05", "0.1", "0.3", "1", 0.2]),
+    st.lists(st.integers(-5, 700), max_size=20),
+)
+@settings(max_examples=200, deadline=None)
+def test_bucket_keys_match_scalar_key(g, k, delta, extra):
+    """The vectorized keys() is key() elementwise for int, Fraction and float
+    widths, on gains <= 0, on the bucket edges and above the clamp bucket."""
+    b = IncreaseBuckets(g, k, delta)
+    edges = bucket_edge_gains(b)
+    ints = [math.floor(x) for x in edges] + extra + [0, -3, 10**6, 2**62]
+    arrays = [
+        np.array(ints, dtype=np.int64),
+        np.array([Fraction(x) for x in edges] + extra, dtype=object),
+        np.array([float(x) for x in edges] + extra + [-0.5, 1e12], dtype=np.float64),
+    ]
+    for gains in arrays:
+        keys = b.keys(gains)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [b.key(x) for x in gains.tolist()]
+        for x in gains.tolist():  # the one-line definition of a bucket, for every gain type
+            assert b.key(x) == (0 if x <= 0 else min(int(x // b.width), b.bucket_count))
+    assert b.key(0) == b.key(-1) == 0
+    assert b.key(10**6 * b.width) == b.bucket_count  # clamp bucket
+
+
+def test_float_gain_on_a_rational_bucket_edge_keys_by_float_division():
+    """A float gain keys by float floor division even when the width is
+    rational: with width 1/10, 0.3 // 0.1 is 2.0, though 0.3 * 10 is 3.0."""
+    b = IncreaseBuckets(1, 10, 1)
+    assert b.width == Fraction(1, 10)
+    assert b.key(0.3) == 2 and b.keys(np.array([0.3])).tolist() == [2]
+    assert b.key(Fraction(3, 10)) == 3 and b.key(3 * b.width) == 3
+
+
+@pytest.mark.parametrize("g", [Fraction(2**70, 3), Fraction(1, 3**40)])
+def test_bucket_keys_match_scalar_key_beyond_int64(g):
+    """Widths whose numerator or denominator do not fit int64 still key
+    int64 gains exactly as key() does."""
+    b = IncreaseBuckets(g, 4, "0.1")
+    gains = np.array([-(2**63), -1, 0, 1, 7, 2**62, 2**63 - 1], dtype=np.int64)
+    assert b.keys(gains).tolist() == [b.key(x) for x in gains.tolist()]
+
+
 def test_node_count_bound_values():
     assert node_count_bound(1, "1") == 4  # 1 + 3
     assert node_count_bound(3, "0.2") == 5220
@@ -228,6 +289,36 @@ def test_guess_manager_rejects_bad_delta():
         GuessManager(2, 0.0)
     with pytest.raises(PreconditionError):
         GuessManager(2, 1.0)
+
+
+def recording_stream(ids, oracle, seen):
+    """Yield Element(i) for each id, noting the oracle counter at each yield."""
+    for i in ids:
+        seen.append(oracle.call_counter)
+        yield Element(i)
+
+
+@pytest.mark.parametrize("run", ["exact", "bucketed", "guess"])
+def test_runs_consume_the_stream_one_element_at_a_time(fig2_oracle, run):
+    """Every element is processed before the next one is requested: no run
+    buffers its input stream."""
+    oracle, k = fig2_oracle
+    seen = []
+    stream = recording_stream(["A", "B", "C", "D", "B"], oracle, seen)
+    if run == "guess":
+        guess_run(stream, k, 0.1, oracle)
+    else:
+        run_tree_stream(stream, k, "0.5", oracle, mode=run, g=5)
+    assert len(seen) == 5
+    assert all(a < b for a, b in zip(seen, seen[1:]))
+
+
+def test_prefix_tree_demo_runs(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "02_prefix_tree.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "best node: ['A', 'B'] value 5" in out
+    assert "live nodes max 8 <= 43" in out
 
 
 # ---------------------------------------------------------------- leaf trace
