@@ -98,18 +98,33 @@ def _common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None)
 
 
+class FlagError(Exception):
+    """A flag value that cannot be used; ``main`` prints it and exits 2."""
+
+
+def _json_object(text: str, where: str) -> dict:
+    """Parse a flag's JSON text, which must hold an object."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FlagError(f"{where}: invalid JSON ({exc})") from None
+    if not isinstance(value, dict):
+        raise FlagError(f"{where}: expected a JSON object")
+    return value
+
+
 def _load_config(args: argparse.Namespace, problem: str) -> ExperimentConfig:
     raw = {}
     if args.config:
         with open(args.config) as fh:
-            raw = json.load(fh)
+            raw = _json_object(fh.read(), f"--config {args.config}")
     raw["problem"] = problem
     if args.instance is not None:
         raw["instance"] = {"file": args.instance}
     elif args.kind is not None:
         raw["instance"] = {
             "kind": args.kind,
-            "params": json.loads(args.params) if args.params else {},
+            "params": _json_object(args.params, "--params") if args.params else {},
         }
     if args.adversary is not None:
         raw["adversary"] = {"strategy": args.adversary}
@@ -180,7 +195,7 @@ def _cmd_recurrence(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    params = json.loads(args.params)
+    params = _json_object(args.params, "--params")
     out = resolve_out(args.out)
     if args.problem == "submod":
         if args.format == "edges":
@@ -258,16 +273,20 @@ def _cmd_verify(_args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "submod":
-        return _cmd_submod_run(args)
-    if args.command == "matching":
-        return _cmd_matching_run(args)
-    if args.command == "recurrence":
-        return _cmd_recurrence(args)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
+    try:
+        if args.command == "submod":
+            return _cmd_submod_run(args)
+        if args.command == "matching":
+            return _cmd_matching_run(args)
+        if args.command == "recurrence":
+            return _cmd_recurrence(args)
+        if args.command == "gen":
+            return _cmd_gen(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+    except FlagError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     parser.error(f"unknown command {args.command!r}")
     return 2
 

@@ -34,7 +34,6 @@ from .generators import (
     make_plan,
 )
 from .matching import (
-    MatchConfig,
     GuessRunStats,
     exact_max_matching,
     geometric_guess_run,
@@ -181,16 +180,12 @@ def summarize(ratios: list[float], failures: int) -> Optional[Summary]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials, write the CSV, and aggregate the ratio column."""
-    if config.problem == "submod":
-        records = _run_submod(config)
-        columns = SUBMOD_COLUMNS
-    elif config.problem == "matching":
-        records = _run_matching(config)
-        columns = MATCHING_COLUMNS
-    elif config.problem == "recurrence":
+    if config.problem == "recurrence":
         return _run_recurrence(config)
-    else:
+    if config.problem not in PROBLEMS:
         raise PreconditionError(f"unknown problem {config.problem!r}")
+    columns, load, run = PROBLEMS[config.problem]
+    records = _run_trials(config, load, run)
     path = resolve_out(config.out)
     if path is not None:
         _write_csv(path, columns, records)
@@ -217,32 +212,21 @@ def _write_csv(path: str, columns: tuple, records: list[TrialRecord]) -> None:
         fh.write(buf.getvalue())
 
 
-# ---------------------------------------------------------------------------
-# submod experiments
+def _run_trials(config: ExperimentConfig, load, run) -> list[TrialRecord]:
+    """Every (trial, permutation) run of a streaming problem.
 
-
-def _load_submod_trial(
-    config: ExperimentConfig, t_seed: int
-) -> tuple[CoverageInstance, InstanceSplit, Optional[InjectionPlan]]:
-    src = config.instance
-    if "file" in src:
-        return read_submod_instance_file(src["file"])
-    params = dict(src.get("params", {}))
-    params.setdefault("k", config.k)
-    instance, split = generate_submod_instance(src["kind"], params, seed=t_seed)
-    return instance, split, None
-
-
-def _run_submod(config: ExperimentConfig) -> list[TrialRecord]:
+    ``load(config, t_seed)`` returns one trial's (split, fixed plan or None,
+    trial data); without a fixed plan the configured adversary makes one.
+    ``run(config, stream, trial data)`` runs the algorithm on one realized
+    stream and returns (CSV columns other than seed, perm_index and
+    config_fp; memory counters).  A failure is recorded, not raised.
+    """
     fp = config.fingerprint()
     records = []
     for t_idx in range(config.trials):
         t_seed = trial_seed(config.seed, t_idx)
         try:
-            instance, split, fixed_plan = _load_submod_trial(config, t_seed)
-            oracle = CoverageOracle(instance)
-            opt = brute_force_opt(oracle, instance.ground_set(), config.k)
-            plan = fixed_plan
+            split, plan, trial = load(config, t_seed)
             if plan is None:
                 plan = make_plan(
                     split,
@@ -253,62 +237,71 @@ def _run_submod(config: ExperimentConfig) -> list[TrialRecord]:
             records.append(TrialRecord(columns={}, error=f"{type(exc).__name__}: {exc}"))
             continue
         for p_idx in range(config.perms):
-            records.append(
-                _one_submod_run(config, t_seed, p_idx, split, plan, instance, opt.value, fp)
-            )
+            started = time.perf_counter()
+            try:
+                stream = build_stream(split, plan, perm_seed(t_seed, p_idx))
+                columns, memory = run(config, stream, trial)
+                records.append(TrialRecord(
+                    columns={"seed": t_seed, "perm_index": p_idx, **columns, "config_fp": fp},
+                    wall_time_s=time.perf_counter() - started,
+                    memory=memory,
+                ))
+            except Exception as exc:  # noqa: BLE001
+                records.append(TrialRecord(
+                    columns={}, wall_time_s=time.perf_counter() - started,
+                    error=f"{type(exc).__name__}: {exc}",
+                ))
     return records
 
 
-def _one_submod_run(
-    config: ExperimentConfig,
-    t_seed: int,
-    p_idx: int,
-    split: InstanceSplit,
-    plan: InjectionPlan,
-    instance: CoverageInstance,
-    opt_value,
-    fp: str,
-) -> TrialRecord:
-    started = time.perf_counter()
-    try:
-        stream = build_stream(split, plan, perm_seed(t_seed, p_idx))
-        oracle = CoverageOracle(instance)
-        stats = RunStats()
-        if config.guess == "auto":
-            sol = guess_run(stream, config.k, config.delta, oracle, stats=stats)
-        elif config.mode == "exact":
-            sol = run_tree_stream(
-                stream, config.k, config.delta, oracle, mode="exact", stats=stats
-            )
-        else:
-            sol = run_tree_stream(
-                stream, config.k, config.delta, oracle,
-                mode="bucketed", g=opt_value, stats=stats,
-            )
-        ratio = sol.value / opt_value if opt_value else 0.0
-        return TrialRecord(
-            columns={
-                "seed": t_seed,
-                "perm_index": p_idx,
-                "guess_mode": stats.guess_mode,
-                "best_value": sol.value,
-                "opt_value": opt_value,
-                "ratio": ratio,
-                "nodes_live_max": stats.nodes_live_max,
-                "oracle_calls": stats.oracle_calls,
-                "config_fp": fp,
-            },
-            wall_time_s=time.perf_counter() - started,
-            memory={
-                "nodes_live_max": stats.nodes_live_max,
-                "guesses_live_max": stats.guesses_live_max,
-            },
+# ---------------------------------------------------------------------------
+# submod experiments
+
+
+def _load_submod_trial(
+    config: ExperimentConfig, t_seed: int
+) -> tuple[InstanceSplit, Optional[InjectionPlan], tuple]:
+    """(split, fixed plan, (instance, OPT value))."""
+    src = config.instance
+    if "file" in src:
+        instance, split, plan = read_submod_instance_file(src["file"])
+    else:
+        params = dict(src.get("params", {}))
+        params.setdefault("k", config.k)
+        instance, split = generate_submod_instance(src["kind"], params, seed=t_seed)
+        plan = None
+    opt = brute_force_opt(CoverageOracle(instance), instance.ground_set(), config.k)
+    return split, plan, (instance, opt.value)
+
+
+def _submod_run(config: ExperimentConfig, stream, trial: tuple) -> tuple[dict, dict]:
+    instance, opt_value = trial
+    oracle = CoverageOracle(instance)
+    stats = RunStats()
+    if config.guess == "auto":
+        sol = guess_run(stream, config.k, config.delta, oracle, stats=stats)
+    elif config.mode == "exact":
+        sol = run_tree_stream(
+            stream, config.k, config.delta, oracle, mode="exact", stats=stats
         )
-    except Exception as exc:  # noqa: BLE001
-        return TrialRecord(
-            columns={}, wall_time_s=time.perf_counter() - started,
-            error=f"{type(exc).__name__}: {exc}",
+    else:
+        sol = run_tree_stream(
+            stream, config.k, config.delta, oracle,
+            mode="bucketed", g=opt_value, stats=stats,
         )
+    columns = {
+        "guess_mode": stats.guess_mode,
+        "best_value": sol.value,
+        "opt_value": opt_value,
+        "ratio": sol.value / opt_value if opt_value else 0.0,
+        "nodes_live_max": stats.nodes_live_max,
+        "oracle_calls": stats.oracle_calls,
+    }
+    memory = {
+        "nodes_live_max": stats.nodes_live_max,
+        "guesses_live_max": stats.guesses_live_max,
+    }
+    return columns, memory
 
 
 # ---------------------------------------------------------------------------
@@ -317,91 +310,49 @@ def _one_submod_run(
 
 def _load_matching_trial(
     config: ExperimentConfig, t_seed: int
-) -> tuple[InstanceSplit, int, Optional[InjectionPlan]]:
+) -> tuple[InstanceSplit, Optional[InjectionPlan], int]:
+    """(split, fixed plan, m*)."""
     src = config.instance
     if "file" in src:
         split, plan = read_matching_instance_file(src["file"])
         edges = edges_from_stream(list(split.good) + list(split.noise))
-        return split, len(exact_max_matching(edges)), plan
+        return split, plan, len(exact_max_matching(edges))
     split, m_star = generate_matching_instance(
         src["kind"], src.get("params", {}), seed=t_seed
     )
-    return split, m_star, None
+    return split, None, m_star
 
 
-def _run_matching(config: ExperimentConfig) -> list[TrialRecord]:
-    fp = config.fingerprint()
+def _matching_run(config: ExperimentConfig, stream, m_star: int) -> tuple[dict, dict]:
     algo = config.match_mode
     if config.mstar == "auto" and algo == "match":
         algo = "guessed"
-    cfg = MatchConfig(delta_guess=config.delta_guess)
-    records = []
-    for t_idx in range(config.trials):
-        t_seed = trial_seed(config.seed, t_idx)
-        try:
-            split, m_star, fixed_plan = _load_matching_trial(config, t_seed)
-            plan = fixed_plan
-            if plan is None:
-                plan = make_plan(
-                    split,
-                    config.adversary.get("strategy", "random"),
-                    seed=config.adversary.get("seed", t_seed),
-                )
-        except Exception as exc:  # noqa: BLE001
-            records.append(TrialRecord(columns={}, error=f"{type(exc).__name__}: {exc}"))
-            continue
-        for p_idx in range(config.perms):
-            records.append(
-                _one_matching_run(config, cfg, algo, t_seed, p_idx, split, plan, m_star, fp)
-            )
-    return records
+    edges = edges_from_stream(stream)
+    memory: dict = {}
+    if algo == "greedy":
+        out = greedy_matching(edges)
+    elif algo == "match":
+        out = match_run(edges, m_star)
+    elif algo == "guessed":
+        gstats = GuessRunStats()
+        out = geometric_guess_run(edges, config.delta_guess, stats=gstats)
+        memory["guesses_live_max"] = gstats.guesses_live_max
+    else:
+        raise PreconditionError(f"unknown matching mode {algo!r}")
+    columns = {
+        "algo": algo,
+        "size": len(out),
+        "opt_size": m_star,
+        "ratio": len(out) / m_star if m_star else 0.0,
+    }
+    return columns, memory
 
 
-def _one_matching_run(
-    config: ExperimentConfig,
-    cfg: MatchConfig,
-    algo: str,
-    t_seed: int,
-    p_idx: int,
-    split: InstanceSplit,
-    plan: InjectionPlan,
-    m_star: int,
-    fp: str,
-) -> TrialRecord:
-    started = time.perf_counter()
-    try:
-        stream = build_stream(split, plan, perm_seed(t_seed, p_idx))
-        edges = edges_from_stream(stream)
-        memory: dict = {}
-        if algo == "greedy":
-            out = greedy_matching(edges)
-        elif algo == "match":
-            out = match_run(edges, m_star, cfg)
-        elif algo == "guessed":
-            gstats = GuessRunStats()
-            out = geometric_guess_run(edges, config.delta_guess, cfg, stats=gstats)
-            memory["guesses_live_max"] = gstats.guesses_live_max
-        else:
-            raise PreconditionError(f"unknown matching mode {algo!r}")
-        ratio = len(out) / m_star if m_star else 0.0
-        return TrialRecord(
-            columns={
-                "seed": t_seed,
-                "perm_index": p_idx,
-                "algo": algo,
-                "size": len(out),
-                "opt_size": m_star,
-                "ratio": ratio,
-                "config_fp": fp,
-            },
-            wall_time_s=time.perf_counter() - started,
-            memory=memory,
-        )
-    except Exception as exc:  # noqa: BLE001
-        return TrialRecord(
-            columns={}, wall_time_s=time.perf_counter() - started,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+#: problem -> (CSV columns, trial loader, per-stream run) for ``_run_trials``
+PROBLEMS = {
+    "submod": (SUBMOD_COLUMNS, _load_submod_trial, _submod_run),
+    "matching": (MATCHING_COLUMNS, _load_matching_trial, _matching_run),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -489,18 +440,40 @@ def write_instance_file(
 
 
 def _read_records(path: str) -> tuple[list[dict], Optional[InjectionPlan]]:
+    """Element records (each with id, a known role and payload) and the plan.
+
+    A malformed line raises InvalidInstanceError naming ``path:line``.
+    """
     elements = []
     plan = None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rec = json.loads(line)
+            where = f"{path}:{lineno}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InvalidInstanceError(f"{where}: not JSON ({exc.msg})") from None
+            if not isinstance(rec, dict):
+                raise InvalidInstanceError(f"{where}: expected a JSON object")
             if "slots" in rec:
-                plan = InjectionPlan(entries=tuple((s, i) for s, i in rec["slots"]))
-            else:
-                elements.append(rec)
+                try:
+                    plan = InjectionPlan(entries=tuple((s, i) for s, i in rec["slots"]))
+                except (TypeError, ValueError):
+                    raise InvalidInstanceError(
+                        f"{where}: slots must be [slot, noise_id] pairs"
+                    ) from None
+                continue
+            missing = [name for name in ("id", "role", "payload") if name not in rec]
+            if missing:
+                raise InvalidInstanceError(f"{where}: missing {', '.join(missing)}")
+            if rec["role"] not in ("good", "noise"):
+                raise InvalidInstanceError(
+                    f"{where}: role must be 'good' or 'noise', got {rec['role']!r}"
+                )
+            elements.append(rec)
     return elements, plan
 
 

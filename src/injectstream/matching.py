@@ -1,12 +1,15 @@
 """Semi-streaming maximum matching under adversarial injections.
 
-The two-branch algorithm runs a full greedy maximal matching M1 and, in
-parallel, a second branch that matches greedily only until it holds
-ceil((1/2 - eps) * m_star) edges, then spends the rest of the stream
-collecting vertex-disjoint 3-augmenting paths for that frozen matching.  The
-collected augmentations are applied at stream end and the larger of the two
-branches is the output.  When m_star is unknown, branch 2 is replicated for
-geometric guesses of it, windowed by the live size of M1.
+The two-branch algorithm runs a full greedy maximal matching M1.  Branch 2
+would match greedily on the same stream until it holds
+ceil((1/2 - eps) * m_star) edges, so its matching is a prefix of M1: it
+freezes a copy of M1 at the first edge where |M1| reaches that threshold
+and spends the rest of the stream, that edge included, collecting
+vertex-disjoint 3-augmenting paths for the frozen matching.  The collected
+augmentations are applied at stream end and the larger of the two branches
+is the output.  When m_star is unknown, branch 2 is replicated for
+geometric guesses of it, kept in the shared window of
+``geomgrid.update_window`` around the live size of M1.
 
 The path collector is a bounded-memory stand-in for the cited 3-Aug-Paths
 subroutine, built to its contract: if the suffix holds beta*|M| disjoint
@@ -21,17 +24,17 @@ are edges between two matched vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Optional, Sequence
 
+from . import geomgrid
 from .errors import (
     InvalidInstanceError,
     InvariantError,
     PreconditionError,
     SizeLimitError,
 )
-from .geomgrid import snap_ceil_log, snap_floor_log
 
 GENERAL_EXACT_LIMIT = 20
 BIPARTITE_EXACT_LIMIT = 10**4
@@ -127,15 +130,15 @@ def validate_matching(m: Matching) -> None:
 class MatchConfig:
     """Constants of the two-branch algorithm (defaults as certified).
 
-    beta = (4 - 43 eps) / (4 - 8 eps); gamma = 1/20000 is the certified
-    expectation gap above one half and is recorded here, not used by code.
-    buffer_small enables the small-instance escape hatch (m_star <= 2/rho
-    allows buffering the whole graph); it is off by default so the streaming
-    path is what runs, and it is subject to the exact oracle's size guards.
+    eps sets branch 2's threshold ceil((1/2 - eps) * m_star), the prefix of
+    M1 it freezes, and beta = (4 - 43 eps) / (4 - 8 eps), the collector
+    contract's parameter.  buffer_small enables the small-instance escape
+    hatch (m_star <= 2/rho allows buffering the whole graph); it is off by
+    default so the streaming path is what runs, and it is subject to the
+    exact oracle's size guards.
     """
 
     eps: Fraction = Fraction(1, 50)
-    delta_guess: float = 0.1
     buffer_small: bool = False
 
     def __post_init__(self) -> None:
@@ -155,10 +158,6 @@ class MatchConfig:
     @property
     def beta(self) -> Fraction:
         return (4 - 43 * self.eps) / (4 - 8 * self.eps)
-
-    @property
-    def gamma(self) -> Fraction:
-        return Fraction(1, 20000)
 
     def phase1_threshold(self, m_star: int) -> int:
         return math.ceil((Fraction(1, 2) - self.eps) * m_star)
@@ -203,17 +202,16 @@ class AugPath:
 class AugPathStore:
     """Bounded-memory collector of vertex-disjoint 3-augmenting paths.
 
-    Initialized with a frozen matching M and the contract parameter beta
-    (beta scales the guarantee, not the collector's behavior).  Per matched
-    edge and side it keeps at most the first 2 wing edges with distinct
-    free endpoints, so stored edges never exceed
-    COLLECTOR_SLOTS_PER_EDGE * |M|, independent of the stream length.
+    Initialized with a frozen matching M: in the two-branch algorithm, the
+    copy of M1 that branch 2 freezes.  Per matched edge and side it keeps at
+    most the first 2 wing edges with distinct free endpoints, so stored
+    edges never exceed COLLECTOR_SLOTS_PER_EDGE * |M|, independent of the
+    stream length.
     """
 
-    def __init__(self, M: Matching, beta=None) -> None:
+    def __init__(self, M: Matching) -> None:
         validate_matching(M)
         self.M = M
-        self.beta = beta
         # wings[center][side vertex] -> list of (wing edge, free endpoint)
         self.wings: dict[Edge, dict[Hashable, list]] = {
             e: {e.u: [], e.v: []} for e in M.edges
@@ -266,9 +264,9 @@ class AugPathStore:
         return [self.committed[c] for c in self.M.edges if c in self.committed]
 
 
-def three_aug_paths(M: Matching, beta, suffix: Iterable[Edge]) -> list[AugPath]:
+def three_aug_paths(M: Matching, suffix: Iterable[Edge]) -> list[AugPath]:
     """Collect vertex-disjoint 3-augmenting paths for frozen M from a stream."""
-    store = AugPathStore(M, beta)
+    store = AugPathStore(M)
     for e in suffix:
         store.offer(e)
     store.sweep()
@@ -289,55 +287,55 @@ def apply_augmentations(M: Matching, paths: Sequence[AugPath]) -> Matching:
     return out
 
 
-@dataclass
-class MatchRunState:
-    """Both branches of one run (exposed for tests and the guess manager)."""
+class Branch2:
+    """Branch 2 of one run: a frozen prefix of M1 and its path collector.
 
-    m1: Matching
-    m2_phase1: Matching
-    collector: Optional[AugPathStore]
-    threshold: int
+    Branch 2 is greedy on the same stream as M1 until it holds ``threshold``
+    edges, so it needs no greedy of its own: at the first edge where it is
+    live and |M1| >= threshold it freezes a copy of M1, then offers that
+    edge and every later one to the collector.
+    """
 
-    def finish(self) -> Matching:
-        m2 = self.m2_phase1
-        if self.collector is not None:
-            self.collector.sweep()
-            m2 = apply_augmentations(self.m2_phase1, self.collector.paths())
-        return m2 if len(m2) > len(self.m1) else self.m1
+    def __init__(self, threshold: int) -> None:
+        self.threshold = threshold
+        self.collector: Optional[AugPathStore] = None
+
+    def offer(self, m1: Matching, e: Edge) -> None:
+        """Edge e has just been fed to M1's greedy."""
+        if self.collector is None:
+            if len(m1) < self.threshold:
+                return
+            self.collector = AugPathStore(m1.copy())
+        self.collector.offer(e)
+
+    def finish(self, m1: Matching) -> Matching:
+        """The larger of M1 and the augmented frozen prefix (M1 on ties)."""
+        if self.collector is None:
+            return m1
+        self.collector.sweep()
+        m2 = apply_augmentations(self.collector.M, self.collector.paths())
+        return m2 if len(m2) > len(m1) else m1
 
 
 def match_run(stream: Iterable[Edge], m_star: int, cfg: MatchConfig = MatchConfig()) -> Matching:
     """The two-branch algorithm with known optimum size m_star.
 
-    Branch 1 is plain greedy.  Branch 2 matches greedily until it holds
-    phase1_threshold(m_star) edges, then collects 3-augmenting paths for the
+    Branch 1 is plain greedy.  Branch 2 freezes M1 once it holds
+    phase1_threshold(m_star) edges, collects 3-augmenting paths for the
     frozen matching and augments at stream end.  Output: the larger branch.
+    The stream is read once, edge by edge, unless the buffer_small escape
+    hatch applies.
     """
     if m_star < 1:
         raise PreconditionError("m_star must be >= 1")
-    edges = list(stream)
     if cfg.buffer_small and m_star <= cfg.small_instance_limit:
-        return exact_max_matching(edges)
-    state = MatchRunState(
-        m1=Matching(), m2_phase1=Matching(), collector=None,
-        threshold=cfg.phase1_threshold(m_star),
-    )
-    for e in edges:
-        greedy_step(state.m1, e)
-        _feed_branch2(state, e, cfg)
-    return state.finish()
-
-
-def _feed_branch2(state: MatchRunState, e: Edge, cfg: MatchConfig) -> None:
-    """Phase 1: greedy until the threshold; phase 2: offer to the collector."""
-    if state.collector is None:
-        if len(state.m2_phase1) < state.threshold:
-            greedy_step(state.m2_phase1, e)
-            if len(state.m2_phase1) >= state.threshold:
-                state.collector = AugPathStore(state.m2_phase1, cfg.beta)
-            return
-        state.collector = AugPathStore(state.m2_phase1, cfg.beta)
-    state.collector.offer(e)
+        return exact_max_matching(stream)
+    m1 = Matching()
+    branch = Branch2(cfg.phase1_threshold(m_star))
+    for e in stream:
+        greedy_step(m1, e)
+        branch.offer(m1, e)
+    return branch.finish(m1)
 
 
 @dataclass
@@ -354,8 +352,9 @@ def geometric_guess_run(
     """Two-branch runs for geometric guesses of m_star, windowed by |M1|.
 
     Active guesses are powers (1+delta)^i inside
-    [|M1|/(1+delta), 4|M1|/(1-2eps)].  A freshly admitted guess starts its
-    branch 2 from a copy of the current M1; a guess leaving the window is
+    [|M1|/(1+delta), 4|M1|/(1-2eps)].  Each guess runs its own branch 2 on
+    the shared M1, which freezes once |M1| reaches that guess's threshold
+    (at once if it already has on admission); a guess leaving the window is
     dismissed.  Returns the best final matching over greedy and all
     surviving guesses.
     """
@@ -364,31 +363,23 @@ def geometric_guess_run(
     base = 1.0 + delta_guess
     upper_coef = 4.0 / float(1 - 2 * cfg.eps)
     m1 = Matching()
-    branches: dict[int, MatchRunState] = {}
+    branches: dict[int, Branch2] = {}
     live_max = 0
     for e in stream:
         greedy_step(m1, e)
         if len(m1) >= 1:
-            lo = snap_ceil_log(base, len(m1) / base)
-            hi = snap_floor_log(base, upper_coef * len(m1))
-            for i in [i for i in branches if i < lo or i > hi]:
-                del branches[i]
-            for i in range(lo, hi + 1):
-                if i not in branches:
-                    branches[i] = MatchRunState(
-                        m1=m1,  # shared reference: branch output compares against live M1
-                        m2_phase1=m1.copy(),
-                        collector=None,
-                        threshold=cfg.phase1_threshold(math.ceil(base**i)),
-                    )
+            geomgrid.update_window(
+                branches, len(m1), base, upper_coef,
+                lambda i: Branch2(cfg.phase1_threshold(math.ceil(base**i))),
+            )
             live_max = max(live_max, len(branches))
-        for state in branches.values():
-            _feed_branch2(state, e, cfg)
+        for branch in branches.values():
+            branch.offer(m1, e)
     if stats is not None:
         stats.guesses_live_max = live_max
     best = m1
     for i in sorted(branches):
-        out = branches[i].finish()
+        out = branches[i].finish(m1)
         if len(out) > len(best):
             best = out
     return best
@@ -396,8 +387,7 @@ def geometric_guess_run(
 
 def live_guess_bound(delta_guess: float, cfg: MatchConfig = MatchConfig()) -> int:
     """Ceiling of log base (1+delta) of 4(1+delta)/(1-2eps)."""
-    ratio = 4 * (1 + delta_guess) / float(1 - 2 * cfg.eps)
-    return math.ceil(math.log(ratio) / math.log(1 + delta_guess))
+    return geomgrid.live_guess_bound(1.0 + delta_guess, 4.0 / float(1 - 2 * cfg.eps))
 
 
 # ---------------------------------------------------------------------------

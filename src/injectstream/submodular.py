@@ -21,7 +21,6 @@ frozensets and calls ``_eval``, so any subclass works.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 from dataclasses import dataclass
@@ -364,22 +363,3 @@ def figure2_instance() -> tuple[CoverageInstance, int]:
         "D": frozenset({"d3"}),
     }
     return CoverageInstance(rect_of=rects), 2
-
-
-def write_coverage_instance(path: str, instance: CoverageInstance) -> None:
-    """One JSON record per line: {"id": ..., "points": [...]}."""
-    with open(path, "w") as fh:
-        for eid, pts in instance.rect_of.items():
-            fh.write(json.dumps({"id": eid, "points": sorted(pts, key=repr)}) + "\n")
-
-
-def read_coverage_instance(path: str) -> CoverageInstance:
-    rects = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            rects[rec["id"]] = frozenset(rec["points"])
-    return CoverageInstance(rect_of=rects)

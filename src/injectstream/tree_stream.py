@@ -23,9 +23,10 @@ value is its parent's value plus its gain.  ``tree.root``, ``tree.nodes``
 and ``node.children`` are lazy views built from the arrays.
 
 When OPT is unknown, a guess manager runs one tree per active geometric
-guess g = (1+delta)^j, keyed to the running maximum singleton value m:
-guesses outside [m/(1+delta), (k/delta)*m] are dismissed, new guesses start
-fresh at the current stream position, and the best surviving tree wins.
+guess g = (1+delta)^j, keyed to the running maximum singleton value m: the
+shared window of ``geomgrid.update_window`` dismisses guesses outside
+[m/(1+delta), (k/delta)*m], new guesses start fresh at the current stream
+position, and the best surviving tree wins.
 
 The interval-greedy leaf trace is an analysis oracle, not part of the
 algorithm: it reads the recorded permutation to reproduce the half-floor
@@ -42,8 +43,8 @@ from typing import Hashable, Iterable, Optional, Union
 
 import numpy as np
 
+from . import geomgrid
 from .errors import InvalidInstanceError, InvariantError, PreconditionError
-from .geomgrid import snap_ceil_log, snap_floor_log
 from .stream_model import Element, InjectedStream
 from .submodular import SubmodularOracle, Solution
 
@@ -81,7 +82,8 @@ class IncreaseBuckets:
     guess g is an int or Fraction, so integer-valued oracles bucket exactly:
     with width = p/q an int or Fraction gain keys to gain*q // p in integer
     arithmetic.  A float gain, or a float guess (float width), keys by float
-    floor division gain // float(width).  Index bucket_count is the clamp
+    floor division gain // float(width); a float guess whose width
+    underflows to 0 is rejected.  Index bucket_count is the clamp
     bucket for gains at or above the range top; gains <= 0 key to 0.
     """
 
@@ -104,6 +106,10 @@ class IncreaseBuckets:
             self._top = top if top * self._q < 2**63 else None
         else:
             self.width = float(self.delta) * g / k
+            if self.width == 0:
+                raise PreconditionError(
+                    f"guess g={g!r} gives bucket width delta*g/k = {self.width!r} (underflow)"
+                )
             self._p = None
 
     def key(self, gain) -> int:
@@ -349,27 +355,17 @@ class GuessManager:
         self.guesses_live_max = 0
         self.nodes_live_max = 0
 
-    def window(self) -> tuple[int, int]:
-        base = 1.0 + self.delta
-        lo = snap_ceil_log(base, self.m / base)
-        hi = snap_floor_log(base, (self.k / self.delta) * self.m)
-        return lo, hi
-
     def observe(self, singleton_value) -> None:
         """Update m and the active guess set for an arriving element."""
         if singleton_value > self.m:
             self.m = singleton_value
         if self.m <= 0:
             return
-        lo, hi = self.window()
-        for j in [j for j in self.runs if j < lo or j > hi]:
-            del self.runs[j]              # guess left the window: dismiss
         base = 1.0 + self.delta
-        for j in range(lo, hi + 1):
-            if j not in self.runs:
-                self.runs[j] = PrefixTree(
-                    self.k, IncreaseBuckets(base**j, self.k, self.delta)
-                )
+        geomgrid.update_window(
+            self.runs, self.m, base, self.k / self.delta,
+            lambda j: PrefixTree(self.k, IncreaseBuckets(base**j, self.k, self.delta)),
+        )
         self.guesses_live_max = max(self.guesses_live_max, len(self.runs))
 
     def process(self, e: Element, oracle: SubmodularOracle) -> None:
@@ -450,7 +446,7 @@ def guess_run(
 
 def live_guess_bound(k: int, delta: float) -> int:
     """Ceiling of log base (1+delta) of k(1+delta)/delta, the guess-count cap."""
-    return math.ceil(math.log(k * (1 + delta) / delta) / math.log(1 + delta))
+    return geomgrid.live_guess_bound(1.0 + delta, k / delta)
 
 
 @dataclass(frozen=True)

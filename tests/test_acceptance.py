@@ -247,7 +247,7 @@ def test_criterion_09_three_aug_collector_contract():
         for seed in range(100):
             planted = generate_planted_3aug(seed, size_range=(20, 100))
             M = planted.matching
-            store = AugPathStore(M, beta)
+            store = AugPathStore(M)
             for e in planted.suffix:
                 store.offer(e)
             store.sweep()

@@ -4,11 +4,12 @@ import csv
 import json
 import math
 import os
+import re
 
 import pytest
 
 from injectstream.cli import build_parser, main
-from injectstream.errors import PreconditionError
+from injectstream.errors import InvalidInstanceError, PreconditionError
 from injectstream.generators import generate_submod_instance, make_plan
 from injectstream.harness import (
     MATCHING_COLUMNS,
@@ -243,6 +244,26 @@ def test_matching_plain_edge_file(tmp_path):
     assert split.good[0].payload == (1, 2)
 
 
+BAD_RECORDS = {
+    "role typo": '{"id": 9, "role": "god", "payload": [7, 8]}',
+    "missing role": '{"id": 9, "payload": [7, 8]}',
+    "missing id": '{"role": "good", "payload": [7, 8]}',
+    "missing payload": '{"id": 9, "role": "good"}',
+    "not JSON": '{"id": 9, "role": "good", "payload": [7, 8]',
+    "not an object": '[9, "good", [7, 8]]',
+    "bad slots": '{"slots": [[0]]}',
+}
+
+
+@pytest.mark.parametrize("read", [read_submod_instance_file, read_matching_instance_file])
+@pytest.mark.parametrize("bad", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
+def test_malformed_instance_line_names_file_and_line(tmp_path, read, bad):
+    path = tmp_path / "inst.jsonl"
+    path.write_text('{"id": 1, "role": "good", "payload": [1, 2]}\n\n' + bad + "\n")
+    with pytest.raises(InvalidInstanceError, match="^" + re.escape(f"{path}:3: ")):
+        read(str(path))
+
+
 # ---------------------------------------------------------------------- CLI
 
 
@@ -334,3 +355,27 @@ def test_cli_verify(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "[ok]" in out and "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["submod", "run", "--config", "CFG"],
+    ["matching", "run", "--kind", "random", "--params", "{bad"],
+    ["gen", "--problem", "submod", "--kind", "random", "--params", "{bad", "--out", "x.jsonl"],
+])
+def test_cli_invalid_json_flag_is_one_line_and_exit_2(tmp_path, capsys, argv):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("{bad")
+    argv = [str(cfg_path) if a == "CFG" else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    flag = "--config" if "--config" in argv else "--params"
+    assert err.count("\n") == 1 and flag in err and "invalid JSON" in err
+    if flag == "--config":
+        assert str(cfg_path) in err
+
+
+def test_every_exported_name_resolves():
+    import injectstream
+
+    missing = [name for name in injectstream.__all__ if not hasattr(injectstream, name)]
+    assert missing == []

@@ -38,6 +38,7 @@ from injectstream.matching import (
     validate_matching,
     write_edge_stream,
 )
+from injectstream import matching
 from injectstream.rng import PhiloxRNG
 
 
@@ -98,7 +99,7 @@ def test_greedy_step_and_maximality():
 
 def test_three_aug_paths_minimal():
     m = Matching([Edge("a", "b")])
-    paths = three_aug_paths(m, Fraction(157, 192), [Edge("x", "a"), Edge("b", "y")])
+    paths = three_aug_paths(m, [Edge("x", "a"), Edge("b", "y")])
     assert len(paths) == 1
     p = paths[0]
     assert p.center == Edge("a", "b")
@@ -167,7 +168,7 @@ def test_collector_sweep_picks_up_late_pairs():
 
 def test_apply_augmentations():
     m = Matching([Edge("a", "b")])
-    [p] = three_aug_paths(m, None, [Edge("x", "a"), Edge("b", "y")])
+    [p] = three_aug_paths(m, [Edge("x", "a"), Edge("b", "y")])
     out = apply_augmentations(m, [p])
     assert len(out) == 2
     assert Edge("x", "a") in out and Edge("b", "y") in out
@@ -190,7 +191,6 @@ def test_match_config_constants():
     assert cfg.eps == Fraction(1, 50)
     assert cfg.alpha == cfg.eps and cfg.rho == cfg.eps / 4
     assert cfg.beta == Fraction(157, 192)
-    assert cfg.gamma == Fraction(1, 20000)
     assert cfg.phase1_threshold(100) == 48  # ceil(0.48 * 100)
     assert cfg.phase1_threshold(1) == 1
     with pytest.raises(PreconditionError):
@@ -226,6 +226,28 @@ def test_match_run_buffer_small_escape():
     edges = path_edges(1, 2, 3, 4)  # greedy from the front gets just (1,2)... order matters
     out = match_run(edges, 2, cfg)
     assert len(out) == 2  # exact on a buffered small instance
+
+
+@pytest.mark.parametrize("run", ["match", "guessed"])
+def test_runs_consume_the_stream_one_edge_at_a_time(monkeypatch, run):
+    """Each edge takes its one greedy step (M1's; branch 2 has no greedy of
+    its own) before the next one is requested: no run buffers its input
+    stream (buffer_small is off by default)."""
+    log = []
+    step = matching.greedy_step
+    monkeypatch.setattr(matching, "greedy_step", lambda M, e: log.append("step") or step(M, e))
+    edges = [Edge(4 * i + 1, 4 * i + 2) for i in range(5)] + [Edge(2 * j, 2 * j + 1) for j in range(10)]
+
+    def stream():
+        for e in edges:
+            log.append("next")
+            yield e
+
+    if run == "match":
+        match_run(stream(), 10)
+    else:
+        geometric_guess_run(stream(), 0.1)
+    assert log == ["next", "step"] * len(edges)
 
 
 def test_trap_stream_beats_half():

@@ -21,9 +21,7 @@ from injectstream.submodular import (
     brute_force_opt,
     figure2_instance,
     marginal,
-    read_coverage_instance,
     verify_axioms,
-    write_coverage_instance,
 )
 
 
@@ -145,14 +143,6 @@ def test_additive_oracle():
     oracle = AdditiveOracle({"x": 2, "y": 3, "z": 5})
     assert oracle.evaluate({"x", "z"}) == 7
     assert verify_axioms(oracle, GroundSet(("x", "y", "z"))).ok
-
-
-def test_coverage_round_trip(tmp_path, fig2):
-    instance, _, _ = fig2
-    path = tmp_path / "cov.json"
-    write_coverage_instance(path, instance)
-    back = read_coverage_instance(path)
-    assert back.rect_of == instance.rect_of
 
 
 coverage_instances = st.dictionaries(

@@ -23,6 +23,7 @@ from injectstream.stream_model import (
     enumerate_streams,
 )
 from injectstream.submodular import (
+    AdditiveOracle,
     CoverageInstance,
     CoverageOracle,
     brute_force_opt,
@@ -214,6 +215,21 @@ def test_bucket_keys_match_scalar_key_beyond_int64(g):
     b = IncreaseBuckets(g, 4, "0.1")
     gains = np.array([-(2**63), -1, 0, 1, 7, 2**62, 2**63 - 1], dtype=np.int64)
     assert b.keys(gains).tolist() == [b.key(x) for x in gains.tolist()]
+
+
+@pytest.mark.parametrize("use", ["key", "keys", "guess_run"])
+def test_float_guess_whose_bucket_width_underflows_is_rejected(use):
+    """delta*g/k rounding to 0 for a guess near the float minimum raises a
+    PreconditionError naming g and the width, instead of key dividing by
+    zero and keys returning INT64_MIN or clamped keys."""
+    with pytest.raises(PreconditionError, match=r"guess g=\S+ gives bucket width .* = 0\.0"):
+        if use == "key":
+            IncreaseBuckets(5e-324, 4, 0.1).key(1e-300)
+        elif use == "keys":
+            IncreaseBuckets(5e-324, 4, 0.1).keys(np.array([0.0, 1e-300]))
+        else:
+            oracle = AdditiveOracle({0: 5e-324, 1: 1e-323})
+            guess_run([Element(0), Element(1)], 4, 0.1, oracle)
 
 
 def test_node_count_bound_values():
