@@ -116,8 +116,12 @@ def _json_object(text: str, where: str) -> dict:
 def _load_config(args: argparse.Namespace, problem: str) -> ExperimentConfig:
     raw = {}
     if args.config:
-        with open(args.config) as fh:
-            raw = _json_object(fh.read(), f"--config {args.config}")
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise FlagError(f"--config {args.config}: {exc.strerror}") from None
+        raw = _json_object(text, f"--config {args.config}")
     raw["problem"] = problem
     if args.instance is not None:
         raw["instance"] = {"file": args.instance}
@@ -143,7 +147,7 @@ def _cmd_submod_run(args: argparse.Namespace) -> int:
             setattr(config, dst, value)
     result = run_experiment(config)
     _print_run(result)
-    return 0 if not any(r.error for r in result.records) else 1
+    return result.exit_code
 
 
 def _cmd_matching_run(args: argparse.Namespace) -> int:
@@ -156,7 +160,7 @@ def _cmd_matching_run(args: argparse.Namespace) -> int:
         config.delta_guess = args.delta_guess
     result = run_experiment(config)
     _print_run(result)
-    return 0 if not any(r.error for r in result.records) else 1
+    return result.exit_code
 
 
 def _print_run(result) -> None:

@@ -1,11 +1,16 @@
 """Instance and adversary generators for the experiment harness.
 
-Submodular instances are coverage functions; the good set is always an
-optimal k-subset of the generated ground set (computed by the exact oracle,
-so the split's optimum equals the global optimum by construction) and the
-remaining elements are the injectable noise.  Matching instances carry
-edges as element payloads; the good elements are the edges of a maximum
-matching of the generated graph.
+Submodular instances are coverage functions; the good set is an optimal
+k-subset of the generated ground set and the remaining elements are the
+injectable noise.  For figure2 and random the good set is the brute-force
+optimum, so it is optimal by definition; for decoy_front it is the k
+disjoint blocks, and no k sets can cover more than k blocks' worth of
+points.  Generation does not re-check either fact, nor the oracle axioms
+(coverage is submodular by construction): the tests and ``injectstream
+verify`` check those.
+
+Matching instances carry edges as element payloads; the good elements are
+the edges of a maximum matching of the generated graph.
 
 Adversary strategies are blind: each one maps (number of good elements,
 noise ids, seed) to an injection plan and never sees the permutation, which
@@ -23,13 +28,8 @@ from .errors import InvalidInstanceError, PreconditionError
 from .matching import Edge, Matching, MatchConfig, exact_max_matching
 from .rng import PhiloxRNG, fisher_yates
 from .stream_model import Element, InjectionPlan, InstanceSplit
-from .submodular import (
-    CoverageInstance,
-    CoverageOracle,
-    brute_force_opt,
-    figure2_instance,
-    verify_axioms,
-)
+from .submodular import CoverageInstance, CoverageOracle, brute_force_opt, figure2_instance
+from .submodular import verify_axioms  # noqa: F401 - perfbench's tracer wraps it by this name
 
 SUBMOD_KINDS = ("figure2", "random", "decoy_front")
 MATCHING_KINDS = ("random_bipartite", "greedy_trap")
@@ -79,34 +79,32 @@ def generate_submod_instance(
     (k disjoint blocks as the optimum, noise sets are block subsets one
     point short, params k/block/decoys_per_block).
     """
-    params = dict(params or {})
+    params = params or {}
     kind = kind.replace("-", "_")
     if kind == "figure2":
         instance, k = figure2_instance()
-        split = _split_by_opt(instance, k)
-    elif kind == "random":
-        instance, split = _random_coverage(params, seed)
-    elif kind == "decoy_front":
-        instance, split = _decoy_front(params, seed)
-    else:
-        raise PreconditionError(f"unknown submod kind {kind!r}")
-    if params.get("self_check", True):
-        _self_check(instance, split)
-    return instance, split
+        return instance, _split_by_opt(instance, k)
+    if kind == "random":
+        return _random_coverage(params, seed)
+    if kind == "decoy_front":
+        return _decoy_front(params, seed)
+    raise PreconditionError(f"unknown submod kind {kind!r}")
+
+
+def _split(instance: CoverageInstance, good_ids) -> InstanceSplit:
+    """Good elements in ``good_ids`` order; the others, sorted by repr, are noise."""
+    rect_of = instance.rect_of
+    chosen = set(good_ids)
+    good = tuple(Element(id=i, payload=rect_of[i]) for i in good_ids)
+    noise = tuple(
+        Element(id=i, payload=rect_of[i]) for i in sorted(rect_of, key=repr) if i not in chosen
+    )
+    return InstanceSplit(good=good, noise=noise)
 
 
 def _split_by_opt(instance: CoverageInstance, k: int) -> InstanceSplit:
-    oracle = CoverageOracle(instance)
-    opt = brute_force_opt(oracle, instance.ground_set(), k)
-    good = tuple(
-        Element(id=i, payload=instance.rect_of[i]) for i in sorted(opt.elements, key=repr)
-    )
-    noise = tuple(
-        Element(id=i, payload=instance.rect_of[i])
-        for i in sorted(instance.rect_of, key=repr)
-        if i not in opt.elements
-    )
-    return InstanceSplit(good=good, noise=noise)
+    opt = brute_force_opt(CoverageOracle(instance), instance.ground_set(), k)
+    return _split(instance, sorted(opt.elements, key=repr))
 
 
 def _random_coverage(params: dict, seed: int) -> tuple[CoverageInstance, InstanceSplit]:
@@ -147,29 +145,7 @@ def _decoy_front(params: dict, seed: int) -> tuple[CoverageInstance, InstanceSpl
         for j, pt in enumerate(dropped):
             rects[f"n{b}_{j}"] = points - {pt}
     instance = CoverageInstance(rect_of=rects)
-    good = tuple(Element(id=f"g{b}", payload=rects[f"g{b}"]) for b in range(k))
-    noise = tuple(
-        Element(id=i, payload=instance.rect_of[i])
-        for i in sorted(instance.rect_of, key=repr)
-        if not i.startswith("g")
-    )
-    return instance, InstanceSplit(good=good, noise=noise)
-
-
-def _self_check(instance: CoverageInstance, split: InstanceSplit) -> None:
-    """The split's good set must attain the global optimum; axioms must hold."""
-    oracle = CoverageOracle(instance)
-    k = len(split.good)
-    good_ids = frozenset(e.id for e in split.good)
-    opt = brute_force_opt(oracle, instance.ground_set(), k)
-    good_value = oracle.evaluate(good_ids)
-    if good_value != opt.value:
-        raise InvalidInstanceError(
-            f"good set value {good_value} misses optimum {opt.value}"
-        )
-    report = verify_axioms(oracle, instance.ground_set(), sample_pairs=200, seed=7)
-    if not report.ok:
-        raise InvalidInstanceError(f"axiom self-check failed: {report}")
+    return instance, _split(instance, [f"g{b}" for b in range(k)])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidInstanceError, PreconditionError
+from .errors import InvalidInstanceError, InvariantError, PreconditionError
 from .generators import (
     edges_from_stream,
     generate_matching_instance,
@@ -111,12 +111,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 @dataclass
 class TrialRecord:
-    """One algorithm run; `columns` mirrors the CSV row for its problem."""
+    """One algorithm run; `columns` mirrors the CSV row for its problem.
+
+    A failed run keeps its error text; ``invariant`` marks a failure that
+    raised :class:`InvariantError`.
+    """
 
     columns: dict
     wall_time_s: float = 0.0
     memory: dict = field(default_factory=dict)
     error: Optional[str] = None
+    invariant: bool = False
 
 
 @dataclass
@@ -137,6 +142,8 @@ class Summary:
 
 @dataclass
 class ExperimentResult:
+    """``exit_code``: 0 ok, 1 a run or the certificate failed, 3 a run broke an invariant."""
+
     config: ExperimentConfig
     records: list[TrialRecord]
     summary: Optional[Summary]
@@ -196,7 +203,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         records=records,
         summary=summarize(ratios, failures),
         csv_path=path,
-        exit_code=1 if failures else 0,
+        exit_code=3 if any(r.invariant for r in records) else 1 if failures else 0,
     )
 
 
@@ -234,7 +241,7 @@ def _run_trials(config: ExperimentConfig, load, run) -> list[TrialRecord]:
                     seed=config.adversary.get("seed", t_seed),
                 )
         except Exception as exc:  # noqa: BLE001 - record and move on
-            records.append(TrialRecord(columns={}, error=f"{type(exc).__name__}: {exc}"))
+            records.append(_failed(exc))
             continue
         for p_idx in range(config.perms):
             started = time.perf_counter()
@@ -247,11 +254,16 @@ def _run_trials(config: ExperimentConfig, load, run) -> list[TrialRecord]:
                     memory=memory,
                 ))
             except Exception as exc:  # noqa: BLE001
-                records.append(TrialRecord(
-                    columns={}, wall_time_s=time.perf_counter() - started,
-                    error=f"{type(exc).__name__}: {exc}",
-                ))
+                records.append(_failed(exc, time.perf_counter() - started))
     return records
+
+
+def _failed(exc: Exception, wall_time_s: float = 0.0) -> TrialRecord:
+    return TrialRecord(
+        columns={}, wall_time_s=wall_time_s,
+        error=f"{type(exc).__name__}: {exc}",
+        invariant=isinstance(exc, InvariantError),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +273,7 @@ def _run_trials(config: ExperimentConfig, load, run) -> list[TrialRecord]:
 def _load_submod_trial(
     config: ExperimentConfig, t_seed: int
 ) -> tuple[InstanceSplit, Optional[InjectionPlan], tuple]:
-    """(split, fixed plan, (instance, OPT value))."""
+    """(split, fixed plan, (oracle, OPT value)); the trial's runs share the oracle."""
     src = config.instance
     if "file" in src:
         instance, split, plan = read_submod_instance_file(src["file"])
@@ -270,13 +282,13 @@ def _load_submod_trial(
         params.setdefault("k", config.k)
         instance, split = generate_submod_instance(src["kind"], params, seed=t_seed)
         plan = None
-    opt = brute_force_opt(CoverageOracle(instance), instance.ground_set(), config.k)
-    return split, plan, (instance, opt.value)
+    oracle = CoverageOracle(instance)
+    opt = brute_force_opt(oracle, instance.ground_set(), config.k)
+    return split, plan, (oracle, opt.value)
 
 
 def _submod_run(config: ExperimentConfig, stream, trial: tuple) -> tuple[dict, dict]:
-    instance, opt_value = trial
-    oracle = CoverageOracle(instance)
+    oracle, opt_value = trial
     stats = RunStats()
     if config.guess == "auto":
         sol = guess_run(stream, config.k, config.delta, oracle, stats=stats)
@@ -439,12 +451,14 @@ def write_instance_file(
             )
 
 
-def _read_records(path: str) -> tuple[list[dict], Optional[InjectionPlan]]:
-    """Element records (each with id, a known role and payload) and the plan.
+def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[InjectionPlan]]:
+    """The split of a JSON-lines instance file, in file order, and its plan.
 
-    A malformed line raises InvalidInstanceError naming ``path:line``.
+    ``parse_payload`` turns a record's JSON payload into the element payload
+    and raises TypeError or ValueError on a malformed one.  A malformed line
+    raises InvalidInstanceError naming ``path:line``.
     """
-    elements = []
+    elements: dict = {"good": [], "noise": []}
     plan = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -473,25 +487,36 @@ def _read_records(path: str) -> tuple[list[dict], Optional[InjectionPlan]]:
                 raise InvalidInstanceError(
                     f"{where}: role must be 'good' or 'noise', got {rec['role']!r}"
                 )
-            elements.append(rec)
-    return elements, plan
+            try:
+                payload = parse_payload(rec["payload"])
+            except (TypeError, ValueError) as exc:
+                raise InvalidInstanceError(f"{where}: {exc}") from None
+            elements[rec["role"]].append(Element(id=rec["id"], payload=payload))
+    if not elements["good"] and not elements["noise"]:
+        raise InvalidInstanceError(f"no element records in {path}")
+    split = InstanceSplit(good=tuple(elements["good"]), noise=tuple(elements["noise"]))
+    if plan is not None:
+        plan.validate(split)
+    return split, plan
+
+
+def _point_set(payload) -> frozenset:
+    if not isinstance(payload, list):
+        raise ValueError(f"payload must be a list of points, got {payload!r}")
+    return frozenset(payload)
+
+
+def _edge(payload) -> tuple:
+    if not isinstance(payload, list) or len(payload) != 2:
+        raise ValueError(f"payload must be a [u, v] pair, got {payload!r}")
+    return tuple(tuple(x) if isinstance(x, list) else x for x in payload)
 
 
 def read_submod_instance_file(
     path: str,
 ) -> tuple[CoverageInstance, InstanceSplit, Optional[InjectionPlan]]:
-    records, plan = _read_records(path)
-    if not records:
-        raise InvalidInstanceError(f"no element records in {path}")
-    good, noise, rects = [], [], {}
-    for rec in records:
-        points = frozenset(rec["payload"])
-        rects[rec["id"]] = points
-        el = Element(id=rec["id"], payload=points)
-        (good if rec["role"] == "good" else noise).append(el)
-    split = InstanceSplit(good=tuple(good), noise=tuple(noise))
-    if plan is not None:
-        plan.validate(split)
+    split, plan = _read_split(path, _point_set)
+    rects = {el.id: el.payload for el in split.good + split.noise}
     return CoverageInstance(rect_of=rects), split, plan
 
 
@@ -506,18 +531,7 @@ def read_matching_instance_file(
             if first:
                 break
     if first.startswith("{"):
-        records, plan = _read_records(path)
-        good, noise = [], []
-        for rec in records:
-            u, v = rec["payload"]
-            u = tuple(u) if isinstance(u, list) else u
-            v = tuple(v) if isinstance(v, list) else v
-            el = Element(id=rec["id"], payload=(u, v))
-            (good if rec["role"] == "good" else noise).append(el)
-        split = InstanceSplit(good=tuple(good), noise=tuple(noise))
-        if plan is not None:
-            plan.validate(split)
-        return split, plan
+        return _read_split(path, _edge)
     from .matching import read_edge_stream
 
     edges = read_edge_stream(path)

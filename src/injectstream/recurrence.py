@@ -116,47 +116,49 @@ def compute_table(
     return _compute_float(t_exact, k_max, store)
 
 
-def _float_tags(fa: np.ndarray, fb: np.ndarray, third: float) -> np.ndarray:
-    """Argmin tags with ties to the lowest-numbered term."""
-    ab = np.where(fa <= fb, TAG_FIRST, TAG_SECOND)
-    abv = np.minimum(fa, fb)
-    return np.where(abv <= third, ab, TAG_THIRD).astype(np.int8)
+def _float_columns(tf: float, k_max: int):
+    """Yield (h, fa, fb, cur, tags) for the float columns h = 1..k_max.
 
-
-def _compute_float(t_exact: Fraction, k_max: int, store: str) -> RecurrenceTable:
-    tf = float(t_exact)
+    ``fa``/``fb`` are the first and second terms over all rows k, ``cur``
+    the column R(., h) (row 0 is 0) and ``tags`` its argmin tags, ties going
+    to the lowest-numbered term.  Each yielded array is fresh, so a caller
+    may keep or edit it.
+    """
     third = 1.0 / (1.0 + tf)
     ks = np.arange(k_max + 1, dtype=np.float64)
     ks[0] = 1.0                      # row 0 is never a valid cell
     invk = 1.0 / ks
     coef_a = 1.0 - tf * invk
     coef_b = 1.0 - (1.0 + tf) * invk
-
-    full = store == "full"
-    values = tags = None
-    if full:
-        values = np.full((k_max + 1, k_max + 1), np.nan)
-        tags = np.full((k_max + 1, k_max + 1), TAG_NONE, dtype=np.int8)
-        values[:, 0] = 0.0
-        tags[:, 0] = TAG_NONE
-    diagonal = np.zeros(k_max + 1)
-    diag_tags = np.full(k_max + 1, TAG_NONE, dtype=np.int8)
-
     prev = np.zeros(k_max + 1)
     shifted = np.zeros(k_max + 1)
     for h in range(1, k_max + 1):
         shifted[1:] = prev[:-1]
         fa = tf * invk + coef_a * prev
         fb = invk + coef_b * shifted
-        cur = np.minimum(np.minimum(fa, fb), third)
+        fab = np.minimum(fa, fb)
+        cur = np.minimum(fab, third)
         cur[0] = 0.0
-        col_tags = _float_tags(fa, fb, third)
+        tags = np.where(fab <= third, np.where(fa <= fb, TAG_FIRST, TAG_SECOND), TAG_THIRD)
+        yield h, fa, fb, cur, tags.astype(np.int8)
+        prev = cur
+
+
+def _compute_float(t_exact: Fraction, k_max: int, store: str) -> RecurrenceTable:
+    full = store == "full"
+    values = tags = None
+    if full:
+        values = np.full((k_max + 1, k_max + 1), np.nan)
+        tags = np.full((k_max + 1, k_max + 1), TAG_NONE, dtype=np.int8)
+        values[:, 0] = 0.0
+    diagonal = np.zeros(k_max + 1)
+    diag_tags = np.full(k_max + 1, TAG_NONE, dtype=np.int8)
+    for h, _fa, _fb, cur, col_tags in _float_columns(float(t_exact), k_max):
         if full:
             values[h:, h] = cur[h:]
             tags[h:, h] = col_tags[h:]
         diagonal[h] = cur[h]
         diag_tags[h] = col_tags[h]
-        prev, cur = cur, prev
     return RecurrenceTable(
         t=t_exact,
         k_max=k_max,
@@ -187,25 +189,11 @@ def _compute_exact(t_exact: Fraction, k_max: int) -> RecurrenceTable:
     diag_tags = np.full(k_max + 1, TAG_NONE, dtype=np.int8)
     exact_diagonal: list = [Fraction(0)] * (k_max + 1)
 
-    ks = np.arange(k_max + 1, dtype=np.float64)
-    ks[0] = 1.0
-    invk = 1.0 / ks
-    coef_a = 1.0 - tf * invk
-    coef_b = 1.0 - (1.0 + tf) * invk
-
     prev_n = [0] * (k_max + 1)
     prev_d = [1] * (k_max + 1)
-    fprev = np.zeros(k_max + 1)
     n_fallback = 0
 
-    for h in range(1, k_max + 1):
-        shifted = np.concatenate(([0.0], fprev[:-1]))
-        fa = tf * invk + coef_a * fprev
-        fb = invk + coef_b * shifted
-        fcur = np.minimum(np.minimum(fa, fb), third_f)
-        fcur[0] = 0.0
-        col_tags = _float_tags(fa, fb, third_f)
-
+    for h, fa, fb, fcur, col_tags in _float_columns(tf, k_max):
         cur_n = [0] * (k_max + 1)
         cur_d = [1] * (k_max + 1)
         for k in range(h, k_max + 1):
@@ -249,7 +237,6 @@ def _compute_exact(t_exact: Fraction, k_max: int) -> RecurrenceTable:
         diag_tags[h] = col_tags[h]
         exact_diagonal[h] = Fraction(cur_n[h], cur_d[h])
         prev_n, prev_d = cur_n, cur_d
-        fprev = fcur
 
     gap = max(
         abs(float(exact_diagonal[k]) - diagonal[k]) for k in range(k_max + 1)

@@ -7,8 +7,9 @@ algorithm's dedup-by-gain rule relies on in tests; a float-valued oracle works
 too but comparisons then use a 1e-9 tolerance where the library compares
 values.
 
-Every oracle counts its evaluations, one counter per oracle instance.  Run
-one oracle per trial; counters are not meant to be shared across runs.
+Every oracle counts its evaluations, one counter per oracle instance.  A
+run reports the difference of two readings (``RunStats.oracle_calls``), so
+one oracle can serve every run of a trial.
 
 Besides ``evaluate`` on a set, every oracle offers the batched extension the
 prefix tree runs on: ``empty_states(n)`` gives n rows of per-set state for

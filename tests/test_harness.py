@@ -9,7 +9,8 @@ import re
 import pytest
 
 from injectstream.cli import build_parser, main
-from injectstream.errors import InvalidInstanceError, PreconditionError
+from injectstream import harness
+from injectstream.errors import InvalidInstanceError, InvariantError, PreconditionError
 from injectstream.generators import generate_submod_instance, make_plan
 from injectstream.harness import (
     MATCHING_COLUMNS,
@@ -208,6 +209,40 @@ def test_failed_trials_recorded_not_raised(tmp_path):
     assert len(rows) == 1  # header only
 
 
+RUN_ARGV = {
+    "run_tree_stream": ["submod", "run", "--kind", "random",
+                        "--params", '{"n": 8, "universe": 12}', "--k", "2", "--mode", "exact"],
+    "match_run": ["matching", "run", "--kind", "greedy_trap", "--params", '{"s": 3}',
+                  "--mode", "match"],
+}
+
+
+@pytest.mark.parametrize("exc, code", [
+    (InvariantError("planted"), 3),
+    (ValueError("InvariantError: only in the message"), 1),
+], ids=["invariant", "other"])
+@pytest.mark.parametrize("algo", RUN_ARGV)
+def test_failed_run_exit_code_from_exception_type(
+    tmp_path, monkeypatch, capsys, algo, exc, code
+):
+    real = getattr(harness, algo)
+    calls = []
+
+    def second_run_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, algo, second_run_fails)
+    out = str(tmp_path / "runs.csv")
+    argv = RUN_ARGV[algo] + ["--trials", "1", "--perms", "3", "--seed", "2", "--out", out]
+    assert main(argv) == code
+    rows = list(csv.DictReader(open(out)))
+    assert [row["perm_index"] for row in rows] == ["0", "2"]
+    assert f"{type(exc).__name__}: {exc}" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ instance files
 
 
@@ -252,6 +287,8 @@ BAD_RECORDS = {
     "not JSON": '{"id": 9, "role": "good", "payload": [7, 8]',
     "not an object": '[9, "good", [7, 8]]',
     "bad slots": '{"slots": [[0]]}',
+    "number payload": '{"id": 9, "role": "good", "payload": 5}',
+    "string payload": '{"id": 9, "role": "good", "payload": "abc"}',
 }
 
 
@@ -262,6 +299,24 @@ def test_malformed_instance_line_names_file_and_line(tmp_path, read, bad):
     path.write_text('{"id": 1, "role": "good", "payload": [1, 2]}\n\n' + bad + "\n")
     with pytest.raises(InvalidInstanceError, match="^" + re.escape(f"{path}:3: ")):
         read(str(path))
+
+
+@pytest.mark.parametrize("read", [read_submod_instance_file, read_matching_instance_file])
+def test_instance_file_without_elements_is_rejected(tmp_path, read):
+    path = tmp_path / "empty.jsonl"
+    path.write_text('{"slots": []}\n')
+    with pytest.raises(InvalidInstanceError, match="no element records"):
+        read(str(path))
+
+
+def test_matching_payload_must_be_a_pair(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"id": 1, "role": "good", "payload": [1, 2, 3]}\n')
+    with pytest.raises(InvalidInstanceError, match="^" + re.escape(f"{path}:1: ")):
+        read_matching_instance_file(str(path))
+    # the same record is a valid three-point coverage element
+    _, split, _ = read_submod_instance_file(str(path))
+    assert split.good[0].payload == frozenset({1, 2, 3})
 
 
 # ---------------------------------------------------------------------- CLI
@@ -361,17 +416,21 @@ def test_cli_verify(capsys):
     ["submod", "run", "--config", "CFG"],
     ["matching", "run", "--kind", "random", "--params", "{bad"],
     ["gen", "--problem", "submod", "--kind", "random", "--params", "{bad", "--out", "x.jsonl"],
+    ["submod", "run", "--config", "MISSING"],
 ])
 def test_cli_invalid_json_flag_is_one_line_and_exit_2(tmp_path, capsys, argv):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("{bad")
-    argv = [str(cfg_path) if a == "CFG" else a for a in argv]
+    missing = "MISSING" in argv
+    paths = {"CFG": str(cfg_path), "MISSING": str(tmp_path / "nope.json")}
+    argv = [paths.get(a, a) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     flag = "--config" if "--config" in argv else "--params"
-    assert err.count("\n") == 1 and flag in err and "invalid JSON" in err
+    assert err.count("\n") == 1 and flag in err
+    assert ("No such file" if missing else "invalid JSON") in err
     if flag == "--config":
-        assert str(cfg_path) in err
+        assert argv[-1] in err
 
 
 def test_every_exported_name_resolves():
