@@ -12,14 +12,17 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from .errors import InjectStreamError, PreconditionError
 from .generators import (
     ADVERSARY_STRATEGIES,
+    edges_from_stream,
     generate_matching_instance,
     generate_submod_instance,
     make_plan,
     random_edge_stream,
 )
 from .harness import (
+    CHOICES,
     ExperimentConfig,
     config_from_dict,
     resolve_out,
@@ -49,26 +52,26 @@ def build_parser() -> argparse.ArgumentParser:
     submod_sub = p_submod.add_subparsers(dest="action", required=True)
     p_srun = submod_sub.add_parser("run", help="run streaming trials")
     _common_run_flags(p_srun)
-    p_srun.add_argument("--k", type=int, default=None)
-    p_srun.add_argument("--delta", type=float, default=None)
-    p_srun.add_argument("--mode", choices=("exact", "bucketed"), default=None)
-    p_srun.add_argument("--guess", choices=("known", "auto"), default=None)
+    p_srun.add_argument("--k", type=int)
+    p_srun.add_argument("--delta", type=float)
+    p_srun.add_argument("--mode", choices=CHOICES["mode"])
+    p_srun.add_argument("--guess", choices=CHOICES["guess"])
 
     p_matching = sub.add_parser("matching", help="semi-streaming maximum matching")
     matching_sub = p_matching.add_subparsers(dest="action", required=True)
     p_mrun = matching_sub.add_parser("run", help="run streaming trials")
     _common_run_flags(p_mrun)
-    p_mrun.add_argument("--mode", choices=("greedy", "match", "guessed"), default=None)
-    p_mrun.add_argument("--mstar", choices=("known", "auto"), default=None)
-    p_mrun.add_argument("--delta-guess", type=float, default=None, dest="delta_guess")
+    p_mrun.add_argument("--mode", choices=CHOICES["match_mode"], dest="match_mode")
+    p_mrun.add_argument("--mstar", choices=CHOICES["mstar"])
+    p_mrun.add_argument("--delta-guess", type=float, dest="delta_guess")
 
     p_rec = sub.add_parser("recurrence", help="R(k, h) table tools")
-    p_rec.add_argument("--t", type=float, default=0.8)
-    p_rec.add_argument("--kmax", type=int, default=1000)
-    p_rec.add_argument("--emit", default=None, metavar="CSV")
-    p_rec.add_argument("--mode", choices=("float", "exact"), default="float")
-    p_rec.add_argument("--certify", type=int, default=None, metavar="K")
-    p_rec.add_argument("--bound", default=None)
+    p_rec.add_argument("--t", type=float)
+    p_rec.add_argument("--kmax", type=int)
+    p_rec.add_argument("--emit", metavar="CSV", dest="out")
+    p_rec.add_argument("--mode", choices=CHOICES["table_mode"], dest="table_mode")
+    p_rec.add_argument("--certify", type=int, metavar="K", dest="certify_k")
+    p_rec.add_argument("--bound")
 
     p_gen = sub.add_parser("gen", help="emit an instance file")
     p_gen.add_argument("--problem", choices=("submod", "matching"), required=True)
@@ -87,19 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _common_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="JSON config file; flags override")
-    p.add_argument("--instance", default=None, metavar="F")
-    p.add_argument("--kind", default=None, help="generator kind when no --instance")
-    p.add_argument("--params", default=None, help="JSON object of generator params")
-    p.add_argument("--adversary", choices=ADVERSARY_STRATEGIES, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--perms", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-
-class FlagError(Exception):
-    """A flag value that cannot be used; ``main`` prints it and exits 2."""
+    p.add_argument("--config", help="JSON config file; flags override")
+    p.add_argument("--instance", metavar="F", dest="instance_file")
+    p.add_argument("--kind", help="generator kind when no --instance")
+    p.add_argument("--params", help="JSON object of generator params")
+    p.add_argument("--adversary", choices=ADVERSARY_STRATEGIES, dest="strategy")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--perms", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out")
 
 
 def _json_object(text: str, where: str) -> dict:
@@ -107,63 +106,42 @@ def _json_object(text: str, where: str) -> dict:
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FlagError(f"{where}: invalid JSON ({exc})") from None
+        raise PreconditionError(f"{where}: invalid JSON ({exc})") from None
     if not isinstance(value, dict):
-        raise FlagError(f"{where}: expected a JSON object")
+        raise PreconditionError(f"{where}: expected a JSON object")
     return value
 
 
-def _load_config(args: argparse.Namespace, problem: str) -> ExperimentConfig:
+def _load_config(args: argparse.Namespace, **fixed) -> ExperimentConfig:
+    """The checked config: the --config file, then ``fixed``, then every flag given.
+
+    A flag whose ``dest`` names a config field sets that field.
+    """
     raw = {}
-    if args.config:
+    if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
                 text = fh.read()
         except OSError as exc:
-            raise FlagError(f"--config {args.config}: {exc.strerror}") from None
+            raise PreconditionError(f"--config {args.config}: {exc.strerror}") from None
         raw = _json_object(text, f"--config {args.config}")
-    raw["problem"] = problem
-    if args.instance is not None:
-        raw["instance"] = {"file": args.instance}
-    elif args.kind is not None:
+    raw.update(fixed)
+    if getattr(args, "instance_file", None) is not None:
+        raw["instance"] = {"file": args.instance_file}
+    elif getattr(args, "kind", None) is not None:
         raw["instance"] = {
             "kind": args.kind,
             "params": _json_object(args.params, "--params") if args.params else {},
         }
-    if args.adversary is not None:
-        raw["adversary"] = {"strategy": args.adversary}
-    for flag in ("trials", "perms", "seed", "out"):
-        value = getattr(args, flag)
-        if value is not None:
-            raw[flag] = value
+    if getattr(args, "strategy", None) is not None:
+        raw["adversary"] = {"strategy": args.strategy}
+    fields = ExperimentConfig.__dataclass_fields__
+    raw.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     return config_from_dict(raw)
 
 
-def _cmd_submod_run(args: argparse.Namespace) -> int:
-    config = _load_config(args, "submod")
-    for src, dst in (("k", "k"), ("delta", "delta"), ("mode", "mode"), ("guess", "guess")):
-        value = getattr(args, src)
-        if value is not None:
-            setattr(config, dst, value)
-    result = run_experiment(config)
-    _print_run(result)
-    return result.exit_code
-
-
-def _cmd_matching_run(args: argparse.Namespace) -> int:
-    config = _load_config(args, "matching")
-    if args.mode is not None:
-        config.match_mode = args.mode
-    if args.mstar is not None:
-        config.mstar = args.mstar
-    if args.delta_guess is not None:
-        config.delta_guess = args.delta_guess
-    result = run_experiment(config)
-    _print_run(result)
-    return result.exit_code
-
-
-def _print_run(result) -> None:
+def _cmd_run(args: argparse.Namespace) -> int:
+    result = run_experiment(_load_config(args, problem=args.command))
     if result.csv_path:
         print(f"wrote {result.csv_path}")
     if result.summary is not None:
@@ -171,30 +149,24 @@ def _print_run(result) -> None:
     for rec in result.records:
         if rec.error:
             print(f"trial failed: {rec.error}", file=sys.stderr)
+    return result.exit_code
 
 
 def _cmd_recurrence(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        problem="recurrence",
-        t=args.t,
-        kmax=args.kmax,
-        table_mode=args.mode,
-        certify_k=args.certify,
-        bound=args.bound,
-        out=args.emit,
-    )
+    # without --emit no CSV is written, so ``out`` is None, not the default
+    config = _load_config(args, problem="recurrence", out=None)
     result = run_experiment(config)
     cols = result.records[0].columns
-    if args.certify is not None:
+    if config.certify_k is not None:
         verdict = "holds" if cols["certified"] else "VIOLATED"
         print(
-            f"R(k,k) >= {cols['bound']} for k <= {args.certify}: {verdict} "
+            f"R(k,k) >= {cols['bound']} for k <= {config.certify_k}: {verdict} "
             f"(min diagonal {cols['min_diagonal']:.10f})"
         )
     elif result.csv_path is not None:
         print(f"wrote {result.csv_path} (min diagonal {cols['min_diagonal']:.10f})")
     else:
-        print(f"min diagonal over k <= {args.kmax}: {cols['min_diagonal']:.10f}")
+        print(f"min diagonal over k <= {config.kmax}: {cols['min_diagonal']:.10f}")
     return result.exit_code
 
 
@@ -203,8 +175,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     out = resolve_out(args.out)
     if args.problem == "submod":
         if args.format == "edges":
-            print("--format edges applies to matching only", file=sys.stderr)
-            return 2
+            raise PreconditionError("--format edges applies to matching only")
         _, split = generate_submod_instance(args.kind, params, seed=args.seed)
     else:
         split, _ = generate_matching_instance(args.kind, params, seed=args.seed)
@@ -213,12 +184,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         plan = make_plan(split, args.plan, seed=args.plan_seed)
     if args.format == "edges":
         if plan is not None:
-            print("a plan needs the jsonl format", file=sys.stderr)
-            return 2
-        from .matching import Edge
-
-        edges = [Edge(*el.payload) for el in list(split.good) + list(split.noise)]
-        write_edge_stream(out, edges)
+            raise PreconditionError("a plan needs the jsonl format")
+        write_edge_stream(out, edges_from_stream(split.good + split.noise))
     else:
         write_instance_file(out, split, plan)
     print(f"wrote {out}")
@@ -274,25 +241,24 @@ def _cmd_verify(_args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+COMMANDS = {
+    "submod": _cmd_run,
+    "matching": _cmd_run,
+    "recurrence": _cmd_recurrence,
+    "gen": _cmd_gen,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; a library error outside the trial loop is one line, exit 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "submod":
-            return _cmd_submod_run(args)
-        if args.command == "matching":
-            return _cmd_matching_run(args)
-        if args.command == "recurrence":
-            return _cmd_recurrence(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-    except FlagError as exc:
+        return COMMANDS[args.command](args)
+    except InjectStreamError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from typing import Optional
 
 from .errors import InvalidInstanceError, InvariantError, PreconditionError
 from .generators import (
+    ADVERSARY_STRATEGIES,
     edges_from_stream,
     generate_matching_instance,
     generate_submod_instance,
@@ -39,6 +40,7 @@ from .matching import (
     geometric_guess_run,
     greedy_matching,
     match_run,
+    read_edge_stream,
 )
 from .recurrence import compute_table, min_diagonal
 from .stream_model import Element, InjectionPlan, InstanceSplit, build_stream
@@ -58,17 +60,29 @@ RECURRENCE_COLUMNS = ("k", "R(k,k)", "argmin_tag_at_diag", "config_fp")
 
 TAG_NAMES = {0: "none", 1: "first", 2: "second", 3: "third"}
 
+#: config field -> its allowed values; the CLI's flag choices read this too
+CHOICES = {
+    "problem": ("submod", "matching", "recurrence"),
+    "mode": ("exact", "bucketed"),
+    "guess": ("known", "auto"),
+    "match_mode": ("greedy", "match", "guessed"),
+    "mstar": ("known", "auto"),
+    "table_mode": ("float", "exact"),
+}
 
-@dataclass
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: what to run, on what, how often, and where to write.
 
     instance: {"file": path} or {"kind": name, "params": {...}}.
-    adversary: {"strategy": front|back|spread|random, "seed": int} (the seed
-    defaults to the trial seed; irrelevant for non-random strategies).
-    Submod knobs: k, delta, mode (exact|bucketed), guess (known|auto).
-    Matching knobs: match_mode (greedy|match|guessed), mstar (known|auto),
-    delta_guess.  Recurrence knobs: t, kmax, table_mode, certify_k, bound.
+    adversary: {"strategy": one of ADVERSARY_STRATEGIES, "seed": int} (the
+    seed defaults to the trial seed; irrelevant for non-random strategies).
+    Submod knobs: k, delta, mode, guess.  Matching knobs: match_mode, mstar
+    (``auto`` turns match_mode ``match`` into ``guessed``), delta_guess.
+    Recurrence knobs: t, kmax, table_mode, certify_k, bound.  ``CHOICES``
+    lists the allowed values of the named fields; construction raises
+    PreconditionError for any value the experiment could not run.
     """
 
     problem: str = "submod"
@@ -94,11 +108,39 @@ class ExperimentConfig:
     certify_k: Optional[int] = None
     bound: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            _check(value in allowed, name, value, "one of " + ", ".join(allowed))
+        src, adv = self.instance, self.adversary
+        keys = set(src) if isinstance(src, dict) else None
+        _check(keys == {"file"} or keys in ({"kind"}, {"kind", "params"})
+               and isinstance(src.get("params", {}), dict),
+               "instance", src, "{'file': path} or {'kind': name, 'params': {...}}")
+        _check(isinstance(adv, dict) and set(adv) <= {"strategy", "seed"},
+               "adversary", adv, "a dict with keys among strategy, seed")
+        strategy = adv.get("strategy", "random")
+        _check(strategy in ADVERSARY_STRATEGIES, "adversary strategy", strategy,
+               "one of " + ", ".join(ADVERSARY_STRATEGIES))
+        for name in ("trials", "perms"):
+            value = getattr(self, name)
+            _check(isinstance(value, int) and value >= 1, name, value, "an integer >= 1")
+        try:
+            bound_ok = self.bound is None or Fraction(str(self.bound)) is not None
+        except (ValueError, ZeroDivisionError):
+            bound_ok = False
+        _check(bound_ok, "bound", self.bound, "a decimal or a fraction")
+
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
+
+
+def _check(ok: bool, name: str, value, wanted: str) -> None:
+    if not ok:
+        raise PreconditionError(f"{name} must be {wanted}; got {value!r}")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -189,13 +231,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials, write the CSV, and aggregate the ratio column."""
     if config.problem == "recurrence":
         return _run_recurrence(config)
-    if config.problem not in PROBLEMS:
-        raise PreconditionError(f"unknown problem {config.problem!r}")
     columns, load, run = PROBLEMS[config.problem]
     records = _run_trials(config, load, run)
     path = resolve_out(config.out)
     if path is not None:
-        _write_csv(path, columns, records)
+        rows = ([r.columns[c] for c in columns] for r in records if r.error is None)
+        _write_csv(path, columns, rows)
     ratios = [r.columns["ratio"] for r in records if r.error is None]
     failures = sum(1 for r in records if r.error is not None)
     return ExperimentResult(
@@ -207,14 +248,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _write_csv(path: str, columns: tuple, records: list[TrialRecord]) -> None:
+def _write_csv(path: str, columns: tuple, rows) -> None:
+    """A header of ``columns``, then one line per list of row values."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for rec in records:
-        if rec.error is not None:
-            continue
-        writer.writerow([rec.columns[c] for c in columns])
+    writer.writerows(rows)
     with open(path, "w", newline="") as fh:
         fh.write(buf.getvalue())
 
@@ -327,7 +366,7 @@ def _load_matching_trial(
     src = config.instance
     if "file" in src:
         split, plan = read_matching_instance_file(src["file"])
-        edges = edges_from_stream(list(split.good) + list(split.noise))
+        edges = edges_from_stream(split.good + split.noise)
         return split, plan, len(exact_max_matching(edges))
     split, m_star = generate_matching_instance(
         src["kind"], src.get("params", {}), seed=t_seed
@@ -345,12 +384,10 @@ def _matching_run(config: ExperimentConfig, stream, m_star: int) -> tuple[dict, 
         out = greedy_matching(edges)
     elif algo == "match":
         out = match_run(edges, m_star)
-    elif algo == "guessed":
+    else:
         gstats = GuessRunStats()
         out = geometric_guess_run(edges, config.delta_guess, stats=gstats)
         memory["guesses_live_max"] = gstats.guesses_live_max
-    else:
-        raise PreconditionError(f"unknown matching mode {algo!r}")
     columns = {
         "algo": algo,
         "size": len(out),
@@ -372,6 +409,12 @@ PROBLEMS = {
 
 
 def _run_recurrence(config: ExperimentConfig) -> ExperimentResult:
+    """Certify R(k,k) >= bound for k <= certify_k, or build the table to kmax.
+
+    The certificate always uses exact rational arithmetic, whatever
+    ``table_mode`` says; ``table_mode`` picks the arithmetic of the emitted
+    table and of its minimum.
+    """
     fp = config.fingerprint()
     records: list[TrialRecord] = []
     exit_code = 0
@@ -396,15 +439,10 @@ def _run_recurrence(config: ExperimentConfig) -> ExperimentResult:
         table = compute_table(t=config.t, k_max=config.kmax, mode=config.table_mode)
         path = resolve_out(config.out)
         if path is not None:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(RECURRENCE_COLUMNS)
-            for k in range(1, config.kmax + 1):
-                writer.writerow(
-                    [k, repr(float(table.diagonal[k])), TAG_NAMES[table.diag_tags[k]], fp]
-                )
-            with open(path, "w", newline="") as fh:
-                fh.write(buf.getvalue())
+            _write_csv(path, RECURRENCE_COLUMNS, (
+                [k, repr(float(table.diagonal[k])), TAG_NAMES[table.diag_tags[k]], fp]
+                for k in range(1, config.kmax + 1)
+            ))
         records.append(
             TrialRecord(
                 columns={
@@ -532,8 +570,6 @@ def read_matching_instance_file(
                 break
     if first.startswith("{"):
         return _read_split(path, _edge)
-    from .matching import read_edge_stream
-
     edges = read_edge_stream(path)
     if not edges:
         raise InvalidInstanceError(f"no edges in {path}")

@@ -588,16 +588,22 @@ def write_edge_stream(path: str, edges: Iterable[Edge]) -> None:
 
 
 def read_edge_stream(path: str) -> list[Edge]:
+    """Edges of a plain `u v` file; a malformed line raises naming ``path:line``."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise InvalidInstanceError(f"expected 'u v' per line, got {line!r}")
-            out.append(Edge(_parse_vertex(parts[0]), _parse_vertex(parts[1])))
+                raise InvalidInstanceError(
+                    f"{path}:{lineno}: expected 'u v' per line, got {line!r}"
+                )
+            try:
+                out.append(Edge(_parse_vertex(parts[0]), _parse_vertex(parts[1])))
+            except InvalidInstanceError as exc:
+                raise InvalidInstanceError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

@@ -1,6 +1,7 @@
 """Experiment harness: configs, determinism, CSV output, and the CLI."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -46,6 +47,46 @@ def test_config_fingerprint_stable_and_sensitive():
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(PreconditionError):
         config_from_dict({"problem": "submod", "typo_key": 1})
+
+
+#: (config field named by the error, bad config entries)
+BAD_CONFIG_VALUES = {
+    "mode": ("mode", {"mode": "exactt"}),
+    "guess": ("guess", {"guess": "Auto"}),
+    "match_mode": ("match_mode", {"match_mode": "gredy"}),
+    "mstar": ("mstar", {"mstar": "auot"}),
+    "table_mode": ("table_mode", {"table_mode": "fast"}),
+    "instance-key": ("instance", {"instance": {"kind": "random", "parms": {}}}),
+    "strategy": ("adversary", {"adversary": {"strategy": "frnt"}}),
+    "adversary-key": ("adversary", {"adversary": {"strategy": "front", "sede": 3}}),
+    "trials": ("trials", {"trials": 0}),
+    "bound": ("bound", {"bound": "abc"}),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG_VALUES)
+def test_config_from_dict_rejects_bad_value(case):
+    name, bad = BAD_CONFIG_VALUES[case]
+    with pytest.raises(PreconditionError, match=f"^{name} "):
+        config_from_dict({"problem": "submod", **bad})
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG_VALUES)
+def test_cli_bad_config_value_is_one_line_and_exit_2(tmp_path, capsys, case):
+    name, bad = BAD_CONFIG_VALUES[case]
+    out = tmp_path / "never.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": 1, "perms": 1, "out": str(out), **bad}))
+    assert main(["submod", "run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"error: {name} " in err
+    assert not out.exists()
+
+
+def test_config_cannot_change_after_construction():
+    cfg = config_from_dict({"problem": "matching"})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.match_mode = "gredy"
 
 
 def test_seed_derivation_distinct():
@@ -412,25 +453,44 @@ def test_cli_verify(capsys):
     assert "[ok]" in out and "[FAIL]" not in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["submod", "run", "--config", "CFG"],
-    ["matching", "run", "--kind", "random", "--params", "{bad"],
-    ["gen", "--problem", "submod", "--kind", "random", "--params", "{bad", "--out", "x.jsonl"],
-    ["submod", "run", "--config", "MISSING"],
-])
-def test_cli_invalid_json_flag_is_one_line_and_exit_2(tmp_path, capsys, argv):
+#: (argv, text its one error line holds); CFG is a file of invalid JSON
+ERROR_CASES = [
+    (["submod", "run", "--config", "CFG"], "--config CFG: invalid JSON"),
+    (["matching", "run", "--kind", "random", "--params", "{bad"], "--params: invalid JSON"),
+    (["gen", "--problem", "submod", "--kind", "random", "--params", "{bad", "--out", "x.jsonl"],
+     "--params: invalid JSON"),
+    (["submod", "run", "--config", "MISSING"], "--config MISSING: No such file"),
+    (["gen", "--problem", "submod", "--kind", "mystery", "--out", "x.jsonl"], "mystery"),
+    (["gen", "--problem", "submod", "--kind", "random", "--format", "edges", "--out", "x.txt"],
+     "--format edges"),
+    (["gen", "--problem", "matching", "--kind", "greedy_trap", "--plan", "front",
+      "--format", "edges", "--out", "x.txt"], "a plan needs the jsonl format"),
+    (["recurrence", "--t", "1.5"], "t must lie in (0, 1]"),
+    (["recurrence", "--certify", "3000"], "k_max <= 2000"),
+    (["recurrence", "--certify", "50", "--bound", "abc"], "bound must be"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, needle", ERROR_CASES, ids=[f"argv{i}" for i in range(len(ERROR_CASES))]
+)
+def test_cli_invalid_json_flag_is_one_line_and_exit_2(
+    tmp_path, monkeypatch, capsys, argv, needle
+):
+    """A bad flag or a library error outside the trial loop: exit 2, one stderr line."""
+    monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("{bad")
-    missing = "MISSING" in argv
     paths = {"CFG": str(cfg_path), "MISSING": str(tmp_path / "nope.json")}
     argv = [paths.get(a, a) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    flag = "--config" if "--config" in argv else "--params"
-    assert err.count("\n") == 1 and flag in err
-    assert ("No such file" if missing else "invalid JSON") in err
-    if flag == "--config":
-        assert argv[-1] in err
+    assert err.count("\n") == 1 and err.startswith("injectstream: error: ")
+    assert "Traceback" not in err
+    for name, path in paths.items():
+        needle = needle.replace(name, path)
+    assert needle in err
+    assert not os.path.exists(tmp_path / "x.jsonl") and not os.path.exists(tmp_path / "x.txt")
 
 
 def test_every_exported_name_resolves():

@@ -1,6 +1,7 @@
 """Two-branch matching: greedy, the collector, guessing, exact oracles."""
 
 import math
+import re
 from fractions import Fraction
 
 import networkx as nx
@@ -422,10 +423,11 @@ def test_edge_stream_round_trip(tmp_path):
     assert back == edges
 
 
-def test_read_edge_stream_rejects_malformed(tmp_path):
+@pytest.mark.parametrize("bad", ["3 4 5", "3 3"], ids=["three-fields", "self-loop"])
+def test_read_edge_stream_rejects_malformed(tmp_path, bad):
     path = tmp_path / "bad.txt"
-    path.write_text("1 2 3\n")
-    with pytest.raises(InvalidInstanceError):
+    path.write_text("1 2\n# comment\n" + bad + "\n")
+    with pytest.raises(InvalidInstanceError, match="^" + re.escape(f"{path}:3: ")):
         read_edge_stream(path)
 
 
