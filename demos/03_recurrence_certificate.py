@@ -24,7 +24,7 @@ print(f"\nmin over k <= 1000: {float(m):.10f} (exact rational, {digits} digits)"
 print("certified >= 0.5506:", m >= Fraction(5506, 10000))
 print(f"asymptote 1 - e^-t = {asymptote(0.8):.10f}")
 
-flt = compute_table(t=0.8, k_max=3000, mode="float", store="full")
+flt = compute_table(t=0.8, k_max=3000, mode="float")
 report = first_term_dominance(flt, 1000)
 print(f"\nfirst-term dominance for k >= 1000: ok={report.ok} "
       f"(closed-form deviation {report.closed_form_max_dev:.2e})")

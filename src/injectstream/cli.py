@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 from .errors import InjectStreamError, PreconditionError
 from .generators import (
     ADVERSARY_STRATEGIES,
-    edges_from_stream,
     generate_matching_instance,
     generate_submod_instance,
     make_plan,
@@ -29,7 +28,7 @@ from .harness import (
     run_experiment,
     write_instance_file,
 )
-from .matching import robust_greedy_check, write_edge_stream
+from .matching import robust_greedy_check
 from .submodular import (
     AdditiveOracle,
     CoverageOracle,
@@ -81,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--plan", choices=ADVERSARY_STRATEGIES, default=None,
                        help="bake an injection plan into the file")
     p_gen.add_argument("--plan-seed", type=int, default=0, dest="plan_seed")
-    p_gen.add_argument("--format", choices=("jsonl", "edges"), default="jsonl",
-                       help="'edges' writes a plain u-v list (matching only)")
     p_gen.add_argument("--out", required=True)
 
     sub.add_parser("verify", help="axiom and property suites")
@@ -174,20 +171,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     params = _json_object(args.params, "--params")
     out = resolve_out(args.out)
     if args.problem == "submod":
-        if args.format == "edges":
-            raise PreconditionError("--format edges applies to matching only")
         _, split = generate_submod_instance(args.kind, params, seed=args.seed)
     else:
         split, _ = generate_matching_instance(args.kind, params, seed=args.seed)
-    plan = None
-    if args.plan is not None:
-        plan = make_plan(split, args.plan, seed=args.plan_seed)
-    if args.format == "edges":
-        if plan is not None:
-            raise PreconditionError("a plan needs the jsonl format")
-        write_edge_stream(out, edges_from_stream(split.good + split.noise))
-    else:
-        write_instance_file(out, split, plan)
+    plan = None if args.plan is None else make_plan(split, args.plan, seed=args.plan_seed)
+    write_instance_file(out, split, plan)
     print(f"wrote {out}")
     return 0
 

@@ -33,7 +33,23 @@ from .submodular import verify_axioms  # noqa: F401 - perfbench's tracer wraps i
 
 SUBMOD_KINDS = ("figure2", "random", "decoy_front")
 MATCHING_KINDS = ("random_bipartite", "greedy_trap")
+#: other names accepted for a matching kind; ``random`` is the default config's kind
+_MATCHING_ALIASES = {"random": "random_bipartite", "case1": "greedy_trap"}
 ADVERSARY_STRATEGIES = ("front", "back", "spread", "random")
+
+
+def resolve_kind(problem: str, kind: str) -> str:
+    """The generator kind ``kind`` names for ``problem`` ("submod" or "matching").
+
+    Hyphens read as underscores; an unknown name raises PreconditionError.
+    """
+    name = str(kind).replace("-", "_")
+    kinds = SUBMOD_KINDS
+    if problem == "matching":
+        kinds, name = MATCHING_KINDS, _MATCHING_ALIASES.get(name, name)
+    if name not in kinds:
+        raise PreconditionError(f"{problem} kind must be one of {', '.join(kinds)}; got {kind!r}")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -80,15 +96,13 @@ def generate_submod_instance(
     point short, params k/block/decoys_per_block).
     """
     params = params or {}
-    kind = kind.replace("-", "_")
+    kind = resolve_kind("submod", kind)
     if kind == "figure2":
         instance, k = figure2_instance()
         return instance, _split_by_opt(instance, k)
     if kind == "random":
         return _random_coverage(params, seed)
-    if kind == "decoy_front":
-        return _decoy_front(params, seed)
-    raise PreconditionError(f"unknown submod kind {kind!r}")
+    return _decoy_front(params, seed)
 
 
 def _split(instance: CoverageInstance, good_ids) -> InstanceSplit:
@@ -163,12 +177,9 @@ def generate_matching_instance(
     payloads; good elements are a maximum matching's edges.
     """
     params = dict(params or {})
-    kind = kind.replace("-", "_")
-    if kind in ("random", "random_bipartite"):
+    if resolve_kind("matching", kind) == "random_bipartite":
         return _random_bipartite(params, seed)
-    if kind in ("greedy_trap", "case1"):
-        return _greedy_trap(params)
-    raise PreconditionError(f"unknown matching kind {kind!r}")
+    return _greedy_trap(params)
 
 
 def _random_bipartite(params: dict, seed: int) -> tuple[InstanceSplit, int]:

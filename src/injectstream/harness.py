@@ -9,8 +9,7 @@ config JSON so result files are self-identifying.
 Instance files are JSON lines: one object per element with fields id, role
 ("good" | "noise") and payload (a point list for coverage, a [u, v] pair
 for edges), optionally one trailing object {"slots": [[slot, noise_id],
-...]} fixing the injection plan.  Plain `u v` edge lists are accepted for
-matching streams (all edges good, no plan).
+...]} fixing the injection plan.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .generators import (
     generate_matching_instance,
     generate_submod_instance,
     make_plan,
+    resolve_kind,
 )
 from .matching import (
     GuessRunStats,
@@ -40,12 +40,11 @@ from .matching import (
     geometric_guess_run,
     greedy_matching,
     match_run,
-    read_edge_stream,
 )
 from .recurrence import compute_table, min_diagonal
 from .stream_model import Element, InjectionPlan, InstanceSplit, build_stream
 from .submodular import CoverageInstance, CoverageOracle, brute_force_opt
-from .tree_stream import RunStats, guess_run, run_tree_stream
+from .tree_stream import RunStats, delta_fraction, guess_run, run_tree_stream
 
 OUT_DIR_ENV = "INJECTSTREAM_OUT_DIR"
 
@@ -119,17 +118,21 @@ class ExperimentConfig:
                "instance", src, "{'file': path} or {'kind': name, 'params': {...}}")
         _check(isinstance(adv, dict) and set(adv) <= {"strategy", "seed"},
                "adversary", adv, "a dict with keys among strategy, seed")
+        if "kind" in src and self.problem != "recurrence":
+            resolve_kind(self.problem, src["kind"])
         strategy = adv.get("strategy", "random")
         _check(strategy in ADVERSARY_STRATEGIES, "adversary strategy", strategy,
                "one of " + ", ".join(ADVERSARY_STRATEGIES))
-        for name in ("trials", "perms"):
+        for name in ("trials", "perms", "k"):
             value = getattr(self, name)
             _check(isinstance(value, int) and value >= 1, name, value, "an integer >= 1")
-        try:
-            bound_ok = self.bound is None or Fraction(str(self.bound)) is not None
-        except (ValueError, ZeroDivisionError):
-            bound_ok = False
-        _check(bound_ok, "bound", self.bound, "a decimal or a fraction")
+        delta = _parsed(delta_fraction, self.delta)
+        _check(delta is not None and 0 < delta <= 1, "delta", self.delta, "a number in (0, 1]")
+        _check(self.guess != "auto" or delta < 1, "delta", self.delta, "below 1 with guess auto")
+        _check(isinstance(self.delta_guess, (int, float)) and 0 < self.delta_guess < 1,
+               "delta_guess", self.delta_guess, "a number in (0, 1)")
+        _check(self.bound is None or _parsed(Fraction, str(self.bound)) is not None,
+               "bound", self.bound, "a decimal or a fraction")
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -141,6 +144,14 @@ class ExperimentConfig:
 def _check(ok: bool, name: str, value, wanted: str) -> None:
     if not ok:
         raise PreconditionError(f"{name} must be {wanted}; got {value!r}")
+
+
+def _parsed(parse, value):
+    """``parse(value)``, or None if it cannot read ``value`` as a number."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -202,12 +213,16 @@ def perm_seed(trial: int, index: int) -> int:
 
 
 def resolve_out(path: Optional[str]) -> Optional[str]:
+    """Where ``path`` is written; PreconditionError if its directory is missing."""
     if path is None:
         return None
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path):
         os.makedirs(base, exist_ok=True)
-        return os.path.join(base, path)
+        path = os.path.join(base, path)
+    folder = os.path.dirname(path)
+    if folder and not os.path.isdir(folder):
+        raise PreconditionError(f"output directory {folder} does not exist")
     return path
 
 
@@ -232,8 +247,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.problem == "recurrence":
         return _run_recurrence(config)
     columns, load, run = PROBLEMS[config.problem]
-    records = _run_trials(config, load, run)
     path = resolve_out(config.out)
+    records = _run_trials(config, load, run)
     if path is not None:
         rows = ([r.columns[c] for c in columns] for r in records if r.error is None)
         _write_csv(path, columns, rows)
@@ -436,8 +451,8 @@ def _run_recurrence(config: ExperimentConfig) -> ExperimentResult:
             )
         )
     else:
-        table = compute_table(t=config.t, k_max=config.kmax, mode=config.table_mode)
         path = resolve_out(config.out)
+        table = compute_table(t=config.t, k_max=config.kmax, mode=config.table_mode)
         if path is not None:
             _write_csv(path, RECURRENCE_COLUMNS, (
                 [k, repr(float(table.diagonal[k])), TAG_NAMES[table.diag_tags[k]], fp]
@@ -558,22 +573,5 @@ def read_submod_instance_file(
     return CoverageInstance(rect_of=rects), split, plan
 
 
-def read_matching_instance_file(
-    path: str,
-) -> tuple[InstanceSplit, Optional[InjectionPlan]]:
-    """Role-annotated JSON lines, or a plain `u v` edge list (all good)."""
-    with open(path) as fh:
-        first = ""
-        for line in fh:
-            first = line.strip()
-            if first:
-                break
-    if first.startswith("{"):
-        return _read_split(path, _edge)
-    edges = read_edge_stream(path)
-    if not edges:
-        raise InvalidInstanceError(f"no edges in {path}")
-    good = tuple(
-        Element(id=i, payload=(e.u, e.v)) for i, e in enumerate(edges)
-    )
-    return InstanceSplit(good=good, noise=()), None
+def read_matching_instance_file(path: str) -> tuple[InstanceSplit, Optional[InjectionPlan]]:
+    return _read_split(path, _edge)

@@ -574,41 +574,3 @@ def robust_greedy_check(stream: Sequence[Edge]) -> RobustGreedyReport:
         if abs(size - base) > 1:
             violations.append(i)
     return RobustGreedyReport(base_size=base, deleted_sizes=sizes, violations=violations)
-
-
-# ---------------------------------------------------------------------------
-# edge-stream files
-
-
-def write_edge_stream(path: str, edges: Iterable[Edge]) -> None:
-    """One `u v` pair per line, arrival order preserved."""
-    with open(path, "w") as fh:
-        for e in edges:
-            fh.write(f"{e.u} {e.v}\n")
-
-
-def read_edge_stream(path: str) -> list[Edge]:
-    """Edges of a plain `u v` file; a malformed line raises naming ``path:line``."""
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise InvalidInstanceError(
-                    f"{path}:{lineno}: expected 'u v' per line, got {line!r}"
-                )
-            try:
-                out.append(Edge(_parse_vertex(parts[0]), _parse_vertex(parts[1])))
-            except InvalidInstanceError as exc:
-                raise InvalidInstanceError(f"{path}:{lineno}: {exc}") from None
-    return out
-
-
-def _parse_vertex(tok: str):
-    try:
-        return int(tok)
-    except ValueError:
-        return tok

@@ -89,12 +89,11 @@ def compute_table(
     t: Union[float, int, str, Fraction] = 0.8,
     k_max: int = 1000,
     mode: str = "float",
-    store: Optional[str] = None,
 ) -> RecurrenceTable:
     """Fill the lower-triangular R(k,h) table for 0 <= h <= k <= k_max.
 
-    ``store`` forces "full" (dense values and tags) or "diagonal"; by default
-    float runs store densely up to k_max=6000 and exact runs always do.
+    Exact runs keep dense values and tags; float runs keep them while
+    k_max <= DENSE_LIMIT and only the diagonal beyond.
     """
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
@@ -107,13 +106,7 @@ def compute_table(
         raise PreconditionError(f"unknown mode {mode!r}")
     if k_max > FLOAT_LIMIT:
         raise SizeLimitError(f"float mode is guarded to k_max <= {FLOAT_LIMIT}")
-    if store is None:
-        store = "full" if k_max <= DENSE_LIMIT else "diagonal"
-    if store not in ("full", "diagonal"):
-        raise PreconditionError(f"unknown store {store!r}")
-    if store == "full" and k_max > DENSE_LIMIT:
-        raise SizeLimitError(f"full storage is guarded to k_max <= {DENSE_LIMIT}")
-    return _compute_float(t_exact, k_max, store)
+    return _compute_float(t_exact, k_max)
 
 
 def _float_columns(tf: float, k_max: int):
@@ -144,8 +137,8 @@ def _float_columns(tf: float, k_max: int):
         prev = cur
 
 
-def _compute_float(t_exact: Fraction, k_max: int, store: str) -> RecurrenceTable:
-    full = store == "full"
+def _compute_float(t_exact: Fraction, k_max: int) -> RecurrenceTable:
+    full = k_max <= DENSE_LIMIT
     values = tags = None
     if full:
         values = np.full((k_max + 1, k_max + 1), np.nan)
@@ -293,8 +286,8 @@ def first_term_dominance(table: RecurrenceTable, k_threshold: int) -> DominanceR
     """
     if table.tags is None or table.values is None:
         raise PreconditionError(
-            "first_term_dominance needs a full-storage table "
-            "(recompute with store='full')"
+            "first_term_dominance needs dense tags: an exact table, "
+            f"or a float one with k_max <= {DENSE_LIMIT}"
         )
     if not 1 <= k_threshold <= table.k_max:
         raise PreconditionError("k_threshold outside table range")

@@ -74,11 +74,16 @@ class ExactKeys:
         return np.array([ids.setdefault(g, len(ids)) for g in gains.tolist()], dtype=np.int64)
 
 
+def delta_fraction(delta: Union[float, str, Fraction]) -> Fraction:
+    """``delta`` as the exact rational the trees read; a float goes through its repr."""
+    return Fraction(str(delta)) if isinstance(delta, float) else Fraction(delta)
+
+
 class IncreaseBuckets:
     """Bucketed gain keying: index = min(floor(gain / width), bucket_count).
 
     width = delta*g/k and bucket_count = ceil(k/delta), computed in exact
-    rational arithmetic (delta is taken as Fraction(str(delta))) whenever the
+    rational arithmetic (delta read by ``delta_fraction``) whenever the
     guess g is an int or Fraction, so integer-valued oracles bucket exactly:
     with width = p/q an int or Fraction gain keys to gain*q // p in integer
     arithmetic.  A float gain, or a float guess (float width), keys by float
@@ -88,7 +93,7 @@ class IncreaseBuckets:
     """
 
     def __init__(self, g, k: int, delta: Union[float, str, Fraction]) -> None:
-        self.delta = Fraction(str(delta)) if isinstance(delta, float) else Fraction(delta)
+        self.delta = delta_fraction(delta)
         if not 0 < self.delta <= 1:
             raise PreconditionError(f"delta must lie in (0, 1], got {delta!r}")
         if g <= 0:
@@ -321,8 +326,7 @@ def best_solution(tree: PrefixTree) -> Solution:
 
 def node_count_bound(k: int, delta: Union[float, str, Fraction]) -> int:
     """Sum over depths i <= k of (ceil(k/delta)+2)^i; independent of the stream."""
-    d = Fraction(str(delta)) if isinstance(delta, float) else Fraction(delta)
-    branch = math.ceil(k / d) + 2
+    branch = math.ceil(k / delta_fraction(delta)) + 2
     return sum(branch**i for i in range(k + 1))
 
 
@@ -422,7 +426,7 @@ def run_tree_stream(
 def guess_run(
     stream: Iterable[Element],
     k: int,
-    delta: float,
+    delta: Union[float, str, Fraction],
     oracle: SubmodularOracle,
     stats: Optional[RunStats] = None,
 ) -> Solution:
@@ -430,7 +434,7 @@ def guess_run(
 
     Returns the best solution over the runs surviving at stream end.
     """
-    manager = GuessManager(k, float(delta))
+    manager = GuessManager(k, float(delta_fraction(delta)))
     calls0 = oracle.call_counter
     for e in stream:
         singleton = oracle.evaluate((e.id,))

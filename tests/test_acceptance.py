@@ -106,7 +106,7 @@ def test_criterion_01_certified_recurrence_bound():
         assert elapsed < 5.0
 
         t0 = time.perf_counter()
-        flt = compute_table(t=0.8, k_max=10000, mode="float", store="diagonal")
+        flt = compute_table(t=0.8, k_max=10000, mode="float")
         mf = min_diagonal(flt, 1, 10000)
         elapsed = time.perf_counter() - t0
         assert 0.5506 <= mf <= 0.5507
@@ -115,7 +115,7 @@ def test_criterion_01_certified_recurrence_bound():
 
 def test_criterion_02_first_term_dominance():
     with criterion(2, "first term attains every minimum for 1000 <= k <= 5000; closed form to 1e-12"):
-        table = compute_table(t=0.8, k_max=5000, mode="float", store="full")
+        table = compute_table(t=0.8, k_max=5000, mode="float")
         report = first_term_dominance(table, 1000)
         assert report.violation_count == 0
         assert report.ok

@@ -12,7 +12,7 @@ import pytest
 from injectstream.cli import build_parser, main
 from injectstream import harness
 from injectstream.errors import InvalidInstanceError, InvariantError, PreconditionError
-from injectstream.generators import generate_submod_instance, make_plan
+from injectstream.generators import generate_matching_instance, generate_submod_instance, make_plan
 from injectstream.harness import (
     MATCHING_COLUMNS,
     OUT_DIR_ENV,
@@ -61,6 +61,12 @@ BAD_CONFIG_VALUES = {
     "adversary-key": ("adversary", {"adversary": {"strategy": "front", "sede": 3}}),
     "trials": ("trials", {"trials": 0}),
     "bound": ("bound", {"bound": "abc"}),
+    "k": ("k", {"k": 0}),
+    "delta": ("delta", {"delta": 0}),
+    "delta-text": ("delta", {"delta": "abc"}),
+    "delta-auto": ("delta", {"guess": "auto", "delta": 1}),
+    "delta_guess": ("delta_guess", {"delta_guess": 0}),
+    "kind": ("submod kind", {"instance": {"kind": "mystery"}}),
 }
 
 
@@ -81,6 +87,13 @@ def test_cli_bad_config_value_is_one_line_and_exit_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"error: {name} " in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", [0.1, "0.1", "1/10", 1])
+def test_config_accepts_every_delta_a_tree_reads(tmp_path, delta):
+    guess = "known" if delta == 1 else "auto"
+    cfg = submod_config(tmp_path, delta=delta, guess=guess, mode="bucketed", trials=1, perms=1)
+    assert run_experiment(cfg).exit_code == 0
 
 
 def test_config_cannot_change_after_construction():
@@ -116,6 +129,8 @@ def test_resolve_out_env_var(tmp_path, monkeypatch):
     monkeypatch.delenv(OUT_DIR_ENV)
     assert resolve_out("r.csv") == "r.csv"
     assert resolve_out(None) is None
+    with pytest.raises(PreconditionError, match="does not exist"):
+        resolve_out(str(tmp_path / "missing" / "r.csv"))
 
 
 # ------------------------------------------------------------- experiments
@@ -311,13 +326,17 @@ def test_matching_instance_file_round_trip(tmp_path):
     assert plan2 == plan
 
 
-def test_matching_plain_edge_file(tmp_path):
-    path = tmp_path / "plain.txt"
-    path.write_text("1 2\n3 4\n# comment\n5 6\n")
-    split, plan = read_matching_instance_file(str(path))
-    assert plan is None
-    assert len(split.good) == 3 and split.noise == ()
-    assert split.good[0].payload == (1, 2)
+def test_matching_instance_file_may_open_with_a_comment(tmp_path):
+    split, _ = generate_matching_instance("greedy_trap", {"s": 3})
+    plan = make_plan(split, "spread")
+    plain = tmp_path / "m.jsonl"
+    write_instance_file(str(plain), split, plan)
+    commented = tmp_path / "c.jsonl"
+    commented.write_text("# greedy trap, s=3\n" + plain.read_text())
+    assert read_matching_instance_file(str(commented)) == (split, plan)
+    assert read_matching_instance_file(str(plain)) == (split, plan)
+    out = str(tmp_path / "c.csv")
+    assert main(["matching", "run", "--instance", str(commented), "--out", out]) == 0
 
 
 BAD_RECORDS = {
@@ -437,16 +456,6 @@ def test_cli_gen_and_consume(tmp_path):
     assert len(rows) == 2
 
 
-def test_cli_gen_edges_format(tmp_path):
-    path = str(tmp_path / "edges.txt")
-    rc = main(["gen", "--problem", "matching", "--kind", "random_bipartite",
-               "--params", '{"nl": 4, "nr": 4, "p": 0.5}',
-               "--seed", "1", "--format", "edges", "--out", path])
-    assert rc == 0
-    lines = [l for l in open(path).read().splitlines() if l.strip()]
-    assert lines and all(len(l.split()) == 2 for l in lines)
-
-
 def test_cli_verify(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
@@ -461,13 +470,22 @@ ERROR_CASES = [
      "--params: invalid JSON"),
     (["submod", "run", "--config", "MISSING"], "--config MISSING: No such file"),
     (["gen", "--problem", "submod", "--kind", "mystery", "--out", "x.jsonl"], "mystery"),
-    (["gen", "--problem", "submod", "--kind", "random", "--format", "edges", "--out", "x.txt"],
-     "--format edges"),
-    (["gen", "--problem", "matching", "--kind", "greedy_trap", "--plan", "front",
-      "--format", "edges", "--out", "x.txt"], "a plan needs the jsonl format"),
     (["recurrence", "--t", "1.5"], "t must lie in (0, 1]"),
     (["recurrence", "--certify", "3000"], "k_max <= 2000"),
     (["recurrence", "--certify", "50", "--bound", "abc"], "bound must be"),
+    (["submod", "run", "--kind", "random", "--trials", "3", "--k", "0"], "k must be"),
+    (["submod", "run", "--kind", "random", "--delta", "0"], "delta must be"),
+    (["submod", "run", "--kind", "random", "--guess", "auto", "--delta", "1"],
+     "delta must be below 1 with guess auto"),
+    (["matching", "run", "--mode", "guessed", "--delta-guess", "0"], "delta_guess must be"),
+    (["submod", "run", "--kind", "mystery", "--trials", "3"], "submod kind must be"),
+    (["matching", "run", "--kind", "mystery"], "matching kind must be"),
+    (["submod", "run", "--kind", "random", "--out", "nodir/s.csv"],
+     "output directory nodir does not exist"),
+    (["recurrence", "--kmax", "20", "--emit", "nodir/r.csv"],
+     "output directory nodir does not exist"),
+    (["gen", "--problem", "submod", "--kind", "random", "--out", "nodir/x.jsonl"],
+     "output directory nodir does not exist"),
 ]
 
 
@@ -490,7 +508,7 @@ def test_cli_invalid_json_flag_is_one_line_and_exit_2(
     for name, path in paths.items():
         needle = needle.replace(name, path)
     assert needle in err
-    assert not os.path.exists(tmp_path / "x.jsonl") and not os.path.exists(tmp_path / "x.txt")
+    assert os.listdir(tmp_path) == ["cfg.json"]  # no CSV, no instance file
 
 
 def test_every_exported_name_resolves():

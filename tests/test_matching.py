@@ -1,7 +1,6 @@
 """Two-branch matching: greedy, the collector, guessing, exact oracles."""
 
 import math
-import re
 from fractions import Fraction
 
 import networkx as nx
@@ -33,11 +32,9 @@ from injectstream.matching import (
     greedy_step,
     live_guess_bound,
     match_run,
-    read_edge_stream,
     robust_greedy_check,
     three_aug_paths,
     validate_matching,
-    write_edge_stream,
 )
 from injectstream import matching
 from injectstream.rng import PhiloxRNG
@@ -410,25 +407,6 @@ def test_robust_greedy_battery():
             if a != b:
                 edges.append(Edge(a, b))
         assert robust_greedy_check(edges).ok
-
-
-# ----------------------------------------------------------------- edge files
-
-
-def test_edge_stream_round_trip(tmp_path):
-    edges = [Edge(1, 2), Edge("x", "y"), Edge(3, "z")]
-    path = tmp_path / "edges.txt"
-    write_edge_stream(path, edges)
-    back = read_edge_stream(path)
-    assert back == edges
-
-
-@pytest.mark.parametrize("bad", ["3 4 5", "3 3"], ids=["three-fields", "self-loop"])
-def test_read_edge_stream_rejects_malformed(tmp_path, bad):
-    path = tmp_path / "bad.txt"
-    path.write_text("1 2\n# comment\n" + bad + "\n")
-    with pytest.raises(InvalidInstanceError, match="^" + re.escape(f"{path}:3: ")):
-        read_edge_stream(path)
 
 
 # ------------------------------------------------------------------ properties

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from injectstream import recurrence
 from injectstream.errors import PreconditionError, SizeLimitError
 from injectstream.recurrence import (
     TAG_FIRST,
@@ -104,9 +105,11 @@ def test_mode_and_size_guards():
         compute_table(t=0.8, k_max=2001, mode="exact")
 
 
-def test_diagonal_storage_matches_dense():
-    dense = compute_table(t=0.8, k_max=400, mode="float", store="full")
-    diag = compute_table(t=0.8, k_max=400, mode="float", store="diagonal")
+def test_diagonal_storage_matches_dense(monkeypatch):
+    dense = compute_table(t=0.8, k_max=400, mode="float")
+    assert dense.values is not None
+    monkeypatch.setattr(recurrence, "DENSE_LIMIT", 399)
+    diag = compute_table(t=0.8, k_max=400, mode="float")
     assert np.allclose(dense.diagonal, diag.diagonal, atol=0)
     assert diag.values is None
     with pytest.raises(PreconditionError):
@@ -114,7 +117,7 @@ def test_diagonal_storage_matches_dense():
 
 
 def test_first_term_dominance_small_range():
-    table = compute_table(t=0.8, k_max=300, mode="float", store="full")
+    table = compute_table(t=0.8, k_max=300, mode="float")
     report = first_term_dominance(table, 60)
     assert report.ok
     assert report.closed_form_max_dev <= 1e-12
@@ -124,7 +127,7 @@ def test_first_term_dominance_small_range():
 
 
 def test_closed_form_expr_matches_table():
-    table = compute_table(t=0.8, k_max=300, mode="float", store="full")
+    table = compute_table(t=0.8, k_max=300, mode="float")
     k = 200
     for h in (1, 37, 200):
         closed = -math.expm1(h * math.log1p(-0.8 / k))
