@@ -44,27 +44,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="injectstream",
         description="Streaming algorithms under adversarial injections",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_submod = sub.add_parser("submod", help="prefix-tree submodular maximization")
+    p_submod = sub.add_parser(
+        "submod", help="prefix-tree submodular maximization", allow_abbrev=False
+    )
     submod_sub = p_submod.add_subparsers(dest="action", required=True)
-    p_srun = submod_sub.add_parser("run", help="run streaming trials")
+    p_srun = submod_sub.add_parser("run", help="run streaming trials", allow_abbrev=False)
     _common_run_flags(p_srun)
     p_srun.add_argument("--k", type=int)
     p_srun.add_argument("--delta", type=float)
     p_srun.add_argument("--mode", choices=CHOICES["mode"])
     p_srun.add_argument("--guess", choices=CHOICES["guess"])
 
-    p_matching = sub.add_parser("matching", help="semi-streaming maximum matching")
+    p_matching = sub.add_parser(
+        "matching", help="semi-streaming maximum matching", allow_abbrev=False
+    )
     matching_sub = p_matching.add_subparsers(dest="action", required=True)
-    p_mrun = matching_sub.add_parser("run", help="run streaming trials")
+    p_mrun = matching_sub.add_parser("run", help="run streaming trials", allow_abbrev=False)
     _common_run_flags(p_mrun)
     p_mrun.add_argument("--mode", choices=CHOICES["match_mode"], dest="match_mode")
     p_mrun.add_argument("--mstar", choices=CHOICES["mstar"])
     p_mrun.add_argument("--delta-guess", type=float, dest="delta_guess")
 
-    p_rec = sub.add_parser("recurrence", help="R(k, h) table tools")
+    p_rec = sub.add_parser("recurrence", help="R(k, h) table tools", allow_abbrev=False)
     p_rec.add_argument("--t", type=float)
     p_rec.add_argument("--kmax", type=int)
     p_rec.add_argument("--emit", metavar="CSV", dest="out")
@@ -72,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--certify", type=int, metavar="K", dest="certify_k")
     p_rec.add_argument("--bound")
 
-    p_gen = sub.add_parser("gen", help="emit an instance file")
+    p_gen = sub.add_parser("gen", help="emit an instance file", allow_abbrev=False)
     p_gen.add_argument("--problem", choices=("submod", "matching"), required=True)
     p_gen.add_argument("--kind", required=True)
     p_gen.add_argument("--params", default="{}", help="JSON object of generator params")
@@ -82,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--plan-seed", type=int, default=0, dest="plan_seed")
     p_gen.add_argument("--out", required=True)
 
-    sub.add_parser("verify", help="axiom and property suites")
+    sub.add_parser("verify", help="axiom and property suites", allow_abbrev=False)
     return parser
 
 
@@ -150,6 +155,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_recurrence(args: argparse.Namespace) -> int:
+    if args.certify_k is not None and args.out is not None:
+        raise PreconditionError("--certify prints a verdict and writes no CSV; drop --emit")
     # without --emit no CSV is written, so ``out`` is None, not the default
     config = _load_config(args, problem="recurrence", out=None)
     result = run_experiment(config)

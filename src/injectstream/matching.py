@@ -14,11 +14,13 @@ geometric guesses of it, kept in the shared window of
 The path collector is a bounded-memory stand-in for the cited 3-Aug-Paths
 subroutine, built to its contract: if the suffix holds beta*|M| disjoint
 3-augmenting paths it must return at least (beta^2/32)*|M| of them using
-O(|M|) space.  Internals: per matched edge and per endpoint it stores the
-first two wing edges with distinct free endpoints, commits a path greedily
-as soon as both sides hold wings with unused distinct free endpoints, and
-does one final sweep.  Free-free edges are ignored (they are not wings), as
-are edges between two matched vertices.
+O(|M|) space.  Internals: per matched vertex it stores the first two wing
+edges with distinct free endpoints and commits a path greedily as soon as
+both sides of a center hold wings with unused distinct free endpoints.
+Every wing pair is tried when its later wing arrives and used vertices stay
+used, so the final sweep over the centers never commits a path.  Free-free
+edges are ignored (they are not wings), as are edges between two matched
+vertices.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, KeysView, Optional, Sequence
 
 from . import geomgrid
 from .errors import (
@@ -73,13 +75,22 @@ class Edge:
 
 
 class Matching:
-    """A set of vertex-disjoint edges with O(1) endpoint lookups."""
+    """A set of vertex-disjoint edges with O(1) endpoint lookups and edits.
+
+    Edges are kept in insertion order: a removed edge drops out and an added
+    edge goes to the end, as with a list.
+    """
 
     def __init__(self, edges: Iterable[Edge] = ()) -> None:
-        self.edges: list[Edge] = []
+        self._edges: dict[Edge, None] = {}
         self.matched: dict[Hashable, Edge] = {}
         for e in edges:
             self.add(e)
+
+    @property
+    def edges(self) -> KeysView[Edge]:
+        """Read-only view of the edges in insertion order."""
+        return self._edges.keys()
 
     def is_free(self, w: Hashable) -> bool:
         return w not in self.matched
@@ -87,34 +98,34 @@ class Matching:
     def add(self, e: Edge) -> None:
         if e.u in self.matched or e.v in self.matched:
             raise InvariantError(f"adding {e} would share a vertex")
-        self.edges.append(e)
+        self._edges[e] = None
         self.matched[e.u] = e
         self.matched[e.v] = e
 
     def remove(self, e: Edge) -> None:
         if self.matched.get(e.u) != e or self.matched.get(e.v) != e:
             raise InvariantError(f"{e} is not in the matching")
-        self.edges.remove(e)
+        del self._edges[e]
         del self.matched[e.u]
         del self.matched[e.v]
 
     def copy(self) -> "Matching":
         out = Matching()
-        out.edges = list(self.edges)
+        out._edges = dict(self._edges)
         out.matched = dict(self.matched)
         return out
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self._edges)
 
     def __contains__(self, e: Edge) -> bool:
         return self.matched.get(e.u) is not None and self.matched[e.u] == e
 
     def __iter__(self):
-        return iter(self.edges)
+        return iter(self._edges)
 
     def __repr__(self) -> str:
-        return f"Matching({self.edges!r})"
+        return f"Matching({list(self._edges)!r})"
 
 
 def validate_matching(m: Matching) -> None:
@@ -203,50 +214,47 @@ class AugPathStore:
     """Bounded-memory collector of vertex-disjoint 3-augmenting paths.
 
     Initialized with a frozen matching M: in the two-branch algorithm, the
-    copy of M1 that branch 2 freezes.  Per matched edge and side it keeps at
-    most the first 2 wing edges with distinct free endpoints, so stored
-    edges never exceed COLLECTOR_SLOTS_PER_EDGE * |M|, independent of the
-    stream length.
+    copy of M1 that branch 2 freezes.  Per matched vertex it keeps at most
+    the first 2 wing edges with distinct free endpoints, so stored edges
+    never exceed COLLECTOR_SLOTS_PER_EDGE * |M|, independent of the stream
+    length.
     """
 
     def __init__(self, M: Matching) -> None:
         validate_matching(M)
         self.M = M
-        # wings[center][side vertex] -> list of (wing edge, free endpoint)
-        self.wings: dict[Edge, dict[Hashable, list]] = {
-            e: {e.u: [], e.v: []} for e in M.edges
-        }
+        # wings[matched vertex] -> list of (wing edge, free endpoint), made on
+        # the vertex's first wing; its center is M.matched[vertex]
+        self.wings: dict[Hashable, list] = {}
         self.committed: dict[Edge, AugPath] = {}
         self.used: set = set()
         self.stored_wings = 0
-        self.max_slots = len(M.edges)  # the base edges themselves
+        self.max_slots = len(M)  # the base edges themselves
 
     def offer(self, e: Edge) -> None:
         """One stream edge: store as a wing if eligible, then try to commit."""
-        u_matched = not self.M.is_free(e.u)
-        v_matched = not self.M.is_free(e.v)
-        if u_matched == v_matched:
+        matched = self.M.matched
+        u_matched = e.u in matched
+        if u_matched == (e.v in matched):
             return  # free-free or matched-matched: not a wing
-        side = e.u if u_matched else e.v
-        free = e.v if u_matched else e.u
-        center = self.M.matched[side]
-        slots = self.wings[center][side]
-        if any(w == free for _, w in slots):
-            return
-        if len(slots) >= 2:
+        side, free = (e.u, e.v) if u_matched else (e.v, e.u)
+        slots = self.wings.get(side)
+        if slots is None:
+            slots = self.wings[side] = []
+        elif len(slots) >= 2 or any(w == free for _, w in slots):
             return
         slots.append((e, free))
         self.stored_wings += 1
-        self.max_slots = max(self.max_slots, len(self.M.edges) + self.stored_wings)
-        self._try_commit(center)
+        self.max_slots = max(self.max_slots, len(self.M) + self.stored_wings)
+        self._try_commit(matched[side])
 
     def _try_commit(self, center: Edge) -> None:
         if center in self.committed:
             return
-        for wa, x in self.wings[center][center.u]:
+        for wa, x in self.wings.get(center.u, ()):
             if x in self.used:
                 continue
-            for wb, y in self.wings[center][center.v]:
+            for wb, y in self.wings.get(center.v, ()):
                 if y in self.used or y == x:
                     continue
                 path = AugPath(wing_a=wa, center=center, wing_b=wb)
@@ -256,7 +264,12 @@ class AugPathStore:
                 return
 
     def sweep(self) -> None:
-        """Final pass over all centers, in matching order."""
+        """Final pass over all centers, in matching order; it commits nothing.
+
+        ``offer`` tries every wing pair of a center when the later wing
+        arrives, and ``used`` and ``committed`` only grow, so a pair that
+        failed then fails here too.
+        """
         for center in self.M.edges:
             self._try_commit(center)
 

@@ -3,7 +3,9 @@ branch 2 of ``injectstream.matching`` is tested against.
 
 Branch 2 runs its own greedy until it holds ``threshold`` edges, and each
 admitted guess starts from a copy of M1; the guess window is the inline
-loop over ``snap_ceil_log``/``snap_floor_log``.  Test-only.
+loop over ``snap_ceil_log``/``snap_floor_log``.  The path collector is
+``RefAugPathStore``, the list-backed ``wings[center][side]`` table built at
+freeze time.  Test-only.
 """
 
 import math
@@ -12,7 +14,7 @@ from typing import Optional
 
 from injectstream.geomgrid import snap_ceil_log, snap_floor_log
 from injectstream.matching import (
-    AugPathStore,
+    AugPath,
     MatchConfig,
     Matching,
     apply_augmentations,
@@ -20,11 +22,55 @@ from injectstream.matching import (
 )
 
 
+class RefAugPathStore:
+    """Per matched edge and side, the first 2 wings with distinct free
+    endpoints; commit a center as soon as both sides hold a usable pair."""
+
+    def __init__(self, M: Matching) -> None:
+        self.M = M
+        self.wings = {e: {e.u: [], e.v: []} for e in M.edges}
+        self.committed = {}
+        self.used = set()
+        self.stored_wings = 0
+        self.max_slots = len(M)
+
+    def offer(self, e) -> None:
+        u_matched, v_matched = not self.M.is_free(e.u), not self.M.is_free(e.v)
+        if u_matched == v_matched:
+            return
+        side, free = (e.u, e.v) if u_matched else (e.v, e.u)
+        center = self.M.matched[side]
+        slots = self.wings[center][side]
+        if any(w == free for _, w in slots) or len(slots) >= 2:
+            return
+        slots.append((e, free))
+        self.stored_wings += 1
+        self.max_slots = max(self.max_slots, len(self.M) + self.stored_wings)
+        self._try_commit(center)
+
+    def _try_commit(self, center) -> None:
+        if center in self.committed:
+            return
+        for wa, x in self.wings[center][center.u]:
+            for wb, y in self.wings[center][center.v]:
+                if x not in self.used and y not in self.used and x != y:
+                    self.committed[center] = AugPath(wing_a=wa, center=center, wing_b=wb)
+                    self.used.update((x, y))
+                    return
+
+    def sweep(self) -> None:
+        for center in self.M.edges:
+            self._try_commit(center)
+
+    def paths(self) -> list:
+        return [self.committed[c] for c in self.M.edges if c in self.committed]
+
+
 @dataclass
 class MatchRunState:
     m1: Matching
     m2_phase1: Matching
-    collector: Optional[AugPathStore]
+    collector: Optional[RefAugPathStore]
     threshold: int
 
     def finish(self) -> Matching:
@@ -41,9 +87,9 @@ def _feed_branch2(state: MatchRunState, e) -> None:
         if len(state.m2_phase1) < state.threshold:
             greedy_step(state.m2_phase1, e)
             if len(state.m2_phase1) >= state.threshold:
-                state.collector = AugPathStore(state.m2_phase1)
+                state.collector = RefAugPathStore(state.m2_phase1)
             return
-        state.collector = AugPathStore(state.m2_phase1)
+        state.collector = RefAugPathStore(state.m2_phase1)
     state.collector.offer(e)
 
 

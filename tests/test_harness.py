@@ -486,6 +486,7 @@ ERROR_CASES = [
      "output directory nodir does not exist"),
     (["gen", "--problem", "submod", "--kind", "random", "--out", "nodir/x.jsonl"],
      "output directory nodir does not exist"),
+    (["recurrence", "--certify", "50", "--emit", "x.csv"], "writes no CSV; drop --emit"),
 ]
 
 
@@ -509,6 +510,21 @@ def test_cli_invalid_json_flag_is_one_line_and_exit_2(
         needle = needle.replace(name, path)
     assert needle in err
     assert os.listdir(tmp_path) == ["cfg.json"]  # no CSV, no instance file
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["matching", "run", "--kind", "greedy_trap", "--k", "2"], "--k 2"),
+    (["matching", "run", "--kind", "greedy_trap", "--mode", "guessed", "--delta", "0.5"],
+     "--delta 0.5"),
+], ids=["k", "delta"])
+def test_cli_flag_prefixes_are_not_abbreviations(tmp_path, monkeypatch, capsys, argv, flag):
+    """--k is no prefix of --kind and --delta none of --delta-guess: argparse exits 2."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_every_exported_name_resolves():

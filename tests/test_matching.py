@@ -76,9 +76,38 @@ def test_matching_container():
 
 def test_validate_matching_catches_corruption():
     m = Matching([Edge(1, 2)])
-    m.edges.append(Edge(2, 3))  # bypass add() on purpose
+    m._edges[Edge(2, 3)] = None  # bypass add() on purpose
     with pytest.raises(InvariantError):
         validate_matching(m)
+
+
+def test_matching_edges_view_is_read_only():
+    m = Matching([Edge(1, 2)])
+    for name in ("append", "extend", "insert", "remove", "pop", "clear",
+                 "add", "discard", "update", "__setitem__", "__delitem__"):
+        assert not hasattr(m.edges, name), name
+    with pytest.raises(AttributeError):
+        m.edges = [Edge(3, 4)]
+    assert list(m.edges) == [Edge(1, 2)]
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 7), st.integers(0, 7)), max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_matching_order_follows_list_semantics(ops):
+    """A removed edge drops out and an added edge goes to the end."""
+    m, ref = Matching(), []
+    for add, a, b in ops:
+        if a == b:
+            continue
+        e = Edge(a, b)
+        if add and m.is_free(a) and m.is_free(b):
+            m.add(e)
+            ref.append(e)
+        elif not add and e in m:
+            m.remove(e)
+            ref.remove(e)
+    assert list(m) == list(m.edges) == list(m.copy()) == ref
+    assert repr(m) == f"Matching({ref!r})"
 
 
 def test_greedy_step_and_maximality():
@@ -154,8 +183,8 @@ def test_collector_disjoint_commits_across_centers():
     assert len(used) == len(set(used))
 
 
-def test_collector_sweep_picks_up_late_pairs():
-    """Wings arriving in an order that defeats eager commit still pair up."""
+def test_collector_commits_when_the_second_side_arrives():
+    """One side's wing waits; the other side's first wing commits the path."""
     m = Matching([Edge(1, 2)])
     store = AugPathStore(m)
     store.offer(Edge(9, 1))
@@ -463,3 +492,16 @@ def test_collector_slots_bounded(edges, seed):
         assert p.center in m
         assert m.is_free(p.free_endpoints()[0])
         assert m.is_free(p.free_endpoints()[1])
+
+
+@given(edge_streams, edge_streams)
+@settings(max_examples=200, deadline=None)
+def test_collector_sweep_commits_nothing(prefix, suffix):
+    """Every wing pair is tried when its later wing arrives and used vertices
+    stay used, so the end-of-stream sweep adds no path."""
+    store = AugPathStore(greedy_matching(prefix))
+    for e in suffix:
+        store.offer(e)
+    committed, used = dict(store.committed), set(store.used)
+    store.sweep()
+    assert store.committed == committed and store.used == used

@@ -1,11 +1,18 @@
-"""Branch 2 frozen from M1 against the duplicate-greedy reference in reference_matching.py."""
+"""Branch 2 frozen from M1 and the path collector against the references in
+reference_matching.py."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from injectstream.generators import random_edge_stream
-from injectstream.matching import GuessRunStats, geometric_guess_run, match_run
-from reference_matching import ref_geometric_guess_run, ref_match_run
+from injectstream.matching import (
+    AugPathStore,
+    GuessRunStats,
+    geometric_guess_run,
+    greedy_matching,
+    match_run,
+)
+from reference_matching import RefAugPathStore, ref_geometric_guess_run, ref_match_run
 
 streams = st.builds(
     random_edge_stream,
@@ -31,3 +38,21 @@ def test_geometric_guess_run_matches_reference(edges, deltas):
         ref, ref_live_max = ref_geometric_guess_run(edges, delta)
         assert list(out) == list(ref)
         assert stats.guesses_live_max == ref_live_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams, st.integers(0, 10**6), st.integers(0, 120))
+def test_collector_matches_reference(edges, seed, split):
+    """Freeze greedy on a prefix, offer the rest plus a random tail to both."""
+    frozen = greedy_matching(edges[:split])
+    suffix = edges[split:] + random_edge_stream(seed, max_edges=120, n_vertices=40)
+    store, ref = AugPathStore(frozen.copy()), RefAugPathStore(frozen.copy())
+    for e in suffix:
+        store.offer(e)
+        ref.offer(e)
+    store.sweep()
+    ref.sweep()
+    assert store.paths() == ref.paths()
+    assert list(store.committed) == list(ref.committed)  # commit order
+    assert (store.stored_wings, store.max_slots) == (ref.stored_wings, ref.max_slots)
+    assert store.used == ref.used
