@@ -1,12 +1,13 @@
 """Matching under injections: the greedy trap and the two-branch recovery.
 
 s crossing edges arrive first and every greedy run stalls at exactly s out
-of 2s.  The second branch freezes its matching near (1/2 - eps) m* and
+of 2s.  The second branch freezes its matching near (1/2 - EPS) m* and
 spends the rest of the stream collecting 3-augmenting paths.
 """
 
 from injectstream import (
-    MatchConfig,
+    BETA,
+    EPS,
     build_stream,
     edges_from_stream,
     exact_max_matching,
@@ -30,8 +31,7 @@ for seed in range(3):
     print(f"  perm seed {seed}: greedy {len(g)} ({len(g) / m_star:.2f}), "
           f"match {len(out)} ({len(out) / m_star:.2f})")
 
-cfg = MatchConfig()
-bound = float((1 + cfg.beta**2 / 32) * (0.5 - float(cfg.eps)) * m_star - 1)
+bound = float((1 + BETA**2 / 32) * (0.5 - float(EPS)) * m_star - 1)
 print(f"certified case-1 floor: {bound:.2f}")
 
 guessed = geometric_guess_run(edges, 0.1)

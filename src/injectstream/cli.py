@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mrun = matching_sub.add_parser("run", help="run streaming trials", allow_abbrev=False)
     _common_run_flags(p_mrun)
     p_mrun.add_argument("--mode", choices=CHOICES["match_mode"], dest="match_mode")
-    p_mrun.add_argument("--mstar", choices=CHOICES["mstar"])
     p_mrun.add_argument("--delta-guess", type=float, dest="delta_guess")
 
     p_rec = sub.add_parser("recurrence", help="R(k, h) table tools", allow_abbrev=False)

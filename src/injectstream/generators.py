@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidInstanceError, PreconditionError
-from .matching import Edge, Matching, MatchConfig, exact_max_matching
+from .matching import BETA, EPS, Edge, Matching, exact_max_matching
 from .rng import PhiloxRNG, fisher_yates
 from .stream_model import Element, InjectionPlan, InstanceSplit
 from .submodular import CoverageInstance, CoverageOracle, brute_force_opt, figure2_instance
@@ -246,23 +246,20 @@ class PlantedAugInstance:
 def generate_planted_3aug(
     seed: int,
     size_range: tuple[int, int] = (20, 100),
-    beta: Optional[Fraction] = None,
     distractors: bool = True,
 ) -> PlantedAugInstance:
-    """Frozen matching plus a suffix holding >= ceil(beta*|M|) disjoint
+    """Frozen matching plus a suffix holding >= ceil(BETA*|M|) disjoint
     3-augmenting paths (fresh wing vertices), shuffled, optionally with
     distractor edges the collector must ignore.
 
     Center i is (4i, 4i+1); its planted wings go to 4i+2 and 4i+3.
     """
-    if beta is None:
-        beta = MatchConfig().beta
     lo, hi = size_range
     if not 1 <= lo <= hi:
         raise PreconditionError("need 1 <= lo <= hi")
     rng = PhiloxRNG(seed)
     s = lo + rng.randbelow(hi - lo + 1)
-    planted = math.ceil(s * Fraction(beta))
+    planted = math.ceil(s * BETA)
     M = Matching(Edge(4 * i, 4 * i + 1) for i in range(s))
     suffix = []
     for i in range(planted):
@@ -286,13 +283,13 @@ def generate_planted_3aug(
 
 
 def sample_matching_pair(seed: int) -> tuple[Matching, Matching]:
-    """(M, M*) with |M| <= (1/2 + alpha)|M*|, M maximal in the union graph.
+    """(M, M*) with |M| <= (1/2 + EPS)|M*|, M maximal in the union graph.
 
     Built from disjoint blocks: T3 (3-augmenting path: M center, two M*
     wings), TC (an edge in both matchings), P5 (a 5-edge alternating path
     starting and ending in M*; its 2 M-edges are non-3-augmentable), C4
     (alternating 4-cycle), ISO (an M-edge off M*'s support).  Block counts
-    obey c3 >= 12*cc + 11*c5 + 24*c4 + 25*ciso, which at alpha = 1/50 is
+    obey c3 >= 12*cc + 11*c5 + 24*c4 + 25*ciso, which at EPS = 1/50 is
     exactly the size hypothesis.
     """
     rng = PhiloxRNG(seed)
@@ -329,9 +326,8 @@ def sample_matching_pair(seed: int) -> tuple[Matching, Matching]:
         m_edges.extend([Edge(u[1], u[2]), Edge(u[3], u[0])])
     for _ in range(ciso):
         m_edges.append(Edge(nxt(), nxt()))
-    alpha = MatchConfig().alpha
     M, M_star = Matching(m_edges), Matching(ms_edges)
-    if len(M) > (Fraction(1, 2) + alpha) * len(M_star):
+    if len(M) > (Fraction(1, 2) + EPS) * len(M_star):
         raise InvalidInstanceError("sampler violated its own size hypothesis")
     return M, M_star
 

@@ -3,13 +3,15 @@
 A config plus its master seed replays bit-exactly: per-trial seeds derive
 from (master seed, trial index), permutation seeds from (trial seed, perm
 index), and CSV rows carry no wall-clock data (timings live only on the
-in-memory records).  Every row ends with a fingerprint of the canonical
-config JSON so result files are self-identifying.
+in-memory records).  Every row ends with ``config_fp``, a fingerprint of
+the canonical config JSON: it covers every config value except ``out``, so
+result files are self-identifying and one experiment written to two paths
+gives byte-identical files.
 
 Instance files are JSON lines: one object per element with fields id, role
 ("good" | "noise") and payload (a point list for coverage, a [u, v] pair
-for edges), optionally one trailing object {"slots": [[slot, noise_id],
-...]} fixing the injection plan.
+with u != v for edges), optionally one trailing object {"slots": [[slot,
+noise_id], ...]} fixing the injection plan.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ CHOICES = {
     "mode": ("exact", "bucketed"),
     "guess": ("known", "auto"),
     "match_mode": ("greedy", "match", "guessed"),
-    "mstar": ("known", "auto"),
     "table_mode": ("float", "exact"),
 }
 
@@ -77,11 +78,12 @@ class ExperimentConfig:
     instance: {"file": path} or {"kind": name, "params": {...}}.
     adversary: {"strategy": one of ADVERSARY_STRATEGIES, "seed": int} (the
     seed defaults to the trial seed; irrelevant for non-random strategies).
-    Submod knobs: k, delta, mode, guess.  Matching knobs: match_mode, mstar
-    (``auto`` turns match_mode ``match`` into ``guessed``), delta_guess.
-    Recurrence knobs: t, kmax, table_mode, certify_k, bound.  ``CHOICES``
-    lists the allowed values of the named fields; construction raises
-    PreconditionError for any value the experiment could not run.
+    Both seeds are integers in [0, 2**64).  Submod knobs: k, delta, mode,
+    guess.  Matching knobs: match_mode, delta_guess.  Recurrence knobs: t,
+    kmax, table_mode, certify_k, bound.  ``CHOICES`` lists the allowed
+    values of the named fields; construction raises PreconditionError for
+    any value the experiment could not run.  ``out`` is where the CSV goes;
+    it is the one field the fingerprint leaves out.
     """
 
     problem: str = "submod"
@@ -98,7 +100,6 @@ class ExperimentConfig:
     guess: str = "known"
     # matching
     match_mode: str = "greedy"
-    mstar: str = "known"
     delta_guess: float = 0.1
     # recurrence
     t: float = 0.8
@@ -123,6 +124,9 @@ class ExperimentConfig:
         strategy = adv.get("strategy", "random")
         _check(strategy in ADVERSARY_STRATEGIES, "adversary strategy", strategy,
                "one of " + ", ".join(ADVERSARY_STRATEGIES))
+        for name, value in (("seed", self.seed), ("adversary seed", adv.get("seed", 0))):
+            _check(isinstance(value, int) and 0 <= value < 2**64, name, value,
+                   "an integer in [0, 2**64)")
         for name in ("trials", "perms", "k"):
             value = getattr(self, name)
             _check(isinstance(value, int) and value >= 1, name, value, "an integer >= 1")
@@ -135,7 +139,10 @@ class ExperimentConfig:
                "bound", self.bound, "a decimal or a fraction")
 
     def canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        """Every value except ``out``: where the rows go does not change them."""
+        values = asdict(self)
+        del values["out"]
+        return json.dumps(values, sort_keys=True, separators=(",", ":"))
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
@@ -346,17 +353,13 @@ def _submod_run(config: ExperimentConfig, stream, trial: tuple) -> tuple[dict, d
     stats = RunStats()
     if config.guess == "auto":
         sol = guess_run(stream, config.k, config.delta, oracle, stats=stats)
-    elif config.mode == "exact":
-        sol = run_tree_stream(
-            stream, config.k, config.delta, oracle, mode="exact", stats=stats
-        )
-    else:
+    else:  # exact mode ignores the guess g
         sol = run_tree_stream(
             stream, config.k, config.delta, oracle,
-            mode="bucketed", g=opt_value, stats=stats,
+            mode=config.mode, g=opt_value, stats=stats,
         )
     columns = {
-        "guess_mode": stats.guess_mode,
+        "guess_mode": config.guess,
         "best_value": sol.value,
         "opt_value": opt_value,
         "ratio": sol.value / opt_value if opt_value else 0.0,
@@ -391,8 +394,6 @@ def _load_matching_trial(
 
 def _matching_run(config: ExperimentConfig, stream, m_star: int) -> tuple[dict, dict]:
     algo = config.match_mode
-    if config.mstar == "auto" and algo == "match":
-        algo = "guessed"
     edges = edges_from_stream(stream)
     memory: dict = {}
     if algo == "greedy":
@@ -562,7 +563,10 @@ def _point_set(payload) -> frozenset:
 def _edge(payload) -> tuple:
     if not isinstance(payload, list) or len(payload) != 2:
         raise ValueError(f"payload must be a [u, v] pair, got {payload!r}")
-    return tuple(tuple(x) if isinstance(x, list) else x for x in payload)
+    u, v = (tuple(x) if isinstance(x, list) else x for x in payload)
+    if u == v:
+        raise ValueError(f"payload {payload!r} is a self-loop")
+    return u, v
 
 
 def read_submod_instance_file(

@@ -2,18 +2,22 @@
 
 The two-branch algorithm runs a full greedy maximal matching M1.  Branch 2
 would match greedily on the same stream until it holds
-ceil((1/2 - eps) * m_star) edges, so its matching is a prefix of M1: it
-freezes a copy of M1 at the first edge where |M1| reaches that threshold
-and spends the rest of the stream, that edge included, collecting
-vertex-disjoint 3-augmenting paths for the frozen matching.  The collected
-augmentations are applied at stream end and the larger of the two branches
-is the output.  When m_star is unknown, branch 2 is replicated for
-geometric guesses of it, kept in the shared window of
-``geomgrid.update_window`` around the live size of M1.
+``phase1_threshold(m_star)`` = ceil((1/2 - EPS) * m_star) edges, so its
+matching is a prefix of M1: it freezes a copy of M1 at the first edge where
+|M1| reaches that threshold and spends the rest of the stream, that edge
+included, collecting vertex-disjoint 3-augmenting paths for the frozen
+matching.  The collected augmentations are applied at stream end and the
+larger of the two branches is the output.  When m_star is unknown, branch 2
+is replicated for geometric guesses of it, kept in the shared window of
+``geomgrid.update_window`` around the live size of M1.  Every run reads its
+stream once, edge by edge.
+
+EPS = 1/50 and BETA = (4 - 43 EPS) / (4 - 8 EPS) are the certified
+constants of the analysis; they are fixed, not settings.
 
 The path collector is a bounded-memory stand-in for the cited 3-Aug-Paths
-subroutine, built to its contract: if the suffix holds beta*|M| disjoint
-3-augmenting paths it must return at least (beta^2/32)*|M| of them using
+subroutine, built to its contract: if the suffix holds BETA*|M| disjoint
+3-augmenting paths it must return at least (BETA^2/32)*|M| of them using
 O(|M|) space.  Internals: per matched vertex it stores the first two wing
 edges with distinct free endpoints and commits a path greedily as soon as
 both sides of a center hold wings with unused distinct free endpoints.
@@ -137,45 +141,15 @@ def validate_matching(m: Matching) -> None:
         seen.add(e.v)
 
 
-@dataclass(frozen=True)
-class MatchConfig:
-    """Constants of the two-branch algorithm (defaults as certified).
+#: branch 2 freezes M1 at ceil((1/2 - EPS) * m_star) edges
+EPS = Fraction(1, 50)
+#: the collector contract's parameter
+BETA = (4 - 43 * EPS) / (4 - 8 * EPS)
 
-    eps sets branch 2's threshold ceil((1/2 - eps) * m_star), the prefix of
-    M1 it freezes, and beta = (4 - 43 eps) / (4 - 8 eps), the collector
-    contract's parameter.  buffer_small enables the small-instance escape
-    hatch (m_star <= 2/rho allows buffering the whole graph); it is off by
-    default so the streaming path is what runs, and it is subject to the
-    exact oracle's size guards.
-    """
 
-    eps: Fraction = Fraction(1, 50)
-    buffer_small: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0 < self.eps < Fraction(1, 4):
-            raise PreconditionError(f"eps must lie in (0, 1/4), got {self.eps}")
-        if not 0 < self.beta < 1:
-            raise PreconditionError(f"beta out of (0,1) for eps={self.eps}")
-
-    @property
-    def alpha(self) -> Fraction:
-        return self.eps
-
-    @property
-    def rho(self) -> Fraction:
-        return self.eps / 4
-
-    @property
-    def beta(self) -> Fraction:
-        return (4 - 43 * self.eps) / (4 - 8 * self.eps)
-
-    def phase1_threshold(self, m_star: int) -> int:
-        return math.ceil((Fraction(1, 2) - self.eps) * m_star)
-
-    @property
-    def small_instance_limit(self) -> Fraction:
-        return 2 / self.rho
+def phase1_threshold(m_star: int) -> int:
+    """Size of the M1 prefix that branch 2 freezes: ceil((1/2 - EPS) * m_star)."""
+    return math.ceil((Fraction(1, 2) - EPS) * m_star)
 
 
 def greedy_step(M: Matching, e: Edge) -> Matching:
@@ -330,21 +304,18 @@ class Branch2:
         return m2 if len(m2) > len(m1) else m1
 
 
-def match_run(stream: Iterable[Edge], m_star: int, cfg: MatchConfig = MatchConfig()) -> Matching:
+def match_run(stream: Iterable[Edge], m_star: int) -> Matching:
     """The two-branch algorithm with known optimum size m_star.
 
     Branch 1 is plain greedy.  Branch 2 freezes M1 once it holds
     phase1_threshold(m_star) edges, collects 3-augmenting paths for the
     frozen matching and augments at stream end.  Output: the larger branch.
-    The stream is read once, edge by edge, unless the buffer_small escape
-    hatch applies.
+    The stream is read once, edge by edge.
     """
     if m_star < 1:
         raise PreconditionError("m_star must be >= 1")
-    if cfg.buffer_small and m_star <= cfg.small_instance_limit:
-        return exact_max_matching(stream)
     m1 = Matching()
-    branch = Branch2(cfg.phase1_threshold(m_star))
+    branch = Branch2(phase1_threshold(m_star))
     for e in stream:
         greedy_step(m1, e)
         branch.offer(m1, e)
@@ -359,13 +330,12 @@ class GuessRunStats:
 def geometric_guess_run(
     stream: Iterable[Edge],
     delta_guess: float,
-    cfg: MatchConfig = MatchConfig(),
     stats: Optional[GuessRunStats] = None,
 ) -> Matching:
     """Two-branch runs for geometric guesses of m_star, windowed by |M1|.
 
     Active guesses are powers (1+delta)^i inside
-    [|M1|/(1+delta), 4|M1|/(1-2eps)].  Each guess runs its own branch 2 on
+    [|M1|/(1+delta), 4|M1|/(1-2 EPS)].  Each guess runs its own branch 2 on
     the shared M1, which freezes once |M1| reaches that guess's threshold
     (at once if it already has on admission); a guess leaving the window is
     dismissed.  Returns the best final matching over greedy and all
@@ -374,7 +344,7 @@ def geometric_guess_run(
     if not 0 < delta_guess < 1:
         raise PreconditionError("delta_guess must lie in (0, 1)")
     base = 1.0 + delta_guess
-    upper_coef = 4.0 / float(1 - 2 * cfg.eps)
+    upper_coef = 4.0 / float(1 - 2 * EPS)
     m1 = Matching()
     branches: dict[int, Branch2] = {}
     live_max = 0
@@ -383,7 +353,7 @@ def geometric_guess_run(
         if len(m1) >= 1:
             geomgrid.update_window(
                 branches, len(m1), base, upper_coef,
-                lambda i: Branch2(cfg.phase1_threshold(math.ceil(base**i))),
+                lambda i: Branch2(phase1_threshold(math.ceil(base**i))),
             )
             live_max = max(live_max, len(branches))
         for branch in branches.values():
@@ -398,9 +368,9 @@ def geometric_guess_run(
     return best
 
 
-def live_guess_bound(delta_guess: float, cfg: MatchConfig = MatchConfig()) -> int:
-    """Ceiling of log base (1+delta) of 4(1+delta)/(1-2eps)."""
-    return geomgrid.live_guess_bound(1.0 + delta_guess, 4.0 / float(1 - 2 * cfg.eps))
+def live_guess_bound(delta_guess: float) -> int:
+    """Ceiling of log base (1+delta) of 4(1+delta)/(1-2 EPS)."""
+    return geomgrid.live_guess_bound(1.0 + delta_guess, 4.0 / float(1 - 2 * EPS))
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,6 @@ class RunStats:
     nodes_live_max: int = 0
     guesses_live_max: int = 0
     oracle_calls: int = 0
-    guess_mode: str = "known"
 
 
 class GuessManager:
@@ -419,7 +418,6 @@ def run_tree_stream(
         stats.nodes_live_max = nodes_max
         stats.guesses_live_max = 1
         stats.oracle_calls = oracle.call_counter - calls0
-        stats.guess_mode = "known"
     return best_solution(tree)
 
 
@@ -444,7 +442,6 @@ def guess_run(
         stats.nodes_live_max = manager.nodes_live_max
         stats.guesses_live_max = manager.guesses_live_max
         stats.oracle_calls = oracle.call_counter - calls0
-        stats.guess_mode = "auto"
     return manager.best()
 
 

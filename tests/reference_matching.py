@@ -14,11 +14,12 @@ from typing import Optional
 
 from injectstream.geomgrid import snap_ceil_log, snap_floor_log
 from injectstream.matching import (
+    EPS,
     AugPath,
-    MatchConfig,
     Matching,
     apply_augmentations,
     greedy_step,
+    phase1_threshold,
 )
 
 
@@ -93,18 +94,18 @@ def _feed_branch2(state: MatchRunState, e) -> None:
     state.collector.offer(e)
 
 
-def ref_match_run(edges, m_star, cfg=MatchConfig()) -> Matching:
-    state = MatchRunState(Matching(), Matching(), None, cfg.phase1_threshold(m_star))
+def ref_match_run(edges, m_star) -> Matching:
+    state = MatchRunState(Matching(), Matching(), None, phase1_threshold(m_star))
     for e in edges:
         greedy_step(state.m1, e)
         _feed_branch2(state, e)
     return state.finish()
 
 
-def ref_geometric_guess_run(edges, delta_guess, cfg=MatchConfig()) -> tuple[Matching, int]:
+def ref_geometric_guess_run(edges, delta_guess) -> tuple[Matching, int]:
     """(output, guesses_live_max)."""
     base = 1.0 + delta_guess
-    upper_coef = 4.0 / float(1 - 2 * cfg.eps)
+    upper_coef = 4.0 / float(1 - 2 * EPS)
     m1, branches, live_max = Matching(), {}, 0
     for e in edges:
         greedy_step(m1, e)
@@ -115,7 +116,7 @@ def ref_geometric_guess_run(edges, delta_guess, cfg=MatchConfig()) -> tuple[Matc
                 del branches[i]
             for i in range(lo, hi + 1):
                 if i not in branches:
-                    threshold = cfg.phase1_threshold(math.ceil(base**i))
+                    threshold = phase1_threshold(math.ceil(base**i))
                     branches[i] = MatchRunState(m1, m1.copy(), None, threshold)
             live_max = max(live_max, len(branches))
         for state in branches.values():

@@ -50,7 +50,7 @@ def ref_run(stream, k, keyer, oracle):
     for e in stream:
         ref_process(tree, e, oracle)
         nodes_max = max(nodes_max, len(tree.nodes))
-    stats = RunStats(nodes_max, 1, oracle.call_counter - calls0, "known")
+    stats = RunStats(nodes_max, 1, oracle.call_counter - calls0)
     return ref_best(tree), stats, tree
 
 
@@ -71,5 +71,5 @@ def ref_guess_run(stream, k, delta, oracle):
         sol = ref_best(trees[j][1])
         if sol.value > best.value:
             best = sol
-    stats = RunStats(nodes_max, manager.guesses_live_max, oracle.call_counter - calls0, "auto")
+    stats = RunStats(nodes_max, manager.guesses_live_max, oracle.call_counter - calls0)
     return best, stats

@@ -21,9 +21,10 @@ from injectstream.generators import (
     sample_matching_pair,
 )
 from injectstream.matching import (
+    BETA,
     COLLECTOR_SLOTS_PER_EDGE,
+    EPS,
     AugPathStore,
-    MatchConfig,
     count_3_augmentable,
     exact_max_matching,
     greedy_matching,
@@ -265,8 +266,7 @@ def test_criterion_09_three_aug_collector_contract():
 
 def test_criterion_10_match_beats_half():
     with criterion(10, "case-1 instances clear (1+beta^2/32)(1/2-eps)m*-1; all runs at least maximal"):
-        cfg = MatchConfig()
-        lift = (1 + cfg.beta**2 / 32) * (Fraction(1, 2) - cfg.eps)
+        lift = (1 + BETA**2 / 32) * (Fraction(1, 2) - EPS)
         for s_param in (25, 40, 60, 100):
             split, m_star = generate_matching_instance("greedy_trap", {"s": s_param}, seed=0)
             plan = make_plan(split, "front")

@@ -19,9 +19,10 @@ from injectstream.generators import (
     sample_matching_pair,
 )
 from injectstream.matching import (
+    BETA,
     COLLECTOR_SLOTS_PER_EDGE,
+    EPS,
     AugPathStore,
-    MatchConfig,
     count_3_augmentable,
     exact_max_matching,
     greedy_matching,
@@ -164,8 +165,7 @@ def test_trap_instance_match_run_recovers():
     plan = make_plan(split, "front")
     stream = build_stream(split, plan, seed=11)
     out = match_run(edges_from_stream(stream), m_star)
-    cfg = MatchConfig()
-    assert len(out) >= (1 + cfg.beta**2 / 32) * (Fraction(1, 2) - cfg.eps) * m_star - 1
+    assert len(out) >= (1 + BETA**2 / 32) * (Fraction(1, 2) - EPS) * m_star - 1
 
 
 def test_unknown_matching_kind():

@@ -1,10 +1,10 @@
 """Golden digests: CLI CSVs and certificate output stay byte-identical.
 
-Each case runs the CLI with a relative output path under INJECTSTREAM_OUT_DIR,
-so the ``config_fp`` column does not depend on the temporary directory, and
-pins the sha256 of what the command writes.  A digest changes only when an
-output byte does; update one only together with a deliberate change to that
-output.
+Each case runs the CLI with its output under a temporary INJECTSTREAM_OUT_DIR
+and pins the sha256 of what the command writes.  The ``config_fp`` column
+hashes every config value except the output path, so the digests do not
+depend on where the file goes.  A digest changes only when an output byte
+does; update one only together with a deliberate change to that output.
 """
 
 import hashlib
@@ -23,46 +23,46 @@ CSV_CASES = {
         SUBMOD + ["--kind", "decoy_front", "--params", '{"block": 6}',
                   "--adversary", "front", "--k", "3", "--mode", "bucketed",
                   "--delta", "0.1", "--out"],
-        "acb800d4587dd7a9337d5d65a471e72bc144ad5991406ef6b384c6bb30ec217b",
+        "d5a1cb71cd140c7cb435bbcdbd6cc2291db072fd13035e78e971f6713c03d2fe",
     ),
     "submod-exact": (
         SUBMOD + ["--kind", "random", "--params", '{"n": 10, "universe": 16}',
                   "--adversary", "random", "--k", "3", "--mode", "exact", "--out"],
-        "822cb3f59797b433a640a24f394c0baf80586ab9d699cb1c707bc19746777a5d",
+        "0645019ffa9b6089d40a35f9da9ad9f3b62ea4c67eac06873f6eca9d655dabc0",
     ),
     "submod-guess-auto": (
         SUBMOD + ["--kind", "random", "--params", '{"n": 10, "universe": 16}',
                   "--adversary", "spread", "--k", "3", "--mode", "bucketed",
                   "--guess", "auto", "--out"],
-        "6f9b3a66892da196880cb58c0ffa9c0ffe5556dd75aaf8189cb81145ec0549ae",
+        "0ff07e014ecfa2b5987d4b88d2a9d01f2b70b2cb69896825a6a4d28dd5c7ad62",
     ),
     "submod-figure2-k3": (
         SUBMOD + ["--kind", "figure2", "--adversary", "back", "--k", "3",
                   "--mode", "exact", "--out"],
-        "c250be53302a8e8c4a93112b4d95afd6106bee873ccdf95b1ada8522b1d748c7",
+        "9d07db260be0a7032f2bd7395e512bb0702525258dd7afafb6d8844952206041",
     ),
     "matching-greedy": (
         MATCHING + ["--kind", "greedy_trap", "--params", '{"s": 6}',
                     "--adversary", "front", "--mode", "greedy", "--out"],
-        "6f96085b6df1332794d6d275201cccaa59164c6a7793960c57ab6c4648b54c20",
+        "3ce5ebc768b22f0681566cf30c021a29493aa6b27eabbaa4d42388812bc615f5",
     ),
     "matching-match": (
         MATCHING + ["--kind", "greedy_trap", "--params", '{"s": 6}',
                     "--adversary", "random", "--mode", "match", "--out"],
-        "cb6be407cd5090c13f8342b271eeda10e6a7d479c7589b99a413eb437392ac99",
+        "84752cc7c75f54cde69fefa4150be628a557c34b8c0d91e6dbae97f4c72f3726",
     ),
     "matching-guessed": (
         MATCHING + ["--kind", "random_bipartite", "--params", '{"nl": 7, "nr": 7, "p": 0.4}',
                     "--adversary", "spread", "--mode", "guessed", "--out"],
-        "0e66acf1a56b6d208ad89c5e7735ca0ab7088fab3e0afd71f24082a98947c90c",
+        "f96494b0c93e317b8a8842397503f533a27461089960a26a93dd248ebc5b50ab",
     ),
     "recurrence-emit-float": (
         ["recurrence", "--t", "0.8", "--kmax", "300", "--emit"],
-        "7cc12b5c71c932c040fc42637e5edbcb4e2686e60f067f4179348aadcb1dc7b8",
+        "08453cd501e8bbc4695dd775dad358010878a34556773c85424b8fb0e1ee8c73",
     ),
     "recurrence-emit-exact": (
         ["recurrence", "--t", "0.8", "--kmax", "60", "--mode", "exact", "--emit"],
-        "afef31d6b3594cb9d4272ab60ca48c71b1431cdeb9fa0468efd60f8cb6ce05c1",
+        "fd9c350ca7a7dcdded53d9515d7ee45307a63692b7f1ced25a94e46147514a0a",
     ),
 }
 

@@ -39,8 +39,10 @@ def test_config_fingerprint_stable_and_sensitive():
     a = ExperimentConfig(problem="submod", seed=3)
     b = ExperimentConfig(problem="submod", seed=3)
     c = ExperimentConfig(problem="submod", seed=4)
+    d = ExperimentConfig(problem="submod", seed=3, out="x/y.csv")
     assert a.fingerprint() == b.fingerprint()
     assert a.fingerprint() != c.fingerprint()
+    assert a.fingerprint() == d.fingerprint()  # where rows go does not name them
     assert len(a.fingerprint()) == 12
 
 
@@ -54,7 +56,6 @@ BAD_CONFIG_VALUES = {
     "mode": ("mode", {"mode": "exactt"}),
     "guess": ("guess", {"guess": "Auto"}),
     "match_mode": ("match_mode", {"match_mode": "gredy"}),
-    "mstar": ("mstar", {"mstar": "auot"}),
     "table_mode": ("table_mode", {"table_mode": "fast"}),
     "instance-key": ("instance", {"instance": {"kind": "random", "parms": {}}}),
     "strategy": ("adversary", {"adversary": {"strategy": "frnt"}}),
@@ -67,6 +68,9 @@ BAD_CONFIG_VALUES = {
     "delta-auto": ("delta", {"guess": "auto", "delta": 1}),
     "delta_guess": ("delta_guess", {"delta_guess": 0}),
     "kind": ("submod kind", {"instance": {"kind": "mystery"}}),
+    "seed-text": ("seed", {"seed": "abc"}),
+    "seed-negative": ("seed", {"seed": -1}),
+    "adversary-seed": ("adversary seed", {"adversary": {"strategy": "random", "seed": -1}}),
 }
 
 
@@ -161,8 +165,8 @@ def test_submod_experiment_and_replay(tmp_path):
     assert r1.summary is not None and r1.summary.failures == 0
     assert len(r1.records) == 6
     blob1 = open(r1.csv_path, "rb").read()
-    r2 = run_experiment(submod_config(tmp_path))
-    assert open(r2.csv_path, "rb").read() == blob1  # byte-identical replay
+    r2 = run_experiment(submod_config(tmp_path, out=str(tmp_path / "again.csv")))
+    assert open(r2.csv_path, "rb").read() == blob1  # byte-identical replay, any path
 
     rows = list(csv.reader(blob1.decode().splitlines()))
     assert tuple(rows[0]) == SUBMOD_COLUMNS
@@ -196,7 +200,6 @@ def test_matching_experiment(tmp_path):
         seed=9,
         out=str(tmp_path / "m.csv"),
         match_mode="match",
-        mstar="known",
     ))
     r = run_experiment(cfg)
     assert r.exit_code == 0
@@ -370,13 +373,19 @@ def test_instance_file_without_elements_is_rejected(tmp_path, read):
 
 
 def test_matching_payload_must_be_a_pair(tmp_path):
-    path = tmp_path / "m.jsonl"
-    path.write_text('{"id": 1, "role": "good", "payload": [1, 2, 3]}\n')
-    with pytest.raises(InvalidInstanceError, match="^" + re.escape(f"{path}:1: ")):
-        read_matching_instance_file(str(path))
-    # the same record is a valid three-point coverage element
-    _, split, _ = read_submod_instance_file(str(path))
-    assert split.good[0].payload == frozenset({1, 2, 3})
+    """Neither [1, 2, 3] nor the self-loop [4, 4] is an edge; both are coverage sets."""
+    for payload in ([1, 2, 3], [4, 4]):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({"id": 1, "role": "good", "payload": payload}) + "\n")
+        with pytest.raises(InvalidInstanceError, match="^" + re.escape(f"{path}:1: ")):
+            read_matching_instance_file(str(path))
+        _, split, _ = read_submod_instance_file(str(path))
+        assert split.good[0].payload == frozenset(payload)
+        result = run_experiment(config_from_dict(dict(
+            problem="matching", instance={"file": str(path)}, out=None,
+        )))
+        (failed,) = result.records  # the trial fails to load, naming file and line
+        assert failed.error.startswith(f"InvalidInstanceError: {path}:1: payload ")
 
 
 # ---------------------------------------------------------------------- CLI
@@ -487,6 +496,7 @@ ERROR_CASES = [
     (["gen", "--problem", "submod", "--kind", "random", "--out", "nodir/x.jsonl"],
      "output directory nodir does not exist"),
     (["recurrence", "--certify", "50", "--emit", "x.csv"], "writes no CSV; drop --emit"),
+    (["submod", "run", "--kind", "random", "--seed", "-1"], "seed must be an integer in"),
 ]
 
 

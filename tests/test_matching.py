@@ -15,14 +15,15 @@ from injectstream.errors import (
     SizeLimitError,
 )
 from injectstream.matching import (
+    BETA,
     BIPARTITE_EXACT_LIMIT,
     COLLECTOR_SLOTS_PER_EDGE,
+    EPS,
     GENERAL_EXACT_LIMIT,
     AugPath,
     AugPathStore,
     Edge,
     GuessRunStats,
-    MatchConfig,
     Matching,
     apply_augmentations,
     count_3_augmentable,
@@ -32,6 +33,7 @@ from injectstream.matching import (
     greedy_step,
     live_guess_bound,
     match_run,
+    phase1_threshold,
     robust_greedy_check,
     three_aug_paths,
     validate_matching,
@@ -214,14 +216,10 @@ def test_apply_augmentations_rejects_overlap():
 
 
 def test_match_config_constants():
-    cfg = MatchConfig()
-    assert cfg.eps == Fraction(1, 50)
-    assert cfg.alpha == cfg.eps and cfg.rho == cfg.eps / 4
-    assert cfg.beta == Fraction(157, 192)
-    assert cfg.phase1_threshold(100) == 48  # ceil(0.48 * 100)
-    assert cfg.phase1_threshold(1) == 1
-    with pytest.raises(PreconditionError):
-        MatchConfig(eps=Fraction(1, 2))
+    assert EPS == Fraction(1, 50) and 0 < EPS < Fraction(1, 4)
+    assert BETA == Fraction(157, 192) and 0 < BETA < 1
+    assert phase1_threshold(100) == 48  # ceil(0.48 * 100)
+    assert phase1_threshold(1) == 1
 
 
 def test_match_run_requires_positive_mstar():
@@ -248,18 +246,11 @@ def test_match_run_never_below_greedy():
         assert len(out) >= len(greedy_matching(edges))
 
 
-def test_match_run_buffer_small_escape():
-    cfg = MatchConfig(buffer_small=True)
-    edges = path_edges(1, 2, 3, 4)  # greedy from the front gets just (1,2)... order matters
-    out = match_run(edges, 2, cfg)
-    assert len(out) == 2  # exact on a buffered small instance
-
-
 @pytest.mark.parametrize("run", ["match", "guessed"])
 def test_runs_consume_the_stream_one_edge_at_a_time(monkeypatch, run):
     """Each edge takes its one greedy step (M1's; branch 2 has no greedy of
     its own) before the next one is requested: no run buffers its input
-    stream (buffer_small is off by default)."""
+    stream."""
     log = []
     step = matching.greedy_step
     monkeypatch.setattr(matching, "greedy_step", lambda M, e: log.append("step") or step(M, e))
@@ -287,10 +278,9 @@ def test_trap_stream_beats_half():
     m_star = 2 * s
     assert len(greedy_matching(stream)) == s
     out = match_run(stream, m_star)
-    cfg = MatchConfig()
-    bound = (1 + cfg.beta**2 / 32) * (Fraction(1, 2) - cfg.eps) * m_star - 1
+    bound = (1 + BETA**2 / 32) * (Fraction(1, 2) - EPS) * m_star - 1
     assert len(out) >= bound
-    assert len(out) == 2 * cfg.phase1_threshold(m_star)  # 2 * ceil(0.96 s)
+    assert len(out) == 2 * phase1_threshold(m_star)  # 2 * ceil(0.96 s)
 
 
 # ------------------------------------------------------------------ guessing
