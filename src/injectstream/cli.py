@@ -23,6 +23,7 @@ from .generators import (
 from .harness import (
     CHOICES,
     ExperimentConfig,
+    check_seed,
     config_from_dict,
     resolve_out,
     run_experiment,
@@ -174,6 +175,8 @@ def _cmd_recurrence(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    check_seed("seed", args.seed)
+    check_seed("plan seed", args.plan_seed)
     params = _json_object(args.params, "--params")
     out = resolve_out(args.out)
     if args.problem == "submod":

@@ -9,8 +9,9 @@ points.  Generation does not re-check either fact, nor the oracle axioms
 (coverage is submodular by construction): the tests and ``injectstream
 verify`` check those.
 
-Matching instances carry edges as element payloads; the good elements are
-the edges of a maximum matching of the generated graph.
+Matching instances carry :class:`~injectstream.matching.Edge` objects as
+element payloads; the good elements are the edges of a maximum matching of
+the generated graph.
 
 Adversary strategies are blind: each one maps (number of good elements,
 noise ids, seed) to an injection plan and never sees the permutation, which
@@ -173,8 +174,8 @@ def generate_matching_instance(
 
     Kinds: random_bipartite (params nl/nr/p); greedy_trap (params s: the
     optimum is a perfect matching of 2s pairs, the noise is s cross edges
-    that block half of it when they arrive first).  Elements carry (u, v)
-    payloads; good elements are a maximum matching's edges.
+    that block half of it when they arrive first).  Element payloads are
+    :class:`Edge` objects; good elements are a maximum matching's edges.
     """
     params = dict(params or {})
     if resolve_kind("matching", kind) == "random_bipartite":
@@ -199,11 +200,9 @@ def _random_bipartite(params: dict, seed: int) -> tuple[InstanceSplit, int]:
         edges.append(Edge("L0", "R0"))
     mstar = exact_max_matching(edges)
     in_mstar = set(mstar.edges)
-    good = tuple(
-        Element(id=i, payload=(e.u, e.v)) for i, e in enumerate(mstar.edges)
-    )
+    good = tuple(Element(id=i, payload=e) for i, e in enumerate(mstar.edges))
     noise = tuple(
-        Element(id=len(good) + j, payload=(e.u, e.v))
+        Element(id=len(good) + j, payload=e)
         for j, e in enumerate(e for e in edges if e not in in_mstar)
     )
     return InstanceSplit(good=good, noise=noise), len(mstar)
@@ -214,22 +213,16 @@ def _greedy_trap(params: dict) -> tuple[InstanceSplit, int]:
     if s < 1:
         raise PreconditionError("need s >= 1")
     # pair j is (2j, 2j+1) for j < 2s; cross i ties pair 2i to pair 2i+1
-    good = tuple(
-        Element(id=j, payload=(2 * j, 2 * j + 1)) for j in range(2 * s)
-    )
+    good = tuple(Element(id=j, payload=Edge(2 * j, 2 * j + 1)) for j in range(2 * s))
     noise = tuple(
-        Element(id=2 * s + i, payload=(4 * i + 1, 4 * i + 2)) for i in range(s)
+        Element(id=2 * s + i, payload=Edge(4 * i + 1, 4 * i + 2)) for i in range(s)
     )
     return InstanceSplit(good=good, noise=noise), 2 * s
 
 
 def edges_from_stream(stream) -> list[Edge]:
-    """Element stream with (u, v) payloads -> Edge list in arrival order."""
-    out = []
-    for el in stream:
-        u, v = el.payload
-        out.append(Edge(u, v))
-    return out
+    """The Edge payloads of a matching element stream, in arrival order."""
+    return [el.payload for el in stream]
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +239,10 @@ class PlantedAugInstance:
 def generate_planted_3aug(
     seed: int,
     size_range: tuple[int, int] = (20, 100),
-    distractors: bool = True,
 ) -> PlantedAugInstance:
     """Frozen matching plus a suffix holding >= ceil(BETA*|M|) disjoint
-    3-augmenting paths (fresh wing vertices), shuffled, optionally with
-    distractor edges the collector must ignore.
+    3-augmenting paths (fresh wing vertices), shuffled, with distractor
+    edges (when |M| >= 2) the collector must ignore.
 
     Center i is (4i, 4i+1); its planted wings go to 4i+2 and 4i+3.
     """
@@ -265,7 +257,7 @@ def generate_planted_3aug(
     for i in range(planted):
         suffix.append(Edge(4 * i + 2, 4 * i))      # x_i - a_i
         suffix.append(Edge(4 * i + 1, 4 * i + 3))  # b_i - y_i
-    if distractors and s >= 2:
+    if s >= 2:
         suffix.append(Edge(0, 5))           # matched-matched: ignored
         suffix.append(Edge(2, 0))           # repeat of a planted wing: idempotent
         suffix.append(Edge(4 * s + 1, 0))   # extra wing, fresh free vertex

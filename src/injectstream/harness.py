@@ -10,8 +10,8 @@ gives byte-identical files.
 
 Instance files are JSON lines: one object per element with fields id, role
 ("good" | "noise") and payload (a point list for coverage, a [u, v] pair
-with u != v for edges), optionally one trailing object {"slots": [[slot,
-noise_id], ...]} fixing the injection plan.
+with u != v for edges, read as an undirected Edge), optionally one trailing
+object {"slots": [[slot, noise_id], ...]} fixing the injection plan.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .generators import (
     resolve_kind,
 )
 from .matching import (
+    Edge,
     GuessRunStats,
     exact_max_matching,
     geometric_guess_run,
@@ -124,9 +125,8 @@ class ExperimentConfig:
         strategy = adv.get("strategy", "random")
         _check(strategy in ADVERSARY_STRATEGIES, "adversary strategy", strategy,
                "one of " + ", ".join(ADVERSARY_STRATEGIES))
-        for name, value in (("seed", self.seed), ("adversary seed", adv.get("seed", 0))):
-            _check(isinstance(value, int) and 0 <= value < 2**64, name, value,
-                   "an integer in [0, 2**64)")
+        check_seed("seed", self.seed)
+        check_seed("adversary seed", adv.get("seed", 0))
         for name in ("trials", "perms", "k"):
             value = getattr(self, name)
             _check(isinstance(value, int) and value >= 1, name, value, "an integer >= 1")
@@ -151,6 +151,12 @@ class ExperimentConfig:
 def _check(ok: bool, name: str, value, wanted: str) -> None:
     if not ok:
         raise PreconditionError(f"{name} must be {wanted}; got {value!r}")
+
+
+def check_seed(name: str, value) -> None:
+    """PreconditionError unless ``value`` is a seed: an integer in [0, 2**64)."""
+    _check(isinstance(value, int) and 0 <= value < 2**64, name, value,
+           "an integer in [0, 2**64)")
 
 
 def _parsed(parse, value):
@@ -204,7 +210,6 @@ class Summary:
 class ExperimentResult:
     """``exit_code``: 0 ok, 1 a run or the certificate failed, 3 a run broke an invariant."""
 
-    config: ExperimentConfig
     records: list[TrialRecord]
     summary: Optional[Summary]
     csv_path: Optional[str]
@@ -262,7 +267,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ratios = [r.columns["ratio"] for r in records if r.error is None]
     failures = sum(1 for r in records if r.error is not None)
     return ExperimentResult(
-        config=config,
         records=records,
         summary=summarize(ratios, failures),
         csv_path=path,
@@ -468,9 +472,7 @@ def _run_recurrence(config: ExperimentConfig) -> ExperimentResult:
                 }
             )
         )
-    return ExperimentResult(
-        config=config, records=records, summary=None, csv_path=path, exit_code=exit_code
-    )
+    return ExperimentResult(records=records, summary=None, csv_path=path, exit_code=exit_code)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +482,8 @@ def _run_recurrence(config: ExperimentConfig) -> ExperimentResult:
 def _payload_to_json(payload):
     if isinstance(payload, frozenset):
         return sorted(payload, key=repr)
-    if isinstance(payload, tuple):
-        return list(payload)
+    if isinstance(payload, Edge):
+        return [payload.u, payload.v]
     return payload
 
 
@@ -560,13 +562,11 @@ def _point_set(payload) -> frozenset:
     return frozenset(payload)
 
 
-def _edge(payload) -> tuple:
+def _edge(payload) -> Edge:
+    """A [u, v] pair as an undirected Edge; list vertices become tuples."""
     if not isinstance(payload, list) or len(payload) != 2:
         raise ValueError(f"payload must be a [u, v] pair, got {payload!r}")
-    u, v = (tuple(x) if isinstance(x, list) else x for x in payload)
-    if u == v:
-        raise ValueError(f"payload {payload!r} is a self-loop")
-    return u, v
+    return Edge(*(tuple(x) if isinstance(x, list) else x for x in payload))
 
 
 def read_submod_instance_file(

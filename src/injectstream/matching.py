@@ -203,7 +203,14 @@ class AugPathStore:
         self.committed: dict[Edge, AugPath] = {}
         self.used: set = set()
         self.stored_wings = 0
-        self.max_slots = len(M)  # the base edges themselves
+
+    @property
+    def max_slots(self) -> int:
+        """Most edges held at once: the frozen matching's plus every stored wing.
+
+        Wings are never dropped and M is frozen, so the current count is the peak.
+        """
+        return len(self.M) + self.stored_wings
 
     def offer(self, e: Edge) -> None:
         """One stream edge: store as a wing if eligible, then try to commit."""
@@ -219,7 +226,6 @@ class AugPathStore:
             return
         slots.append((e, free))
         self.stored_wings += 1
-        self.max_slots = max(self.max_slots, len(self.M) + self.stored_wings)
         self._try_commit(matched[side])
 
     def _try_commit(self, center: Edge) -> None:

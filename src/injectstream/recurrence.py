@@ -74,7 +74,6 @@ class RecurrenceTable:
 
     t: Fraction
     k_max: int
-    mode: str
     diagonal: np.ndarray
     diag_tags: np.ndarray
     values: Optional[np.ndarray] = None
@@ -155,7 +154,6 @@ def _compute_float(t_exact: Fraction, k_max: int) -> RecurrenceTable:
     return RecurrenceTable(
         t=t_exact,
         k_max=k_max,
-        mode="float",
         diagonal=diagonal,
         diag_tags=diag_tags,
         values=values,
@@ -240,7 +238,6 @@ def _compute_exact(t_exact: Fraction, k_max: int) -> RecurrenceTable:
     return RecurrenceTable(
         t=t_exact,
         k_max=k_max,
-        mode="exact",
         diagonal=diagonal,
         diag_tags=diag_tags,
         values=values,

@@ -30,7 +30,6 @@ class PhiloxRNG:
     """Counter-based production RNG (numpy Philox under the hood)."""
 
     def __init__(self, seed: int) -> None:
-        self.seed = seed
         self._gen = np.random.Generator(np.random.Philox(key=seed))
 
     def randbelow(self, m: int) -> int:
@@ -51,7 +50,6 @@ class MixedRadixRNG:
     def __init__(self, seed: int) -> None:
         if seed < 0:
             raise ValueError("seed must be non-negative")
-        self.seed = seed
         self._state = seed
 
     def randbelow(self, m: int) -> int:

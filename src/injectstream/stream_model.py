@@ -30,7 +30,8 @@ class Element:
     """A stream element: an opaque id plus a role-specific payload.
 
     The payload is a ground-set member reference for submodular instances and
-    an edge for matching instances.  It must be hashable and is never mutated.
+    a :class:`~injectstream.matching.Edge` for matching instances.  It must be
+    hashable and is never mutated.
     """
 
     id: Hashable

@@ -156,7 +156,6 @@ class CoverageOracle(SubmodularOracle):
 
     def __init__(self, instance: CoverageInstance) -> None:
         super().__init__()
-        self.instance = instance
         points = sorted(instance.universe, key=repr)
         bit = {p: 1 << i for i, p in enumerate(points)}
         self._mask = {

@@ -93,24 +93,22 @@ class IncreaseBuckets:
     """
 
     def __init__(self, g, k: int, delta: Union[float, str, Fraction]) -> None:
-        self.delta = delta_fraction(delta)
-        if not 0 < self.delta <= 1:
+        d = delta_fraction(delta)
+        if not 0 < d <= 1:
             raise PreconditionError(f"delta must lie in (0, 1], got {delta!r}")
         if g <= 0:
             raise InvariantError("bucketing needs a positive guess g")
-        self.g = g
-        self.k = k
-        self.bucket_count = math.ceil(k / self.delta)
+        self.bucket_count = math.ceil(k / d)
         self.key_count = self.bucket_count + 1
         if isinstance(g, (int, Fraction)):
-            self.width = self.delta * g / k
+            self.width = d * g / k
             self._p, self._q = self.width.numerator, self.width.denominator
             # gains at or above top all key to the clamp bucket; clamped to
             # [0, top], gain*q stays inside int64 unless top*q does not
             top = -(-self.bucket_count * self._p // self._q)
             self._top = top if top * self._q < 2**63 else None
         else:
-            self.width = float(self.delta) * g / k
+            self.width = float(d) * g / k
             if self.width == 0:
                 raise PreconditionError(
                     f"guess g={g!r} gives bucket width delta*g/k = {self.width!r} (underflow)"

@@ -23,6 +23,7 @@ from injectstream.matching import (
     COLLECTOR_SLOTS_PER_EDGE,
     EPS,
     AugPathStore,
+    Edge,
     count_3_augmentable,
     exact_max_matching,
     greedy_matching,
@@ -140,13 +141,16 @@ def test_random_bipartite_kind():
     split, m_star = generate_matching_instance("random_bipartite", {"nl": 6, "nr": 6, "p": 0.4}, seed=2)
     edges = [e.payload for e in split.good + split.noise]
     assert m_star == len(split.good)
-    assert m_star == len(exact_max_matching([EdgeOf(p) for p in edges]))
+    assert m_star == len(exact_max_matching(edges))
 
 
-def EdgeOf(payload):
-    from injectstream.matching import Edge
-
-    return Edge(*payload)
+@pytest.mark.parametrize("kind", MATCHING_KINDS)
+def test_matching_payloads_are_edges(kind):
+    """Generated matching elements carry their Edge; the stream hands it on as is."""
+    split, _ = generate_matching_instance(kind, {}, seed=5)
+    elements = split.good + split.noise
+    assert all(type(el.payload) is Edge for el in elements)
+    assert all(e is el.payload for e, el in zip(edges_from_stream(elements), elements))
 
 
 def test_greedy_trap_kind_stalls_greedy_everywhere():

@@ -12,7 +12,12 @@ import pytest
 from injectstream.cli import build_parser, main
 from injectstream import harness
 from injectstream.errors import InvalidInstanceError, InvariantError, PreconditionError
-from injectstream.generators import generate_matching_instance, generate_submod_instance, make_plan
+from injectstream.generators import (
+    MATCHING_KINDS,
+    generate_matching_instance,
+    generate_submod_instance,
+    make_plan,
+)
 from injectstream.harness import (
     MATCHING_COLUMNS,
     OUT_DIR_ENV,
@@ -29,6 +34,7 @@ from injectstream.harness import (
     trial_seed,
     write_instance_file,
 )
+from injectstream.matching import Edge
 from injectstream.stream_model import Element, InjectionPlan, InstanceSplit
 
 
@@ -325,8 +331,32 @@ def test_matching_instance_file_round_trip(tmp_path):
     path = str(tmp_path / "m.jsonl")
     write_instance_file(path, split, plan)
     split2, plan2 = read_matching_instance_file(path)
-    assert [e.payload for e in split2.good] == [(1, 2), (3, 4)]
+    assert [e.payload for e in split2.good] == [Edge(1, 2), Edge(3, 4)]
     assert plan2 == plan
+
+
+@pytest.mark.parametrize("kind", MATCHING_KINDS)
+def test_generated_matching_instance_file_round_trip(tmp_path, kind):
+    """A written instance reads back as the same split of Edge payloads and plan."""
+    split, _ = generate_matching_instance(kind, {}, seed=4)
+    plan = make_plan(split, "random", seed=9)
+    path = str(tmp_path / "m.jsonl")
+    write_instance_file(path, split, plan)
+    split2, plan2 = read_matching_instance_file(path)
+    assert (split2, plan2) == (split, plan)
+    assert all(type(el.payload) is Edge for el in split2.good + split2.noise)
+
+
+def test_matching_pairs_read_as_undirected_edges(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text(
+        '{"id": 0, "role": "good", "payload": [5, 2]}\n'
+        '{"id": 1, "role": "noise", "payload": [[1, 2], [3, 4]]}\n'
+    )
+    split, _ = read_matching_instance_file(str(path))
+    assert split.good[0].payload == Edge(2, 5)
+    assert split.noise[0].payload == Edge((1, 2), (3, 4))
+    assert type(split.noise[0].payload) is Edge
 
 
 def test_matching_instance_file_may_open_with_a_comment(tmp_path):
@@ -374,7 +404,7 @@ def test_instance_file_without_elements_is_rejected(tmp_path, read):
 
 def test_matching_payload_must_be_a_pair(tmp_path):
     """Neither [1, 2, 3] nor the self-loop [4, 4] is an edge; both are coverage sets."""
-    for payload in ([1, 2, 3], [4, 4]):
+    for payload, message in (([1, 2, 3], "payload must be a [u, v] pair"), ([4, 4], "self-loop")):
         path = tmp_path / "m.jsonl"
         path.write_text(json.dumps({"id": 1, "role": "good", "payload": payload}) + "\n")
         with pytest.raises(InvalidInstanceError, match="^" + re.escape(f"{path}:1: ")):
@@ -385,7 +415,7 @@ def test_matching_payload_must_be_a_pair(tmp_path):
             problem="matching", instance={"file": str(path)}, out=None,
         )))
         (failed,) = result.records  # the trial fails to load, naming file and line
-        assert failed.error.startswith(f"InvalidInstanceError: {path}:1: payload ")
+        assert failed.error.startswith(f"InvalidInstanceError: {path}:1: {message}")
 
 
 # ---------------------------------------------------------------------- CLI
@@ -497,6 +527,10 @@ ERROR_CASES = [
      "output directory nodir does not exist"),
     (["recurrence", "--certify", "50", "--emit", "x.csv"], "writes no CSV; drop --emit"),
     (["submod", "run", "--kind", "random", "--seed", "-1"], "seed must be an integer in"),
+    (["gen", "--problem", "matching", "--kind", "random", "--seed", "-1", "--out", "x.jsonl"],
+     "seed must be an integer in [0, 2**64); got -1"),
+    (["gen", "--problem", "matching", "--kind", "random", "--plan", "random",
+      "--plan-seed", "-1", "--out", "x.jsonl"], "plan seed must be an integer in [0, 2**64)"),
 ]
 
 

@@ -343,13 +343,14 @@ DEMO_LINES = {
 
 @pytest.mark.parametrize("name", DEMO_LINES)
 def test_prefix_tree_demo_runs(capsys, monkeypatch, tmp_path, name):
-    """Every demo runs; demo 05's temporary directory lands in tmp_path."""
+    """Every demo runs; demo 05's temporary directory lands in tmp_path and is removed."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     demo = Path(__file__).resolve().parents[1] / "demos" / f"{name}.py"
     runpy.run_path(str(demo), run_name="__main__")
     out = capsys.readouterr().out
     for line in DEMO_LINES[name]:
         assert line in out
+    assert not list(tmp_path.glob("injectstream_demo_*"))  # demo 05 cleans up
 
 
 # ---------------------------------------------------------------- leaf trace
