@@ -39,10 +39,24 @@ _MATCHING_ALIASES = {"random": "random_bipartite", "case1": "greedy_trap"}
 ADVERSARY_STRATEGIES = ("front", "back", "spread", "random")
 
 
-def resolve_kind(problem: str, kind: str) -> str:
-    """The generator kind ``kind`` names for ``problem`` ("submod" or "matching").
+#: generator kind -> its params and their defaults; figure2's optimum is a
+#: fixed 2-set, so it accepts the k the harness passes and ignores it
+KIND_PARAMS = {
+    "figure2": {"k": 2},
+    "random": {"n": 20, "k": 3, "universe": 30, "max_points": 6},
+    "decoy_front": {"k": 3, "block": 5, "decoys_per_block": 3},
+    "random_bipartite": {"nl": 8, "nr": 8, "p": 0.3},
+    "greedy_trap": {"s": 25},
+}
 
-    Hyphens read as underscores; an unknown name raises PreconditionError.
+
+def kind_params(problem: str, kind: str, params: Optional[dict]) -> tuple[str, dict]:
+    """The generator kind ``kind`` names for ``problem`` ("submod" or
+    "matching"), and ``params`` over that kind's defaults.
+
+    Hyphens read as underscores.  An unknown kind or param name, or a value
+    that is not an integer (``p`` may be any real number), raises
+    PreconditionError.
     """
     name = str(kind).replace("-", "_")
     kinds = SUBMOD_KINDS
@@ -50,7 +64,15 @@ def resolve_kind(problem: str, kind: str) -> str:
         kinds, name = MATCHING_KINDS, _MATCHING_ALIASES.get(name, name)
     if name not in kinds:
         raise PreconditionError(f"{problem} kind must be one of {', '.join(kinds)}; got {kind!r}")
-    return name
+    defaults = KIND_PARAMS[name]
+    for key, value in (params or {}).items():
+        if key not in defaults:
+            raise PreconditionError(f"{name} param {key!r} is unknown; it takes {', '.join(defaults)}")
+        real = key == "p"
+        if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
+            wanted = "a number" if real else "an integer"
+            raise PreconditionError(f"{name} param {key} must be {wanted}; got {value!r}")
+    return name, {**defaults, **(params or {})}
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +118,13 @@ def generate_submod_instance(
     (k disjoint blocks as the optimum, noise sets are block subsets one
     point short, params k/block/decoys_per_block).
     """
-    params = params or {}
-    kind = resolve_kind("submod", kind)
+    kind, params = kind_params("submod", kind, params)
     if kind == "figure2":
         instance, k = figure2_instance()
         return instance, _split_by_opt(instance, k)
     if kind == "random":
-        return _random_coverage(params, seed)
-    return _decoy_front(params, seed)
+        return _random_coverage(seed, **params)
+    return _decoy_front(seed, **params)
 
 
 def _split(instance: CoverageInstance, good_ids) -> InstanceSplit:
@@ -122,11 +143,9 @@ def _split_by_opt(instance: CoverageInstance, k: int) -> InstanceSplit:
     return _split(instance, sorted(opt.elements, key=repr))
 
 
-def _random_coverage(params: dict, seed: int) -> tuple[CoverageInstance, InstanceSplit]:
-    n = int(params.get("n", 20))
-    k = int(params.get("k", 3))
-    universe = int(params.get("universe", 30))
-    max_points = int(params.get("max_points", 6))
+def _random_coverage(
+    seed: int, n: int, k: int, universe: int, max_points: int
+) -> tuple[CoverageInstance, InstanceSplit]:
     if not 1 <= k <= n:
         raise PreconditionError("need 1 <= k <= n")
     if max_points < 1 or universe < max_points:
@@ -143,20 +162,19 @@ def _random_coverage(params: dict, seed: int) -> tuple[CoverageInstance, Instanc
     return instance, _split_by_opt(instance, k)
 
 
-def _decoy_front(params: dict, seed: int) -> tuple[CoverageInstance, InstanceSplit]:
-    k = int(params.get("k", 3))
-    block = int(params.get("block", 5))
-    decoys = int(params.get("decoys_per_block", 3))
-    if k < 1 or block < 2 or decoys < 0:
+def _decoy_front(
+    seed: int, k: int, block: int, decoys_per_block: int
+) -> tuple[CoverageInstance, InstanceSplit]:
+    if k < 1 or block < 2 or decoys_per_block < 0:
         raise PreconditionError("need k >= 1, block >= 2, decoys_per_block >= 0")
-    if decoys > block:
+    if decoys_per_block > block:
         raise PreconditionError("at most `block` distinct decoys per block")
     rng = PhiloxRNG(seed)
     rects = {}
     for b in range(k):
         points = frozenset(range(b * block, (b + 1) * block))
         rects[f"g{b}"] = points
-        dropped = fisher_yates(sorted(points), rng)[:decoys]
+        dropped = fisher_yates(sorted(points), rng)[:decoys_per_block]
         for j, pt in enumerate(dropped):
             rects[f"n{b}_{j}"] = points - {pt}
     instance = CoverageInstance(rect_of=rects)
@@ -177,16 +195,13 @@ def generate_matching_instance(
     that block half of it when they arrive first).  Element payloads are
     :class:`Edge` objects; good elements are a maximum matching's edges.
     """
-    params = dict(params or {})
-    if resolve_kind("matching", kind) == "random_bipartite":
-        return _random_bipartite(params, seed)
-    return _greedy_trap(params)
+    kind, params = kind_params("matching", kind, params)
+    if kind == "random_bipartite":
+        return _random_bipartite(seed, **params)
+    return _greedy_trap(**params)
 
 
-def _random_bipartite(params: dict, seed: int) -> tuple[InstanceSplit, int]:
-    nl = int(params.get("nl", 8))
-    nr = int(params.get("nr", 8))
-    p = float(params.get("p", 0.3))
+def _random_bipartite(seed: int, nl: int, nr: int, p: float) -> tuple[InstanceSplit, int]:
     if nl < 1 or nr < 1 or not 0 < p <= 1:
         raise PreconditionError("need nl, nr >= 1 and p in (0, 1]")
     rng = PhiloxRNG(seed)
@@ -208,8 +223,7 @@ def _random_bipartite(params: dict, seed: int) -> tuple[InstanceSplit, int]:
     return InstanceSplit(good=good, noise=noise), len(mstar)
 
 
-def _greedy_trap(params: dict) -> tuple[InstanceSplit, int]:
-    s = int(params.get("s", 25))
+def _greedy_trap(s: int) -> tuple[InstanceSplit, int]:
     if s < 1:
         raise PreconditionError("need s >= 1")
     # pair j is (2j, 2j+1) for j < 2s; cross i ties pair 2i to pair 2i+1

@@ -33,8 +33,8 @@ from .generators import (
     edges_from_stream,
     generate_matching_instance,
     generate_submod_instance,
+    kind_params,
     make_plan,
-    resolve_kind,
 )
 from .matching import (
     Edge,
@@ -44,7 +44,7 @@ from .matching import (
     greedy_matching,
     match_run,
 )
-from .recurrence import compute_table, min_diagonal
+from .recurrence import _t_as_fraction, compute_table, min_diagonal
 from .stream_model import Element, InjectionPlan, InstanceSplit, build_stream
 from .submodular import CoverageInstance, CoverageOracle, brute_force_opt
 from .tree_stream import RunStats, delta_fraction, guess_run, run_tree_stream
@@ -121,15 +121,17 @@ class ExperimentConfig:
         _check(isinstance(adv, dict) and set(adv) <= {"strategy", "seed"},
                "adversary", adv, "a dict with keys among strategy, seed")
         if "kind" in src and self.problem != "recurrence":
-            resolve_kind(self.problem, src["kind"])
+            kind_params(self.problem, src["kind"], src.get("params"))
         strategy = adv.get("strategy", "random")
         _check(strategy in ADVERSARY_STRATEGIES, "adversary strategy", strategy,
                "one of " + ", ".join(ADVERSARY_STRATEGIES))
         check_seed("seed", self.seed)
         check_seed("adversary seed", adv.get("seed", 0))
-        for name in ("trials", "perms", "k"):
+        for name in ("trials", "perms", "k", "kmax", "certify_k"):
             value = getattr(self, name)
-            _check(isinstance(value, int) and value >= 1, name, value, "an integer >= 1")
+            if name != "certify_k" or value is not None:
+                _check(isinstance(value, int) and value >= 1, name, value, "an integer >= 1")
+        _t_as_fraction(self.t)
         delta = _parsed(delta_fraction, self.delta)
         _check(delta is not None and 0 < delta <= 1, "delta", self.delta, "a number in (0, 1]")
         _check(self.guess != "auto" or delta < 1, "delta", self.delta, "below 1 with guess auto")
@@ -530,15 +532,17 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
                 raise InvalidInstanceError(f"{where}: expected a JSON object")
             if "slots" in rec:
                 try:
-                    plan = InjectionPlan(entries=tuple((s, i) for s, i in rec["slots"]))
+                    plan = InjectionPlan(entries=tuple(_slot(*e) for e in rec["slots"]))
                 except (TypeError, ValueError):
-                    raise InvalidInstanceError(
-                        f"{where}: slots must be [slot, noise_id] pairs"
-                    ) from None
+                    raise InvalidInstanceError(f"{where}: slots must be [slot, noise_id] "
+                                               "pairs of an integer and a number or string") from None
                 continue
             missing = [name for name in ("id", "role", "payload") if name not in rec]
             if missing:
                 raise InvalidInstanceError(f"{where}: missing {', '.join(missing)}")
+            if isinstance(rec["id"], (list, dict)):
+                raise InvalidInstanceError(f"{where}: id must be a number or a string, "
+                                           f"got {rec['id']!r}")
             if rec["role"] not in ("good", "noise"):
                 raise InvalidInstanceError(
                     f"{where}: role must be 'good' or 'noise', got {rec['role']!r}"
@@ -556,6 +560,12 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
     return split, plan
 
 
+def _slot(slot, noise_id) -> tuple:
+    if not isinstance(slot, int) or isinstance(noise_id, (list, dict)):
+        raise ValueError("not a slot entry")
+    return slot, noise_id
+
+
 def _point_set(payload) -> frozenset:
     if not isinstance(payload, list):
         raise ValueError(f"payload must be a list of points, got {payload!r}")
@@ -566,7 +576,9 @@ def _edge(payload) -> Edge:
     """A [u, v] pair as an undirected Edge; list vertices become tuples."""
     if not isinstance(payload, list) or len(payload) != 2:
         raise ValueError(f"payload must be a [u, v] pair, got {payload!r}")
-    return Edge(*(tuple(x) if isinstance(x, list) else x for x in payload))
+    u, v = (tuple(x) if isinstance(x, list) else x for x in payload)
+    hash((u, v))  # a JSON object vertex (a dict) raises TypeError here, not in a run
+    return Edge(u, v)
 
 
 def read_submod_instance_file(

@@ -7,18 +7,16 @@ Definition (threshold parameter t in (0,1]):
                   1/k + (1 - (1+t)/k) R(k-1,h-1),
                   1/(1+t) )                          for 1 <= h <= k.
 
-Two computation modes:
-
-* float: column streaming in 64-bit floats, O(k_max) working memory.  Dense
-  value/tag storage is kept when it fits (k_max <= 6000); beyond that only
-  the diagonal R(k,k) and its argmin tags are retained.
-* exact: the same streaming but over unnormalized integer pairs (num, den),
-  so every stored cell is an exact rational.  Branch selection is filtered
-  through the float columns: when the float margin between candidate terms
-  exceeds FILTER_MARGIN, the float comparison is trusted (the accumulated
-  float error is provably far smaller, see below); otherwise the comparison
-  is settled by integer cross-multiplication.  Certification against a bound
-  then needs only integer arithmetic.
+One builder streams the table column by column in 64-bit floats, with
+O(k_max) working memory, in both modes.  Dense value/tag storage is kept
+while k_max <= DENSE_LIMIT; beyond that only the diagonal R(k,k) and its
+argmin tags are retained.  Exact mode is a filter over the float columns:
+it streams each column again as unnormalized integer pairs (num, den).
+Where the float margin between candidate terms exceeds FILTER_MARGIN the
+float argmin is trusted (the accumulated float error is provably far
+smaller, see below); a near-tie is settled by integer cross-multiplication
+and its tag corrected.  Only the exact diagonal is stored, so certifying it
+against a bound needs only integer arithmetic.
 
 Float-filter soundness.  Each streamed column applies affine maps with
 coefficients in [0,1) and a three-way min, both 1-Lipschitz in the inputs,
@@ -47,8 +45,7 @@ import numpy as np
 from .errors import PreconditionError, SizeLimitError
 
 DENSE_LIMIT = 6000          # largest k_max with full value/tag storage
-EXACT_LIMIT = 2000          # guard for exact mode
-EXACT_FULL_LIMIT = 200      # largest k_max keeping every exact cell
+EXACT_LIMIT = 2000          # guard for exact mode; below DENSE_LIMIT, so exact tables are dense
 FLOAT_LIMIT = 200_000
 FILTER_MARGIN = 1e-9
 
@@ -56,8 +53,12 @@ TAG_NONE, TAG_FIRST, TAG_SECOND, TAG_THIRD = 0, 1, 2, 3
 
 
 def _t_as_fraction(t: Union[float, int, str, Fraction]) -> Fraction:
-    frac = Fraction(str(t)) if isinstance(t, float) else Fraction(t)
-    if not 0 < frac <= 1:
+    """``t`` as an exact rational; PreconditionError unless it is a number in (0, 1]."""
+    try:
+        frac = Fraction(str(t)) if isinstance(t, float) else Fraction(t)
+    except (TypeError, ValueError):
+        frac = None
+    if frac is None or not 0 < frac <= 1:
         raise PreconditionError(f"t must lie in (0, 1], got {t!r}")
     return frac
 
@@ -67,9 +68,10 @@ class RecurrenceTable:
     """Computed recurrence values plus which term attained each minimum.
 
     ``values``/``tags`` are dense (k_max+1)x(k_max+1) arrays (NaN / TAG_NONE
-    above the diagonal) when stored; large float runs keep only ``diagonal``
-    and ``diag_tags``.  Exact mode adds the exact diagonal (always) and the
-    full exact table for small k_max.
+    above the diagonal) when k_max <= DENSE_LIMIT; larger tables keep only
+    ``diagonal`` and ``diag_tags``.  The float values are stored in both
+    modes.  Exact mode adds the exact diagonal, a list of Fractions, and the
+    number of near-ties it settled exactly.
     """
 
     t: Fraction
@@ -79,9 +81,14 @@ class RecurrenceTable:
     values: Optional[np.ndarray] = None
     tags: Optional[np.ndarray] = None
     exact_diagonal: Optional[list] = None
-    exact_values: Optional[dict] = None
-    max_float_exact_gap: Optional[float] = None
     exact_comparisons: int = 0
+
+    @property
+    def max_float_exact_gap(self) -> Optional[float]:
+        """Largest |float(exact) - float| over the diagonal; None without an exact one."""
+        if self.exact_diagonal is None:
+            return None
+        return max(abs(float(e) - f) for e, f in zip(self.exact_diagonal, self.diagonal.tolist()))
 
 
 def compute_table(
@@ -89,23 +96,32 @@ def compute_table(
     k_max: int = 1000,
     mode: str = "float",
 ) -> RecurrenceTable:
-    """Fill the lower-triangular R(k,h) table for 0 <= h <= k <= k_max.
-
-    Exact runs keep dense values and tags; float runs keep them while
-    k_max <= DENSE_LIMIT and only the diagonal beyond.
-    """
+    """Fill the lower-triangular R(k,h) table for 0 <= h <= k <= k_max."""
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
     t_exact = _t_as_fraction(t)
-    if mode == "exact":
-        if k_max > EXACT_LIMIT:
-            raise SizeLimitError(f"exact mode is guarded to k_max <= {EXACT_LIMIT}")
-        return _compute_exact(t_exact, k_max)
-    if mode != "float":
+    limits = {"exact": EXACT_LIMIT, "float": FLOAT_LIMIT}
+    if mode not in limits:
         raise PreconditionError(f"unknown mode {mode!r}")
-    if k_max > FLOAT_LIMIT:
-        raise SizeLimitError(f"float mode is guarded to k_max <= {FLOAT_LIMIT}")
-    return _compute_float(t_exact, k_max)
+    if k_max > limits[mode]:
+        raise SizeLimitError(f"{mode} mode is guarded to k_max <= {limits[mode]}")
+    table = RecurrenceTable(t=t_exact, k_max=k_max, diagonal=np.zeros(k_max + 1),
+                            diag_tags=np.full(k_max + 1, TAG_NONE, dtype=np.int8))
+    dense = k_max <= DENSE_LIMIT
+    if dense:
+        table.values = np.full((k_max + 1, k_max + 1), np.nan)
+        table.tags = np.full((k_max + 1, k_max + 1), TAG_NONE, dtype=np.int8)
+        table.values[:, 0] = 0.0
+    columns = _float_columns(float(t_exact), k_max)
+    if mode == "exact":
+        columns = _settle_exactly(columns, table)
+    for h, _fa, _fb, cur, col_tags in columns:
+        if dense:
+            table.values[h:, h] = cur[h:]
+            table.tags[h:, h] = col_tags[h:]
+        table.diagonal[h] = cur[h]
+        table.diag_tags[h] = col_tags[h]
+    return table
 
 
 def _float_columns(tf: float, k_max: int):
@@ -136,117 +152,50 @@ def _float_columns(tf: float, k_max: int):
         prev = cur
 
 
-def _compute_float(t_exact: Fraction, k_max: int) -> RecurrenceTable:
-    full = k_max <= DENSE_LIMIT
-    values = tags = None
-    if full:
-        values = np.full((k_max + 1, k_max + 1), np.nan)
-        tags = np.full((k_max + 1, k_max + 1), TAG_NONE, dtype=np.int8)
-        values[:, 0] = 0.0
-    diagonal = np.zeros(k_max + 1)
-    diag_tags = np.full(k_max + 1, TAG_NONE, dtype=np.int8)
-    for h, _fa, _fb, cur, col_tags in _float_columns(float(t_exact), k_max):
-        if full:
-            values[h:, h] = cur[h:]
-            tags[h:, h] = col_tags[h:]
-        diagonal[h] = cur[h]
-        diag_tags[h] = col_tags[h]
-    return RecurrenceTable(
-        t=t_exact,
-        k_max=k_max,
-        diagonal=diagonal,
-        diag_tags=diag_tags,
-        values=values,
-        tags=tags,
-    )
+def _settle_exactly(columns, table: RecurrenceTable):
+    """Pass the float columns on with every near-tie's tag settled exactly.
 
+    Alongside, each column is streamed as unnormalized integer pairs
+    (num, den); ``table`` receives the exact diagonal and the number of
+    near-ties settled by cross-multiplication.
+    """
+    p, q = table.t.numerator, table.t.denominator
+    third_f = 1.0 / (1.0 + float(table.t))
+    third = (q, p + q)                   # 1/(1+t) = q/(p+q)
+    prev = [(0, 1)] * (table.k_max + 1)
+    table.exact_diagonal = [Fraction(0)] * (table.k_max + 1)
+    ties = 0
 
-def _compute_exact(t_exact: Fraction, k_max: int) -> RecurrenceTable:
-    p, q = t_exact.numerator, t_exact.denominator
-    tf = float(t_exact)
-    third_f = 1.0 / (1.0 + tf)
-    third_n, third_d = q, p + q      # 1/(1+t) = q/(p+q)
+    def term(tag: int, k: int) -> tuple:
+        """The first term (from R(k,h-1)) or the second (from R(k-1,h-1)) as (num, den)."""
+        if tag == TAG_FIRST:
+            (n, d), a, b = prev[k], p, q * k - p
+        else:
+            (n, d), a, b = prev[k - 1], q, q * k - p - q
+        return a * d + b * n, q * k * d
 
-    keep_all = k_max <= EXACT_FULL_LIMIT
-    exact_values: Optional[dict] = {} if keep_all else None
-    if keep_all:
-        for k in range(0, k_max + 1):
-            exact_values[(k, 0)] = Fraction(0)
-
-    values = np.full((k_max + 1, k_max + 1), np.nan)
-    tags = np.full((k_max + 1, k_max + 1), TAG_NONE, dtype=np.int8)
-    values[:, 0] = 0.0
-    diagonal = np.zeros(k_max + 1)
-    diag_tags = np.full(k_max + 1, TAG_NONE, dtype=np.int8)
-    exact_diagonal: list = [Fraction(0)] * (k_max + 1)
-
-    prev_n = [0] * (k_max + 1)
-    prev_d = [1] * (k_max + 1)
-    n_fallback = 0
-
-    for h, fa, fb, fcur, col_tags in _float_columns(tf, k_max):
-        cur_n = [0] * (k_max + 1)
-        cur_d = [1] * (k_max + 1)
-        for k in range(h, k_max + 1):
-            av, bv = fa[k], fb[k]
+    for h, fa, fb, cur, tags in columns:
+        col = [None] * len(prev)           # rows below h are never read again
+        rows = zip(range(h, table.k_max + 1), fa[h:].tolist(), fb[h:].tolist(), tags[h:].tolist())
+        for k, av, bv, tag in rows:
             m = av if av <= bv else bv
             if abs(av - bv) >= FILTER_MARGIN and abs(m - third_f) >= FILTER_MARGIN:
-                tag = int(col_tags[k])
-                if tag == TAG_THIRD:
-                    num, den = third_n, third_d
-                elif tag == TAG_FIRST:
-                    d = prev_d[k]
-                    num = p * d + (q * k - p) * prev_n[k]
-                    den = q * k * d
-                else:
-                    d = prev_d[k - 1]
-                    num = q * d + (q * k - p - q) * prev_n[k - 1]
-                    den = q * k * d
+                col[k] = third if tag == TAG_THIRD else term(tag, k)
+                continue
+            ties += 1
+            first, second = term(TAG_FIRST, k), term(TAG_SECOND, k)
+            if first[0] * second[1] <= second[0] * first[1]:
+                pair, tag = first, TAG_FIRST
             else:
-                # near-tie: settle exactly by cross-multiplication
-                n_fallback += 1
-                d1 = prev_d[k]
-                a_n = p * d1 + (q * k - p) * prev_n[k]
-                a_d = q * k * d1
-                d2 = prev_d[k - 1]
-                b_n = q * d2 + (q * k - p - q) * prev_n[k - 1]
-                b_d = q * k * d2
-                if a_n * b_d <= b_n * a_d:
-                    num, den, tag = a_n, a_d, TAG_FIRST
-                else:
-                    num, den, tag = b_n, b_d, TAG_SECOND
-                if third_n * den < num * third_d:     # strict: ties keep lower tag
-                    num, den, tag = third_n, third_d, TAG_THIRD
-                col_tags[k] = tag
-            cur_n[k] = num
-            cur_d[k] = den
-            if keep_all:
-                exact_values[(k, h)] = Fraction(num, den)
-        values[h:, h] = fcur[h:]
-        tags[h:, h] = col_tags[h:]
-        diagonal[h] = fcur[h]
-        diag_tags[h] = col_tags[h]
-        exact_diagonal[h] = Fraction(cur_n[h], cur_d[h])
-        prev_n, prev_d = cur_n, cur_d
-
-    gap = max(
-        abs(float(exact_diagonal[k]) - diagonal[k]) for k in range(k_max + 1)
-    )
-    if keep_all:
-        for (k, h), frac in exact_values.items():
-            gap = max(gap, abs(float(frac) - values[k, h]))
-    return RecurrenceTable(
-        t=t_exact,
-        k_max=k_max,
-        diagonal=diagonal,
-        diag_tags=diag_tags,
-        values=values,
-        tags=tags,
-        exact_diagonal=exact_diagonal,
-        exact_values=exact_values,
-        max_float_exact_gap=gap,
-        exact_comparisons=n_fallback,
-    )
+                pair, tag = second, TAG_SECOND
+            if third[0] * pair[1] < pair[0] * third[1]:     # strict: ties keep lower tag
+                pair, tag = third, TAG_THIRD
+            col[k] = pair
+            tags[k] = tag
+        table.exact_diagonal[h] = Fraction(*col[h])
+        yield h, fa, fb, cur, tags
+        prev = col
+    table.exact_comparisons = ties
 
 
 def min_diagonal(table: RecurrenceTable, k_lo: int, k_hi: int):

@@ -77,6 +77,13 @@ BAD_CONFIG_VALUES = {
     "seed-text": ("seed", {"seed": "abc"}),
     "seed-negative": ("seed", {"seed": -1}),
     "adversary-seed": ("adversary seed", {"adversary": {"strategy": "random", "seed": -1}}),
+    "t": ("t", {"t": 1.5}),
+    "t-text": ("t", {"t": "abc"}),
+    "kmax": ("kmax", {"kmax": 0}),
+    "certify_k": ("certify_k", {"certify_k": 0}),
+    "param-name": ("decoy_front param", {"instance": {"kind": "decoy_front",
+                                                      "params": {"blocks": 9}}}),
+    "param-value": ("random param", {"instance": {"kind": "random", "params": {"n": 2.7}}}),
 }
 
 
@@ -382,6 +389,11 @@ BAD_RECORDS = {
     "bad slots": '{"slots": [[0]]}',
     "number payload": '{"id": 9, "role": "good", "payload": 5}',
     "string payload": '{"id": 9, "role": "good", "payload": "abc"}',
+    "list id": '{"id": [9], "role": "good", "payload": [7, 8]}',
+    "object id": '{"id": {"a": 9}, "role": "good", "payload": [7, 8]}',
+    "object vertex": '{"id": 9, "role": "good", "payload": [{"a": 7}, 8]}',
+    "list slot id": '{"slots": [[0, [9]]]}',
+    "text slot": '{"slots": [["a", 9]]}',
 }
 
 
@@ -531,6 +543,18 @@ ERROR_CASES = [
      "seed must be an integer in [0, 2**64); got -1"),
     (["gen", "--problem", "matching", "--kind", "random", "--plan", "random",
       "--plan-seed", "-1", "--out", "x.jsonl"], "plan seed must be an integer in [0, 2**64)"),
+    (["recurrence", "--t", "nan"], "t must lie in (0, 1], got nan"),
+    (["recurrence", "--t", "inf"], "t must lie in (0, 1], got inf"),
+    (["gen", "--problem", "matching", "--kind", "greedy_trap", "--params", '{"size": 100}',
+      "--out", "x.jsonl"], "greedy_trap param 'size' is unknown; it takes s"),
+    (["gen", "--problem", "matching", "--kind", "greedy_trap", "--params", '{"s": 2.7}',
+      "--out", "x.jsonl"], "greedy_trap param s must be an integer; got 2.7"),
+    (["gen", "--problem", "matching", "--kind", "greedy_trap", "--params", '{"s": "abc"}',
+      "--out", "x.jsonl"], "greedy_trap param s must be an integer; got 'abc'"),
+    (["submod", "run", "--kind", "decoy_front", "--params", '{"blocks": 9}'],
+     "decoy_front param 'blocks' is unknown"),
+    (["matching", "run", "--kind", "random", "--params", '{"p": "0.3"}'],
+     "random_bipartite param p must be a number; got '0.3'"),
 ]
 
 

@@ -1,4 +1,5 @@
-"""Recurrence table: hand values, exact/float agreement, dominance."""
+"""Recurrence table: hand values, exact/float agreement, the Fraction
+reference, dominance."""
 
 import math
 from fractions import Fraction
@@ -19,6 +20,7 @@ from injectstream.recurrence import (
     first_term_dominance,
     min_diagonal,
 )
+from reference_recurrence import reference_table
 
 
 def test_hand_computed_small_values():
@@ -33,7 +35,7 @@ def test_hand_computed_small_values():
     assert d[1] == Fraction(5, 9)
     assert table.tags[1, 1] == TAG_THIRD
     # R(2,1) = t/2: first term wins
-    assert table.exact_values[(2, 1)] == Fraction(2, 5)
+    assert reference_table(Fraction(4, 5), 2)[2, 1] == (Fraction(2, 5), TAG_FIRST)
     assert table.tags[2, 1] == TAG_FIRST
     # R(2,2) = min(2/5 + 3/5 * 2/5, 1/2 + (1 - 9/10) * 5/9, 5/9)
     #        = min(16/25, 1/2 + 1/18, 5/9) -> 5/9 at the second term (ties low tag)
@@ -43,8 +45,8 @@ def test_hand_computed_small_values():
 
 def test_base_row_is_zero():
     table = compute_table(t="0.8", k_max=3, mode="exact")
-    for k in range(4):
-        assert table.exact_values[(k, 0)] == 0
+    assert (table.values[:, 0] == 0).all()
+    assert table.exact_diagonal[0] == 0
 
 
 def test_exact_and_float_agree():
@@ -69,11 +71,9 @@ def test_filter_margin_resolves_exact_ties():
     exact = compute_table(t="0.8", k_max=120, mode="exact")
     flt = compute_table(t=0.8, k_max=120, mode="float")
     t = Fraction(4, 5)
+    ref = reference_table(t, 120)
     for k, h in np.argwhere(exact.tags[1:, 1:] != flt.tags[1:, 1:]) + 1:
-        second = (
-            Fraction(1, k)
-            + (1 - (1 + t) / k) * exact.exact_values[(k - 1, h - 1)]
-        )
+        second = Fraction(1, k) + (1 - (1 + t) / k) * ref[k - 1, h - 1][0]
         third = 1 / (1 + t)
         assert second == third  # a genuine tie, not a filter failure
         assert exact.tags[k, h] < flt.tags[k, h]  # exact resolves low
@@ -157,6 +157,24 @@ def test_float_tracks_exact_for_random_t(t, k_max):
     for k in range(1, k_max + 1):
         assert abs(float(exact.exact_diagonal[k]) - flt.diagonal[k]) < 1e-11
         assert 0 < flt.diagonal[k] <= 1
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda den: st.integers(1, den).map(lambda num: Fraction(num, den))
+    ),
+    st.integers(1, 30),
+)
+@settings(max_examples=40, deadline=None)
+def test_exact_engine_matches_fraction_reference(t, k_max):
+    """Every exact cell's tag, the exact diagonal and the float values agree
+    with R(k,h) computed from its definition."""
+    ref = reference_table(t, k_max)
+    table = compute_table(t=t, k_max=k_max, mode="exact")
+    assert table.exact_diagonal == [ref[k, k][0] for k in range(k_max + 1)]
+    for (k, h), (value, tag) in ref.items():
+        assert table.tags[k, h] == tag, (k, h)
+        assert abs(table.values[k, h] - float(value)) <= 1e-12, (k, h)
 
 
 @given(st.integers(2, 60))
