@@ -162,9 +162,8 @@ def _cmd_recurrence(args: argparse.Namespace) -> int:
     result = run_experiment(config)
     cols = result.records[0].columns
     if config.certify_k is not None:
-        verdict = "holds" if cols["certified"] else "VIOLATED"
         print(
-            f"R(k,k) >= {cols['bound']} for k <= {config.certify_k}: {verdict} "
+            f"R(k,k) >= {cols['bound']} for k <= {config.certify_k}: {cols['verdict']} "
             f"(min diagonal {cols['min_diagonal']:.10f})"
         )
     elif result.csv_path is not None:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidInstanceError, InvariantError, PreconditionError
+from .errors import InvalidInstanceError, InvariantError, PlanValidationError, PreconditionError
 from .generators import (
     ADVERSARY_STRATEGIES,
     edges_from_stream,
@@ -44,7 +44,7 @@ from .matching import (
     greedy_matching,
     match_run,
 )
-from .recurrence import _t_as_fraction, compute_table, min_diagonal
+from .recurrence import _t_as_fraction, certify_diagonal, compute_table, min_diagonal
 from .stream_model import Element, InjectionPlan, InstanceSplit, build_stream
 from .submodular import CoverageInstance, CoverageOracle, brute_force_opt
 from .tree_stream import RunStats, delta_fraction, guess_run, run_tree_stream
@@ -433,25 +433,24 @@ PROBLEMS = {
 def _run_recurrence(config: ExperimentConfig) -> ExperimentResult:
     """Certify R(k,k) >= bound for k <= certify_k, or build the table to kmax.
 
-    The certificate always uses exact rational arithmetic, whatever
-    ``table_mode`` says; ``table_mode`` picks the arithmetic of the emitted
-    table and of its minimum.
+    The certificate encloses the diagonal in outward-rounded float intervals
+    (``certify_diagonal``), whatever ``table_mode`` says; ``table_mode``
+    picks the arithmetic of the emitted table and of its minimum.  Only the
+    verdict "holds" exits 0.
     """
     fp = config.fingerprint()
     records: list[TrialRecord] = []
     exit_code = 0
     path = None
     if config.certify_k is not None:
-        table = compute_table(t=config.t, k_max=config.certify_k, mode="exact")
         bound = config.bound if config.bound is not None else "0.5506"
-        lowest = min_diagonal(table, 1, config.certify_k)
-        ok = lowest >= Fraction(str(bound))
-        exit_code = 0 if ok else 1
+        cert = certify_diagonal(config.t, config.certify_k, bound)
+        exit_code = 0 if cert.verdict == "holds" else 1
         records.append(
             TrialRecord(
                 columns={
-                    "certified": ok,
-                    "min_diagonal": float(lowest),
+                    "verdict": cert.verdict,
+                    "min_diagonal": cert.lo,
                     "bound": str(bound),
                     "config_fp": fp,
                 }
@@ -513,11 +512,13 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
     """The split of a JSON-lines instance file, in file order, and its plan.
 
     ``parse_payload`` turns a record's JSON payload into the element payload
-    and raises TypeError or ValueError on a malformed one.  A malformed line
-    raises InvalidInstanceError naming ``path:line``.
+    and raises TypeError or ValueError on a malformed one.  A malformed line,
+    a repeated id, or a slots record that does not fit the elements raises
+    InvalidInstanceError naming ``path:line``.
     """
     elements: dict = {"good": [], "noise": []}
-    plan = None
+    id_lines: dict = {}              # element id -> line of its record
+    plan = plan_where = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -536,6 +537,7 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
                 except (TypeError, ValueError):
                     raise InvalidInstanceError(f"{where}: slots must be [slot, noise_id] "
                                                "pairs of an integer and a number or string") from None
+                plan_where = where
                 continue
             missing = [name for name in ("id", "role", "payload") if name not in rec]
             if missing:
@@ -543,6 +545,10 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
             if isinstance(rec["id"], (list, dict)):
                 raise InvalidInstanceError(f"{where}: id must be a number or a string, "
                                            f"got {rec['id']!r}")
+            if rec["id"] in id_lines:
+                raise InvalidInstanceError(f"{where}: element id {rec['id']!r} repeats "
+                                           f"the record on line {id_lines[rec['id']]}")
+            id_lines[rec["id"]] = lineno
             if rec["role"] not in ("good", "noise"):
                 raise InvalidInstanceError(
                     f"{where}: role must be 'good' or 'noise', got {rec['role']!r}"
@@ -556,7 +562,10 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
         raise InvalidInstanceError(f"no element records in {path}")
     split = InstanceSplit(good=tuple(elements["good"]), noise=tuple(elements["noise"]))
     if plan is not None:
-        plan.validate(split)
+        try:
+            plan.validate(split)
+        except PlanValidationError as exc:
+            raise InvalidInstanceError(f"{plan_where}: {exc}") from None
     return split, plan
 
 

@@ -8,15 +8,16 @@ Definition (threshold parameter t in (0,1]):
                   1/(1+t) )                          for 1 <= h <= k.
 
 One builder streams the table column by column in 64-bit floats, with
-O(k_max) working memory, in both modes.  Dense value/tag storage is kept
+O(k_max) working memory, in both modes.  Column h covers only the rows
+k = h..k_max that are ever read: its first term reads rows h..k_max of
+column h-1, its second rows h-1..k_max-1.  Dense value/tag storage is kept
 while k_max <= DENSE_LIMIT; beyond that only the diagonal R(k,k) and its
 argmin tags are retained.  Exact mode is a filter over the float columns:
 it streams each column again as unnormalized integer pairs (num, den).
 Where the float margin between candidate terms exceeds FILTER_MARGIN the
 float argmin is trusted (the accumulated float error is provably far
 smaller, see below); a near-tie is settled by integer cross-multiplication
-and its tag corrected.  Only the exact diagonal is stored, so certifying it
-against a bound needs only integer arithmetic.
+and its tag corrected.  Only the exact diagonal is stored.
 
 Float-filter soundness.  Each streamed column applies affine maps with
 coefficients in [0,1) and a three-way min, both 1-Lipschitz in the inputs,
@@ -25,12 +26,40 @@ error after h columns is therefore below h * 4 * 2^-52, under 2e-12 for
 h <= 10^5, while FILTER_MARGIN is 1e-9.  A float margin above FILTER_MARGIN
 implies the exact comparison orders the same way.
 
-``t`` notes: a float t is interpreted through ``Fraction(str(t))``, so the
-CLI value 0.8 means exactly 4/5 in exact mode and float(4/5) in float mode.
+Interval certificate.  ``certify_diagonal`` proves min R(k,k) >= bound for
+k <= CERTIFY_LIMIT without rationals: ``diagonal_intervals`` streams the
+same triangular columns with each cell held as a float interval
+[lo, hi] that contains the exact R(k,h).  Soundness:
 
-Denominators are never reduced; they grow to about 12 kilobits by k = 1000,
-which integer arithmetic absorbs in well under a second.  Fraction- and
-mpq-based variants measured 10x to 70x slower, hence this backend.
+* t is bracketed by the nearest floats below and above it.
+* Each rounded operation (t/k, 1-t/k, 1/k, 1+t, (1+t)/k, 1-(1+t)/k,
+  1/(1+t), and every product and sum) errs by at most half an ulp: the
+  exact result is nearer the rounded one than any other float.  So moving
+  the lower end one float down and the upper end one float up with
+  ``np.nextafter`` encloses it.  ``min`` is exact and monotone, so the
+  interval minimum of the three terms encloses the exact one.
+* A product of intervals is [lo*lo, hi*hi] only when both factors are
+  non-negative.  Every coefficient is >= 0 for k >= 2 (1 - (1+t)/k >= 0
+  because t <= 1), so a lower end rounded below 0 is clipped to 0; and R
+  itself is >= 0, so a cell's lower end is clipped the same way.  At k = 1
+  the second term's coefficient is -t, but it multiplies R(0,0) = 0, held
+  as the exact interval [0, 0], so the exact product is 0 whatever the
+  coefficient, and clipping it to 0 like the others keeps the enclosure.
+
+The verdict is "holds" when every lower end is >= bound, "VIOLATED" when
+some upper end is below it, and "not certified" otherwise: the bound lies
+between the smallest lower and the smallest upper end.  The widest
+diagonal interval is about 2e-13 at k = 1000 and 2e-12 at k = 10,000, so
+that takes a bound within that distance of the exact minimum (or equal to
+it, such as 1/2 at t = 1).
+
+``t`` notes: a float t is interpreted through ``Fraction(str(t))``, so the
+CLI value 0.8 means exactly 4/5 in exact mode and in the certificate, and
+float(4/5) in float mode.
+
+Exact denominators are never reduced; they grow to about 12 kilobits by
+k = 1000, which integer arithmetic absorbs in about a second.  Fraction-
+and mpq-based variants measured 10x to 70x slower, hence this backend.
 """
 
 from __future__ import annotations
@@ -38,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -47,6 +76,7 @@ from .errors import PreconditionError, SizeLimitError
 DENSE_LIMIT = 6000          # largest k_max with full value/tag storage
 EXACT_LIMIT = 2000          # guard for exact mode; below DENSE_LIMIT, so exact tables are dense
 FLOAT_LIMIT = 200_000
+CERTIFY_LIMIT = 10_000      # guard for certify_diagonal
 FILTER_MARGIN = 1e-9
 
 TAG_NONE, TAG_FIRST, TAG_SECOND, TAG_THIRD = 0, 1, 2, 3
@@ -112,42 +142,43 @@ def compute_table(
         table.values = np.full((k_max + 1, k_max + 1), np.nan)
         table.tags = np.full((k_max + 1, k_max + 1), TAG_NONE, dtype=np.int8)
         table.values[:, 0] = 0.0
-    columns = _float_columns(float(t_exact), k_max)
+    columns = _float_columns(float(t_exact), k_max, dense)
     if mode == "exact":
         columns = _settle_exactly(columns, table)
     for h, _fa, _fb, cur, col_tags in columns:
         if dense:
-            table.values[h:, h] = cur[h:]
-            table.tags[h:, h] = col_tags[h:]
-        table.diagonal[h] = cur[h]
-        table.diag_tags[h] = col_tags[h]
+            table.values[h:, h] = cur
+            table.tags[h:, h] = col_tags
+        table.diagonal[h] = cur[0]
+        table.diag_tags[h] = col_tags[0]
     return table
 
 
-def _float_columns(tf: float, k_max: int):
+def _float_columns(tf: float, k_max: int, all_tags: bool):
     """Yield (h, fa, fb, cur, tags) for the float columns h = 1..k_max.
 
-    ``fa``/``fb`` are the first and second terms over all rows k, ``cur``
-    the column R(., h) (row 0 is 0) and ``tags`` its argmin tags, ties going
-    to the lowest-numbered term.  Each yielded array is fresh, so a caller
-    may keep or edit it.
+    Every array covers rows k = h..k_max only, index k - h: rows below h
+    are never read.  ``fa``/``fb`` are the first and second terms, ``cur``
+    the column R(., h) and ``tags`` its argmin tags, ties going to the
+    lowest-numbered term; without ``all_tags`` only row h gets its tag.
+    Each yielded array is fresh, so a caller may keep or edit it.
     """
     third = 1.0 / (1.0 + tf)
     ks = np.arange(k_max + 1, dtype=np.float64)
     ks[0] = 1.0                      # row 0 is never a valid cell
     invk = 1.0 / ks
-    coef_a = 1.0 - tf * invk
+    tk = tf * invk
+    coef_a = 1.0 - tk
     coef_b = 1.0 - (1.0 + tf) * invk
-    prev = np.zeros(k_max + 1)
-    shifted = np.zeros(k_max + 1)
+    n = None if all_tags else 1
+    prev = np.zeros(k_max + 1)       # R(., 0) over rows 0..k_max
     for h in range(1, k_max + 1):
-        shifted[1:] = prev[:-1]
-        fa = tf * invk + coef_a * prev
-        fb = invk + coef_b * shifted
+        fa = tk[h:] + coef_a[h:] * prev[1:]
+        fb = invk[h:] + coef_b[h:] * prev[:-1]
         fab = np.minimum(fa, fb)
         cur = np.minimum(fab, third)
-        cur[0] = 0.0
-        tags = np.where(fab <= third, np.where(fa <= fb, TAG_FIRST, TAG_SECOND), TAG_THIRD)
+        tags = np.where(fab[:n] <= third,
+                        np.where(fa[:n] <= fb[:n], TAG_FIRST, TAG_SECOND), TAG_THIRD)
         yield h, fa, fb, cur, tags.astype(np.int8)
         prev = cur
 
@@ -176,7 +207,7 @@ def _settle_exactly(columns, table: RecurrenceTable):
 
     for h, fa, fb, cur, tags in columns:
         col = [None] * len(prev)           # rows below h are never read again
-        rows = zip(range(h, table.k_max + 1), fa[h:].tolist(), fb[h:].tolist(), tags[h:].tolist())
+        rows = zip(range(h, table.k_max + 1), fa.tolist(), fb.tolist(), tags.tolist())
         for k, av, bv, tag in rows:
             m = av if av <= bv else bv
             if abs(av - bv) >= FILTER_MARGIN and abs(m - third_f) >= FILTER_MARGIN:
@@ -191,11 +222,86 @@ def _settle_exactly(columns, table: RecurrenceTable):
             if third[0] * pair[1] < pair[0] * third[1]:     # strict: ties keep lower tag
                 pair, tag = third, TAG_THIRD
             col[k] = pair
-            tags[k] = tag
+            tags[k - h] = tag
         table.exact_diagonal[h] = Fraction(*col[h])
         yield h, fa, fb, cur, tags
         prev = col
     table.exact_comparisons = ties
+
+
+class Certificate(NamedTuple):
+    """Float bounds on min R(k,k) over 1 <= k <= k_max, and the verdict against a bound."""
+
+    lo: float       # every R(k,k) >= lo
+    hi: float       # some R(k,k) <= hi
+    verdict: str    # "holds" (lo >= bound), "VIOLATED" (hi < bound) or "not certified"
+
+
+_OUTWARD = np.array([[-np.inf], [np.inf]])
+
+
+def _outward(x: np.ndarray) -> np.ndarray:
+    """A (2, n) interval array, lower ends (row 0) one ulp down, upper ends (row 1) one up."""
+    return np.nextafter(x, _OUTWARD)
+
+
+def _bracket(t: Fraction) -> np.ndarray:
+    """The nearest floats below and above ``t`` as a (2, 1) interval."""
+    near = float(t)
+    lo = near if Fraction(near) <= t else math.nextafter(near, -math.inf)
+    hi = near if Fraction(near) >= t else math.nextafter(near, math.inf)
+    return np.array([[lo], [hi]])
+
+
+def diagonal_intervals(t: Union[float, int, str, Fraction], k_max: int) -> np.ndarray:
+    """Float intervals enclosing R(k,k): a (2, k_max+1) array, lower ends in row 0.
+
+    Streams the triangular columns as (2, n) arrays of lower and upper
+    ends, rounding every operation outward (see the module docstring), and
+    keeps only the diagonal.  Column 0 holds R(0,0) = 0 exactly.
+    """
+    if k_max < 1:
+        raise PreconditionError("k_max must be >= 1")
+    if k_max > CERTIFY_LIMIT:
+        raise SizeLimitError(f"certificate is guarded to k <= {CERTIFY_LIMIT}")
+    ts = _bracket(_t_as_fraction(t))
+    ks = np.arange(k_max + 1, dtype=np.float64)
+    ks[0] = 1.0                      # row 0 is never a valid cell
+    tk = _outward(ts / ks)
+    invk = _outward(1.0 / ks)
+    # exact coefficients are >= 0 but at k = 1, where -t multiplies R(0, 0) = 0
+    coef_a = np.maximum(_outward(1.0 - tk[::-1]), 0.0)
+    coef_b = np.maximum(_outward(1.0 - _outward(_outward(1.0 + ts) / ks)[::-1]), 0.0)
+    third = _outward(1.0 / _outward(1.0 + ts)[::-1])
+    prev = np.zeros((2, k_max + 1))  # R(., 0) = 0 exactly, rows 0..k_max
+    diag = np.zeros((2, k_max + 1))
+    for h in range(1, k_max + 1):
+        fa = _outward(tk[:, h:] + _outward(coef_a[:, h:] * prev[:, 1:]))
+        fb = _outward(invk[:, h:] + _outward(coef_b[:, h:] * prev[:, :-1]))
+        cur = np.minimum(np.minimum(fa, fb), third)
+        np.maximum(cur[0], 0.0, out=cur[0])   # R >= 0: keeps every factor non-negative
+        diag[:, h] = cur[:, 0]
+        prev = cur
+    return diag
+
+
+def certify_diagonal(
+    t: Union[float, int, str, Fraction], k_max: int, bound: Union[float, str, Fraction]
+) -> Certificate:
+    """Judge min R(k,k) >= bound over 1 <= k <= k_max from ``diagonal_intervals``.
+
+    The comparison with ``bound`` is exact.
+    """
+    diag = diagonal_intervals(t, k_max)
+    lo, hi = float(diag[0, 1:].min()), float(diag[1, 1:].min())
+    b = Fraction(str(bound))
+    if Fraction(lo) >= b:
+        verdict = "holds"
+    elif Fraction(hi) < b:
+        verdict = "VIOLATED"
+    else:
+        verdict = "not certified"
+    return Certificate(lo=lo, hi=hi, verdict=verdict)
 
 
 def min_diagonal(table: RecurrenceTable, k_lo: int, k_hi: int):

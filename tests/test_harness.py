@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -35,6 +36,7 @@ from injectstream.harness import (
     write_instance_file,
 )
 from injectstream.matching import Edge
+from injectstream.recurrence import certify_diagonal
 from injectstream.stream_model import Element, InjectionPlan, InstanceSplit
 
 
@@ -257,10 +259,17 @@ def test_recurrence_experiment_emit_and_certify(tmp_path):
 
     ok = config_from_dict(dict(problem="recurrence", t=0.8, kmax=100,
                                table_mode="exact", certify_k=100, bound=0.55, out=None))
-    assert run_experiment(ok).exit_code == 0
+    r = run_experiment(ok)
+    assert r.exit_code == 0 and r.records[0].columns["verdict"] == "holds"
     bad = config_from_dict(dict(problem="recurrence", t=0.8, kmax=100,
                                 table_mode="exact", certify_k=100, bound=0.556, out=None))
-    assert run_experiment(bad).exit_code == 1
+    r = run_experiment(bad)
+    assert r.exit_code == 1 and r.records[0].columns["verdict"] == "VIOLATED"
+    inside = str(Fraction(certify_diagonal(0.8, 100, "0.55").hi))
+    unsure = config_from_dict(dict(problem="recurrence", t=0.8, kmax=100,
+                                   certify_k=100, bound=inside, out=None))
+    r = run_experiment(unsure)
+    assert r.exit_code == 1 and r.records[0].columns["verdict"] == "not certified"
 
 
 def test_failed_trials_recorded_not_raised(tmp_path):
@@ -394,6 +403,8 @@ BAD_RECORDS = {
     "object vertex": '{"id": 9, "role": "good", "payload": [{"a": 7}, 8]}',
     "list slot id": '{"slots": [[0, [9]]]}',
     "text slot": '{"slots": [["a", 9]]}',
+    "slot out of range": '{"slots": [[5, 9]]}',
+    "repeated id": '{"id": 1, "role": "noise", "payload": [3, 4]}',
 }
 
 
@@ -490,6 +501,10 @@ def test_cli_recurrence_certify(capsys):
     assert "holds" in capsys.readouterr().out
     assert main(["recurrence", "--t", "0.8", "--kmax", "60", "--mode", "exact",
                  "--certify", "60", "--bound", "0.556"]) == 1
+    assert ": VIOLATED (min diagonal" in capsys.readouterr().out
+    # beyond the exact tables' EXACT_LIMIT of 2000
+    assert main(["recurrence", "--certify", "2500"]) == 0
+    assert ": holds (min diagonal" in capsys.readouterr().out
 
 
 def test_cli_gen_and_consume(tmp_path):
@@ -522,7 +537,7 @@ ERROR_CASES = [
     (["submod", "run", "--config", "MISSING"], "--config MISSING: No such file"),
     (["gen", "--problem", "submod", "--kind", "mystery", "--out", "x.jsonl"], "mystery"),
     (["recurrence", "--t", "1.5"], "t must lie in (0, 1]"),
-    (["recurrence", "--certify", "3000"], "k_max <= 2000"),
+    (["recurrence", "--certify", "10001"], "certificate is guarded to k <= 10000"),
     (["recurrence", "--certify", "50", "--bound", "abc"], "bound must be"),
     (["submod", "run", "--kind", "random", "--trials", "3", "--k", "0"], "k must be"),
     (["submod", "run", "--kind", "random", "--delta", "0"], "delta must be"),

@@ -1,5 +1,5 @@
 """Recurrence table: hand values, exact/float agreement, the Fraction
-reference, dominance."""
+reference, dominance, and the interval certificate."""
 
 import math
 from fractions import Fraction
@@ -16,7 +16,9 @@ from injectstream.recurrence import (
     TAG_SECOND,
     TAG_THIRD,
     asymptote,
+    certify_diagonal,
     compute_table,
+    diagonal_intervals,
     first_term_dominance,
     min_diagonal,
 )
@@ -111,9 +113,35 @@ def test_diagonal_storage_matches_dense(monkeypatch):
     monkeypatch.setattr(recurrence, "DENSE_LIMIT", 399)
     diag = compute_table(t=0.8, k_max=400, mode="float")
     assert np.allclose(dense.diagonal, diag.diagonal, atol=0)
+    assert np.array_equal(dense.diag_tags, diag.diag_tags)
     assert diag.values is None
     with pytest.raises(PreconditionError):
         first_term_dominance(diag, 100)
+
+
+def _encloses(intervals, exact) -> bool:
+    return all(Fraction(lo) <= e <= Fraction(hi)
+               for lo, hi, e in zip(intervals[0], intervals[1], exact))
+
+
+def test_intervals_enclose_exact_diagonal():
+    exact = compute_table(t="0.8", k_max=400, mode="exact").exact_diagonal
+    intervals = diagonal_intervals("0.8", 400)
+    assert _encloses(intervals, exact)
+    assert np.max(intervals[1] - intervals[0]) < 1e-13
+
+
+def test_certify_verdicts_and_guard():
+    cert = certify_diagonal(0.8, 400, "0.5506")
+    assert cert.verdict == "holds" and cert.lo < cert.hi
+    assert f"{cert.lo:.10f}" == "0.5510308349"
+    assert certify_diagonal(0.8, 400, "0.5511").verdict == "VIOLATED"
+    # a bound strictly inside [min lo, min hi] can be neither proved nor refuted
+    assert certify_diagonal(0.8, 400, Fraction(cert.hi)).verdict == "not certified"
+    with pytest.raises(SizeLimitError, match="certificate is guarded to k <= 10000"):
+        certify_diagonal(0.8, recurrence.CERTIFY_LIMIT + 1, "0.5506")
+    with pytest.raises(PreconditionError):
+        certify_diagonal(0.8, 0, "0.5506")
 
 
 def test_first_term_dominance_small_range():
@@ -175,6 +203,19 @@ def test_exact_engine_matches_fraction_reference(t, k_max):
     for (k, h), (value, tag) in ref.items():
         assert table.tags[k, h] == tag, (k, h)
         assert abs(table.values[k, h] - float(value)) <= 1e-12, (k, h)
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda den: st.integers(1, den).map(lambda num: Fraction(num, den))
+    ),
+    st.integers(1, 40),
+)
+@settings(max_examples=40, deadline=None)
+def test_intervals_enclose_fraction_reference(t, k_max):
+    """The certificate's intervals contain R(k,k) computed from its definition."""
+    ref = reference_table(t, k_max)
+    assert _encloses(diagonal_intervals(t, k_max), [ref[k, k][0] for k in range(k_max + 1)])
 
 
 @given(st.integers(2, 60))
