@@ -54,9 +54,9 @@ def kind_params(problem: str, kind: str, params: Optional[dict]) -> tuple[str, d
     """The generator kind ``kind`` names for ``problem`` ("submod" or
     "matching"), and ``params`` over that kind's defaults.
 
-    Hyphens read as underscores.  An unknown kind or param name, or a value
-    that is not an integer (``p`` may be any real number), raises
-    PreconditionError.
+    Hyphens read as underscores.  An unknown kind or param name, a value
+    that is not an integer (``p`` may be any real number), or a value
+    outside the range the kind generates with raises PreconditionError.
     """
     name = str(kind).replace("-", "_")
     kinds = SUBMOD_KINDS
@@ -72,7 +72,27 @@ def kind_params(problem: str, kind: str, params: Optional[dict]) -> tuple[str, d
         if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
             wanted = "a number" if real else "an integer"
             raise PreconditionError(f"{name} param {key} must be {wanted}; got {value!r}")
-    return name, {**defaults, **(params or {})}
+    merged = {**defaults, **(params or {})}
+    _check_ranges(name, merged)
+    return name, merged
+
+
+def _check_ranges(kind: str, p: dict) -> None:
+    if kind == "random":
+        if not 1 <= p["k"] <= p["n"]:
+            raise PreconditionError("need 1 <= k <= n")
+        if p["max_points"] < 1 or p["universe"] < p["max_points"]:
+            raise PreconditionError("need 1 <= max_points <= universe")
+    elif kind == "decoy_front":
+        if p["k"] < 1 or p["block"] < 2 or p["decoys_per_block"] < 0:
+            raise PreconditionError("need k >= 1, block >= 2, decoys_per_block >= 0")
+        if p["decoys_per_block"] > p["block"]:
+            raise PreconditionError("at most `block` distinct decoys per block")
+    elif kind == "random_bipartite":
+        if p["nl"] < 1 or p["nr"] < 1 or not 0 < p["p"] <= 1:
+            raise PreconditionError("need nl, nr >= 1 and p in (0, 1]")
+    elif kind == "greedy_trap" and p["s"] < 1:
+        raise PreconditionError("need s >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +166,6 @@ def _split_by_opt(instance: CoverageInstance, k: int) -> InstanceSplit:
 def _random_coverage(
     seed: int, n: int, k: int, universe: int, max_points: int
 ) -> tuple[CoverageInstance, InstanceSplit]:
-    if not 1 <= k <= n:
-        raise PreconditionError("need 1 <= k <= n")
-    if max_points < 1 or universe < max_points:
-        raise PreconditionError("need 1 <= max_points <= universe")
     rng = PhiloxRNG(seed)
     rects = {}
     for i in range(n):
@@ -165,10 +181,6 @@ def _random_coverage(
 def _decoy_front(
     seed: int, k: int, block: int, decoys_per_block: int
 ) -> tuple[CoverageInstance, InstanceSplit]:
-    if k < 1 or block < 2 or decoys_per_block < 0:
-        raise PreconditionError("need k >= 1, block >= 2, decoys_per_block >= 0")
-    if decoys_per_block > block:
-        raise PreconditionError("at most `block` distinct decoys per block")
     rng = PhiloxRNG(seed)
     rects = {}
     for b in range(k):
@@ -202,8 +214,6 @@ def generate_matching_instance(
 
 
 def _random_bipartite(seed: int, nl: int, nr: int, p: float) -> tuple[InstanceSplit, int]:
-    if nl < 1 or nr < 1 or not 0 < p <= 1:
-        raise PreconditionError("need nl, nr >= 1 and p in (0, 1]")
     rng = PhiloxRNG(seed)
     scale = 10**6
     edges = []
@@ -224,8 +234,6 @@ def _random_bipartite(seed: int, nl: int, nr: int, p: float) -> tuple[InstanceSp
 
 
 def _greedy_trap(s: int) -> tuple[InstanceSplit, int]:
-    if s < 1:
-        raise PreconditionError("need s >= 1")
     # pair j is (2j, 2j+1) for j < 2s; cross i ties pair 2i to pair 2i+1
     good = tuple(Element(id=j, payload=Edge(2 * j, 2 * j + 1)) for j in range(2 * s))
     noise = tuple(

@@ -120,8 +120,6 @@ class ExperimentConfig:
                "instance", src, "{'file': path} or {'kind': name, 'params': {...}}")
         _check(isinstance(adv, dict) and set(adv) <= {"strategy", "seed"},
                "adversary", adv, "a dict with keys among strategy, seed")
-        if "kind" in src and self.problem != "recurrence":
-            kind_params(self.problem, src["kind"], src.get("params"))
         strategy = adv.get("strategy", "random")
         _check(strategy in ADVERSARY_STRATEGIES, "adversary strategy", strategy,
                "one of " + ", ".join(ADVERSARY_STRATEGIES))
@@ -131,6 +129,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if name != "certify_k" or value is not None:
                 _check(isinstance(value, int) and value >= 1, name, value, "an integer >= 1")
+        if "kind" in src and self.problem != "recurrence":
+            kind_params(self.problem, src["kind"], _generator_params(self))
         _t_as_fraction(self.t)
         delta = _parsed(delta_fraction, self.delta)
         _check(delta is not None and 0 < delta <= 1, "delta", self.delta, "a number in (0, 1]")
@@ -148,6 +148,14 @@ class ExperimentConfig:
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
+
+
+def _generator_params(config: ExperimentConfig) -> dict:
+    """The params a generated instance gets: a submod instance takes the config's k."""
+    params = dict(config.instance.get("params", {}))
+    if config.problem == "submod":
+        params.setdefault("k", config.k)
+    return params
 
 
 def _check(ok: bool, name: str, value, wanted: str) -> None:
@@ -290,17 +298,21 @@ def _run_trials(config: ExperimentConfig, load, run) -> list[TrialRecord]:
     """Every (trial, permutation) run of a streaming problem.
 
     ``load(config, t_seed)`` returns one trial's (split, fixed plan or None,
-    trial data); without a fixed plan the configured adversary makes one.
+    trial data); without a fixed plan the configured adversary makes one
+    from the trial seed.
     ``run(config, stream, trial data)`` runs the algorithm on one realized
     stream and returns (CSV columns other than seed, perm_index and
-    config_fp; memory counters).  A failure is recorded, not raised.
+    config_fp; memory counters).  A failure in a trial is recorded, not
+    raised.  An instance file is loaded once, before the first trial, and
+    every trial gets the same (split, plan, trial data); a bad file raises.
     """
     fp = config.fingerprint()
+    loaded = load(config, None) if "file" in config.instance else None
     records = []
     for t_idx in range(config.trials):
         t_seed = trial_seed(config.seed, t_idx)
         try:
-            split, plan, trial = load(config, t_seed)
+            split, plan, trial = loaded or load(config, t_seed)
             if plan is None:
                 plan = make_plan(
                     split,
@@ -338,16 +350,19 @@ def _failed(exc: Exception, wall_time_s: float = 0.0) -> TrialRecord:
 
 
 def _load_submod_trial(
-    config: ExperimentConfig, t_seed: int
+    config: ExperimentConfig, t_seed: Optional[int]
 ) -> tuple[InstanceSplit, Optional[InjectionPlan], tuple]:
-    """(split, fixed plan, (oracle, OPT value)); the trial's runs share the oracle."""
+    """(split, fixed plan, (oracle, OPT value)); the trial's runs share the oracle.
+
+    An instance file ignores ``t_seed``: ``_run_trials`` loads it once.
+    """
     src = config.instance
     if "file" in src:
         instance, split, plan = read_submod_instance_file(src["file"])
     else:
-        params = dict(src.get("params", {}))
-        params.setdefault("k", config.k)
-        instance, split = generate_submod_instance(src["kind"], params, seed=t_seed)
+        instance, split = generate_submod_instance(
+            src["kind"], _generator_params(config), seed=t_seed
+        )
         plan = None
     oracle = CoverageOracle(instance)
     opt = brute_force_opt(oracle, instance.ground_set(), config.k)
@@ -384,9 +399,9 @@ def _submod_run(config: ExperimentConfig, stream, trial: tuple) -> tuple[dict, d
 
 
 def _load_matching_trial(
-    config: ExperimentConfig, t_seed: int
+    config: ExperimentConfig, t_seed: Optional[int]
 ) -> tuple[InstanceSplit, Optional[InjectionPlan], int]:
-    """(split, fixed plan, m*)."""
+    """(split, fixed plan, m*); an instance file ignores ``t_seed``."""
     src = config.instance
     if "file" in src:
         split, plan = read_matching_instance_file(src["file"])
@@ -514,17 +529,25 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
     ``parse_payload`` turns a record's JSON payload into the element payload
     and raises TypeError or ValueError on a malformed one.  A malformed line,
     a repeated id, or a slots record that does not fit the elements raises
-    InvalidInstanceError naming ``path:line``.
+    InvalidInstanceError naming ``path:line``; a file that cannot be opened
+    raises it naming ``path``.
     """
     elements: dict = {"good": [], "noise": []}
     id_lines: dict = {}              # element id -> line of its record
     plan = plan_where = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise InvalidInstanceError(f"{path}: {exc.strerror}") from None
+    with fh:
+        for lineno, raw in enumerate(fh, 1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise InvalidInstanceError(f"{where}: not UTF-8 text") from None
             if not line or line.startswith("#"):
                 continue
-            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:

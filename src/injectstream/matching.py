@@ -3,12 +3,13 @@
 The two-branch algorithm runs a full greedy maximal matching M1.  Branch 2
 would match greedily on the same stream until it holds
 ``phase1_threshold(m_star)`` = ceil((1/2 - EPS) * m_star) edges, so its
-matching is a prefix of M1: it freezes a copy of M1 at the first edge where
-|M1| reaches that threshold and spends the rest of the stream, that edge
-included, collecting vertex-disjoint 3-augmenting paths for the frozen
-matching.  The collected augmentations are applied at stream end and the
-larger of the two branches is the output.  When m_star is unknown, branch 2
-is replicated for geometric guesses of it, kept in the shared window of
+matching is a prefix of M1 and branch 2 is described by that prefix's size
+F alone: from the first edge where |M1| reaches F, that edge included, it
+collects vertex-disjoint 3-augmenting paths for the first F edges of M1,
+read in place from the shared M1, which only grows.  The collected
+augmentations are applied at stream end and the larger of the two branches
+is the output.  When m_star is unknown, branch 2 is replicated for
+geometric guesses of it, kept in the shared window of
 ``geomgrid.update_window`` around the live size of M1.  Every run reads its
 stream once, edge by edge.
 
@@ -22,9 +23,9 @@ O(|M|) space.  Internals: per matched vertex it stores the first two wing
 edges with distinct free endpoints and commits a path greedily as soon as
 both sides of a center hold wings with unused distinct free endpoints.
 Every wing pair is tried when its later wing arrives and used vertices stay
-used, so the final sweep over the centers never commits a path.  Free-free
-edges are ignored (they are not wings), as are edges between two matched
-vertices.
+used, so a final sweep over the centers would never commit a path.
+Free-free edges are ignored (they are not wings), as are edges between two
+matched vertices.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Hashable, Iterable, KeysView, Optional, Sequence
 
 from . import geomgrid
@@ -82,12 +84,15 @@ class Matching:
     """A set of vertex-disjoint edges with O(1) endpoint lookups and edits.
 
     Edges are kept in insertion order: a removed edge drops out and an added
-    edge goes to the end, as with a list.
+    edge goes to the end, as with a list.  ``index`` maps each matched vertex
+    to the number of edges held when its edge was added; while a matching
+    only grows, that is the edge's position in ``edges``.
     """
 
     def __init__(self, edges: Iterable[Edge] = ()) -> None:
         self._edges: dict[Edge, None] = {}
         self.matched: dict[Hashable, Edge] = {}
+        self.index: dict[Hashable, int] = {}
         for e in edges:
             self.add(e)
 
@@ -102,6 +107,7 @@ class Matching:
     def add(self, e: Edge) -> None:
         if e.u in self.matched or e.v in self.matched:
             raise InvariantError(f"adding {e} would share a vertex")
+        self.index[e.u] = self.index[e.v] = len(self._edges)
         self._edges[e] = None
         self.matched[e.u] = e
         self.matched[e.v] = e
@@ -112,11 +118,14 @@ class Matching:
         del self._edges[e]
         del self.matched[e.u]
         del self.matched[e.v]
+        del self.index[e.u]
+        del self.index[e.v]
 
     def copy(self) -> "Matching":
         out = Matching()
         out._edges = dict(self._edges)
         out.matched = dict(self.matched)
+        out.index = dict(self.index)
         return out
 
     def __len__(self) -> int:
@@ -187,17 +196,19 @@ class AugPath:
 class AugPathStore:
     """Bounded-memory collector of vertex-disjoint 3-augmenting paths.
 
-    Initialized with a frozen matching M: in the two-branch algorithm, the
-    copy of M1 that branch 2 freezes.  Per matched vertex it keeps at most
-    the first 2 wing edges with distinct free endpoints, so stored edges
-    never exceed COLLECTOR_SLOTS_PER_EDGE * |M|, independent of the stream
-    length.
+    Its frozen matching is the first ``size`` edges of M, all of M by
+    default: in the two-branch algorithm, the prefix of M1 that branch 2
+    froze, read in place.  M may keep growing while the store reads it, but
+    edges are offered only once M holds ``size`` edges.  Per frozen vertex
+    it keeps at most the first 2 wing edges with distinct free endpoints,
+    so stored edges never exceed COLLECTOR_SLOTS_PER_EDGE * size,
+    independent of the stream length.
     """
 
-    def __init__(self, M: Matching) -> None:
-        validate_matching(M)
+    def __init__(self, M: Matching, size: Optional[int] = None) -> None:
         self.M = M
-        # wings[matched vertex] -> list of (wing edge, free endpoint), made on
+        self.size = len(M) if size is None else size
+        # wings[frozen vertex] -> list of (wing edge, free endpoint), made on
         # the vertex's first wing; its center is M.matched[vertex]
         self.wings: dict[Hashable, list] = {}
         self.committed: dict[Edge, AugPath] = {}
@@ -208,17 +219,18 @@ class AugPathStore:
     def max_slots(self) -> int:
         """Most edges held at once: the frozen matching's plus every stored wing.
 
-        Wings are never dropped and M is frozen, so the current count is the peak.
+        Wings are never dropped and the frozen prefix never changes, so the
+        current count is the peak.
         """
-        return len(self.M) + self.stored_wings
+        return self.size + self.stored_wings
 
     def offer(self, e: Edge) -> None:
         """One stream edge: store as a wing if eligible, then try to commit."""
-        matched = self.M.matched
-        u_matched = e.u in matched
-        if u_matched == (e.v in matched):
-            return  # free-free or matched-matched: not a wing
-        side, free = (e.u, e.v) if u_matched else (e.v, e.u)
+        index, size = self.M.index, self.size
+        u_frozen = index.get(e.u, size) < size
+        if u_frozen == (index.get(e.v, size) < size):
+            return  # free-free or frozen-frozen: not a wing
+        side, free = (e.u, e.v) if u_frozen else (e.v, e.u)
         slots = self.wings.get(side)
         if slots is None:
             slots = self.wings[side] = []
@@ -226,7 +238,7 @@ class AugPathStore:
             return
         slots.append((e, free))
         self.stored_wings += 1
-        self._try_commit(matched[side])
+        self._try_commit(self.M.matched[side])
 
     def _try_commit(self, center: Edge) -> None:
         if center in self.committed:
@@ -244,17 +256,18 @@ class AugPathStore:
                 return
 
     def sweep(self) -> None:
-        """Final pass over all centers, in matching order; it commits nothing.
+        """Final pass over the frozen centers, in matching order; it commits nothing.
 
         ``offer`` tries every wing pair of a center when the later wing
         arrives, and ``used`` and ``committed`` only grow, so a pair that
         failed then fails here too.
         """
-        for center in self.M.edges:
+        for center in islice(self.M.edges, self.size):
             self._try_commit(center)
 
     def paths(self) -> list[AugPath]:
-        return [self.committed[c] for c in self.M.edges if c in self.committed]
+        """The committed paths in the frozen matching's order."""
+        return [self.committed[c] for c in islice(self.M.edges, self.size) if c in self.committed]
 
 
 def three_aug_paths(M: Matching, suffix: Iterable[Edge]) -> list[AugPath]:
@@ -262,7 +275,6 @@ def three_aug_paths(M: Matching, suffix: Iterable[Edge]) -> list[AugPath]:
     store = AugPathStore(M)
     for e in suffix:
         store.offer(e)
-    store.sweep()
     return store.paths()
 
 
@@ -280,52 +292,32 @@ def apply_augmentations(M: Matching, paths: Sequence[AugPath]) -> Matching:
     return out
 
 
-class Branch2:
-    """Branch 2 of one run: a frozen prefix of M1 and its path collector.
-
-    Branch 2 is greedy on the same stream as M1 until it holds ``threshold``
-    edges, so it needs no greedy of its own: at the first edge where it is
-    live and |M1| >= threshold it freezes a copy of M1, then offers that
-    edge and every later one to the collector.
-    """
-
-    def __init__(self, threshold: int) -> None:
-        self.threshold = threshold
-        self.collector: Optional[AugPathStore] = None
-
-    def offer(self, m1: Matching, e: Edge) -> None:
-        """Edge e has just been fed to M1's greedy."""
-        if self.collector is None:
-            if len(m1) < self.threshold:
-                return
-            self.collector = AugPathStore(m1.copy())
-        self.collector.offer(e)
-
-    def finish(self, m1: Matching) -> Matching:
-        """The larger of M1 and the augmented frozen prefix (M1 on ties)."""
-        if self.collector is None:
-            return m1
-        self.collector.sweep()
-        m2 = apply_augmentations(self.collector.M, self.collector.paths())
-        return m2 if len(m2) > len(m1) else m1
+def _finish(m1: Matching, store: AugPathStore) -> Matching:
+    """The larger of M1 and the store's augmented frozen prefix (M1 on ties)."""
+    if len(m1) < store.size:
+        return m1  # M1 never reached the prefix: branch 2 never froze
+    m2 = apply_augmentations(Matching(islice(m1.edges, store.size)), store.paths())
+    return m2 if len(m2) > len(m1) else m1
 
 
 def match_run(stream: Iterable[Edge], m_star: int) -> Matching:
     """The two-branch algorithm with known optimum size m_star.
 
-    Branch 1 is plain greedy.  Branch 2 freezes M1 once it holds
-    phase1_threshold(m_star) edges, collects 3-augmenting paths for the
-    frozen matching and augments at stream end.  Output: the larger branch.
-    The stream is read once, edge by edge.
+    Branch 1 is plain greedy.  Branch 2 is the prefix of M1 of size
+    phase1_threshold(m_star): from the edge where |M1| reaches it, it
+    collects 3-augmenting paths for that prefix and augments the prefix at
+    stream end.  Output: the larger branch.  The stream is read once, edge
+    by edge.
     """
     if m_star < 1:
         raise PreconditionError("m_star must be >= 1")
     m1 = Matching()
-    branch = Branch2(phase1_threshold(m_star))
+    store = AugPathStore(m1, phase1_threshold(m_star))
     for e in stream:
         greedy_step(m1, e)
-        branch.offer(m1, e)
-    return branch.finish(m1)
+        if len(m1) >= store.size:
+            store.offer(e)
+    return _finish(m1, store)
 
 
 @dataclass
@@ -341,34 +333,36 @@ def geometric_guess_run(
     """Two-branch runs for geometric guesses of m_star, windowed by |M1|.
 
     Active guesses are powers (1+delta)^i inside
-    [|M1|/(1+delta), 4|M1|/(1-2 EPS)].  Each guess runs its own branch 2 on
-    the shared M1, which freezes once |M1| reaches that guess's threshold
-    (at once if it already has on admission); a guess leaving the window is
-    dismissed.  Returns the best final matching over greedy and all
-    surviving guesses.
+    [|M1|/(1+delta), 4|M1|/(1-2 EPS)]; the window moves when |M1| grows.
+    Each guess runs its own branch 2 on the shared M1: the prefix of M1 at
+    that guess's threshold, or all of M1 if it already reaches the threshold
+    when the guess is admitted.  A guess leaving the window is dismissed.
+    Returns the best final matching over greedy and all surviving guesses.
     """
     if not 0 < delta_guess < 1:
         raise PreconditionError("delta_guess must lie in (0, 1)")
     base = 1.0 + delta_guess
     upper_coef = 4.0 / float(1 - 2 * EPS)
     m1 = Matching()
-    branches: dict[int, Branch2] = {}
-    live_max = 0
+    stores: dict[int, AugPathStore] = {}
+    live_max = size = 0
     for e in stream:
         greedy_step(m1, e)
-        if len(m1) >= 1:
+        if len(m1) > size:
+            size = len(m1)
             geomgrid.update_window(
-                branches, len(m1), base, upper_coef,
-                lambda i: Branch2(phase1_threshold(math.ceil(base**i))),
+                stores, size, base, upper_coef,
+                lambda i: AugPathStore(m1, max(size, phase1_threshold(math.ceil(base**i)))),
             )
-            live_max = max(live_max, len(branches))
-        for branch in branches.values():
-            branch.offer(m1, e)
+            live_max = max(live_max, len(stores))
+        for store in stores.values():
+            if size >= store.size:
+                store.offer(e)
     if stats is not None:
         stats.guesses_live_max = live_max
     best = m1
-    for i in sorted(branches):
-        out = branches[i].finish(m1)
+    for i in sorted(stores):
+        out = _finish(m1, stores[i])
         if len(out) > len(best):
             best = out
     return best

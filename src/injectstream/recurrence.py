@@ -46,12 +46,13 @@ same triangular columns with each cell held as a float interval
   as the exact interval [0, 0], so the exact product is 0 whatever the
   coefficient, and clipping it to 0 like the others keeps the enclosure.
 
-The verdict is "holds" when every lower end is >= bound, "VIOLATED" when
-some upper end is below it, and "not certified" otherwise: the bound lies
-between the smallest lower and the smallest upper end.  The widest
-diagonal interval is about 2e-13 at k = 1000 and 2e-12 at k = 10,000, so
-that takes a bound within that distance of the exact minimum (or equal to
-it, such as 1/2 at t = 1).
+The verdict is "holds" when every lower end is >= bound and "VIOLATED"
+when some upper end is below it.  Otherwise the bound lies between the
+smallest lower and the smallest upper end.  The widest diagonal interval
+is about 2e-13 at k = 1000 and 2e-12 at k = 10,000, so that takes a bound
+within that distance of the exact minimum, or equal to it, such as 1/2 at
+t = 1.  For k_max <= EXACT_LIMIT the exact table then settles the verdict;
+above it the verdict is "not certified".
 
 ``t`` notes: a float t is interpreted through ``Fraction(str(t))``, so the
 CLI value 0.8 means exactly 4/5 in exact mode and in the certificate, and
@@ -234,7 +235,7 @@ class Certificate(NamedTuple):
 
     lo: float       # every R(k,k) >= lo
     hi: float       # some R(k,k) <= hi
-    verdict: str    # "holds" (lo >= bound), "VIOLATED" (hi < bound) or "not certified"
+    verdict: str    # "holds", "VIOLATED" or "not certified" (see certify_diagonal)
 
 
 _OUTWARD = np.array([[-np.inf], [np.inf]])
@@ -290,7 +291,10 @@ def certify_diagonal(
 ) -> Certificate:
     """Judge min R(k,k) >= bound over 1 <= k <= k_max from ``diagonal_intervals``.
 
-    The comparison with ``bound`` is exact.
+    "holds" when every lower end is >= bound, "VIOLATED" when some upper end
+    is below it.  A bound between the two, such as one equal to the exact
+    minimum, is settled by the exact table when k_max <= EXACT_LIMIT, and is
+    "not certified" above it.  Every comparison with ``bound`` is exact.
     """
     diag = diagonal_intervals(t, k_max)
     lo, hi = float(diag[0, 1:].min()), float(diag[1, 1:].min())
@@ -299,6 +303,9 @@ def certify_diagonal(
         verdict = "holds"
     elif Fraction(hi) < b:
         verdict = "VIOLATED"
+    elif k_max <= EXACT_LIMIT:
+        exact_min = min_diagonal(compute_table(t, k_max, mode="exact"), 1, k_max)
+        verdict = "holds" if exact_min >= b else "VIOLATED"
     else:
         verdict = "not certified"
     return Certificate(lo=lo, hi=hi, verdict=verdict)

@@ -59,7 +59,8 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"problem": "submod", "typo_key": 1})
 
 
-#: (config field named by the error, bad config entries)
+#: (start of the error: the config field it names, or "need" for a generator
+#: param out of range; bad config entries, which may name a problem)
 BAD_CONFIG_VALUES = {
     "mode": ("mode", {"mode": "exactt"}),
     "guess": ("guess", {"guess": "Auto"}),
@@ -86,6 +87,12 @@ BAD_CONFIG_VALUES = {
     "param-name": ("decoy_front param", {"instance": {"kind": "decoy_front",
                                                       "params": {"blocks": 9}}}),
     "param-value": ("random param", {"instance": {"kind": "random", "params": {"n": 2.7}}}),
+    "param-n-below-k": ("need", {"instance": {"kind": "random", "params": {"n": 2}}}),
+    "param-block": ("need", {"instance": {"kind": "decoy_front", "params": {"block": 1}}}),
+    "param-s": ("need", {"problem": "matching",
+                         "instance": {"kind": "greedy_trap", "params": {"s": 0}}}),
+    "param-p": ("need", {"problem": "matching",
+                         "instance": {"kind": "random_bipartite", "params": {"p": 0}}}),
 }
 
 
@@ -102,7 +109,7 @@ def test_cli_bad_config_value_is_one_line_and_exit_2(tmp_path, capsys, case):
     out = tmp_path / "never.csv"
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"trials": 1, "perms": 1, "out": str(out), **bad}))
-    assert main(["submod", "run", "--config", str(cfg_path)]) == 2
+    assert main([bad.get("problem", "submod"), "run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"error: {name} " in err
     assert not out.exists()
@@ -265,17 +272,22 @@ def test_recurrence_experiment_emit_and_certify(tmp_path):
                                 table_mode="exact", certify_k=100, bound=0.556, out=None))
     r = run_experiment(bad)
     assert r.exit_code == 1 and r.records[0].columns["verdict"] == "VIOLATED"
-    inside = str(Fraction(certify_diagonal(0.8, 100, "0.55").hi))
+    # a bound inside the intervals above EXACT_LIMIT, where no exact table settles it
+    inside = str(Fraction(certify_diagonal(0.8, 2001, "0.55").hi))
     unsure = config_from_dict(dict(problem="recurrence", t=0.8, kmax=100,
-                                   certify_k=100, bound=inside, out=None))
+                                   certify_k=2001, bound=inside, out=None))
     r = run_experiment(unsure)
     assert r.exit_code == 1 and r.records[0].columns["verdict"] == "not certified"
 
 
-def test_failed_trials_recorded_not_raised(tmp_path):
+def test_failed_trials_recorded_not_raised(tmp_path, monkeypatch):
+    def every_run_fails(*args, **kwargs):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(harness, "run_tree_stream", every_run_fails)
     cfg = config_from_dict(dict(
         problem="submod",
-        instance={"file": str(tmp_path / "missing.jsonl")},
+        instance={"kind": "random", "params": {"n": 6, "universe": 10}},
         trials=2,
         perms=2,
         seed=0,
@@ -434,11 +446,55 @@ def test_matching_payload_must_be_a_pair(tmp_path):
             read_matching_instance_file(str(path))
         _, split, _ = read_submod_instance_file(str(path))
         assert split.good[0].payload == frozenset(payload)
-        result = run_experiment(config_from_dict(dict(
-            problem="matching", instance={"file": str(path)}, out=None,
-        )))
-        (failed,) = result.records  # the trial fails to load, naming file and line
-        assert failed.error.startswith(f"InvalidInstanceError: {path}:1: {message}")
+        config = config_from_dict(dict(problem="matching", instance={"file": str(path)}, out=None))
+        with pytest.raises(InvalidInstanceError, match="^" + re.escape(f"{path}:1: {message}")):
+            run_experiment(config)
+
+
+BAD_FILES = {
+    "missing": None,
+    "slots out of range": b'{"id": 1, "role": "good", "payload": [1, 2]}\n{"slots": [[5, 9]]}\n',
+    "not UTF-8": b'{"id": 1, "role": "good", "payload": [1, 2]}\n\xff\n',
+}
+
+
+@pytest.mark.parametrize("problem", ["submod", "matching"])
+@pytest.mark.parametrize("bad", BAD_FILES.values(), ids=BAD_FILES.keys())
+def test_bad_instance_file_exits_2_once_without_csv(tmp_path, capsys, problem, bad):
+    path = tmp_path / "inst.jsonl"
+    if bad is not None:
+        path.write_bytes(bad)
+    out = tmp_path / "never.csv"
+    argv = [problem, "run", "--instance", str(path), "--trials", "3", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"error: {path}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem, optimum", [
+    ("submod", "brute_force_opt"), ("matching", "exact_max_matching"),
+])
+def test_instance_file_is_loaded_once_per_experiment(tmp_path, monkeypatch, problem, optimum):
+    """Every trial gets the file's one (split, plan, trial data), so OPT is solved once."""
+    path = str(tmp_path / "inst.jsonl")
+    if problem == "submod":
+        _, split = generate_submod_instance("random", {"n": 6, "k": 2, "universe": 10}, seed=1)
+    else:
+        split, _ = generate_matching_instance("greedy_trap", {"s": 3})
+    write_instance_file(path, split)
+    real, calls = getattr(harness, optimum), []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, optimum, counted)
+    cfg = config_from_dict(dict(problem=problem, instance={"file": path}, k=2,
+                                trials=3, perms=2, out=None))
+    r = run_experiment(cfg)
+    assert r.exit_code == 0 and len(r.records) == 6
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------- CLI
@@ -502,6 +558,9 @@ def test_cli_recurrence_certify(capsys):
     assert main(["recurrence", "--t", "0.8", "--kmax", "60", "--mode", "exact",
                  "--certify", "60", "--bound", "0.556"]) == 1
     assert ": VIOLATED (min diagonal" in capsys.readouterr().out
+    # R(1,1) = 1/2 exactly: the exact table settles what the intervals cannot
+    assert main(["recurrence", "--t", "1", "--certify", "5", "--bound", "1/2"]) == 0
+    assert ": holds (min diagonal" in capsys.readouterr().out
     # beyond the exact tables' EXACT_LIMIT of 2000
     assert main(["recurrence", "--certify", "2500"]) == 0
     assert ": holds (min diagonal" in capsys.readouterr().out

@@ -325,6 +325,36 @@ def test_guess_run_tracks_known_run():
     assert worst == 0
 
 
+@pytest.mark.parametrize("run", [
+    lambda stream: match_run(stream, 20),
+    lambda stream: geometric_guess_run(stream, 0.1),
+], ids=["match_run", "geometric_guess_run"])
+def test_runs_copy_and_validate_only_after_the_stream(monkeypatch, run):
+    """Branch 2 reads the shared M1 in place: no copy of it, and no check of
+    one, while the stream is being read."""
+    s = 10
+    edges = [Edge(4 * i + 1, 4 * i + 2) for i in range(s)] + [
+        Edge(2 * j, 2 * j + 1) for j in range(2 * s)
+    ]
+    exhausted = []
+    seen = []
+
+    def stream():
+        yield from edges
+        exhausted.append(True)
+
+    def recorded(real):
+        def wrapper(*args, **kwargs):
+            seen.append(bool(exhausted))
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Matching, "copy", recorded(Matching.copy))
+    monkeypatch.setattr(matching, "validate_matching", recorded(matching.validate_matching))
+    assert len(run(stream())) > s  # branch 2 augmented, so it copied and checked once
+    assert seen and all(seen)
+
+
 def test_guess_run_on_trap_stream():
     s = 10
     stream = [Edge(4 * i + 1, 4 * i + 2) for i in range(s)] + [

@@ -1,5 +1,6 @@
 """Branch 2 frozen from M1 and the path collector against the references in
-reference_matching.py."""
+reference_matching.py, and the collector reading a prefix of a growing M1
+against one built on that prefix alone."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +9,10 @@ from injectstream.generators import random_edge_stream
 from injectstream.matching import (
     AugPathStore,
     GuessRunStats,
+    Matching,
     geometric_guess_run,
     greedy_matching,
+    greedy_step,
     match_run,
 )
 from reference_matching import RefAugPathStore, ref_geometric_guess_run, ref_match_run
@@ -56,3 +59,28 @@ def test_collector_matches_reference(edges, seed, split):
     assert list(store.committed) == list(ref.committed)  # commit order
     assert (store.stored_wings, store.max_slots) == (ref.stored_wings, ref.max_slots)
     assert store.used == ref.used
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams, st.integers(0, 10**6), st.integers(0, 30))
+def test_store_on_growing_m1_matches_store_on_its_prefix(edges, seed, size):
+    """Fed while greedy M1 grows past ``size``, a store over M1's first ``size``
+    edges equals one built on a matching of just those edges."""
+    stream = edges + random_edge_stream(seed, max_edges=120, n_vertices=40)
+    m1 = Matching()
+    store, prefix = AugPathStore(m1, size), None
+    for e in stream:
+        greedy_step(m1, e)
+        if len(m1) < size:
+            continue
+        if prefix is None:
+            prefix = AugPathStore(Matching(list(m1.edges)[:size]))
+        store.offer(e)
+        prefix.offer(e)
+    if prefix is None:
+        assert store.stored_wings == 0 and not store.committed
+        return
+    assert store.paths() == prefix.paths()
+    assert list(store.committed) == list(prefix.committed)  # commit order
+    assert (store.stored_wings, store.max_slots) == (prefix.stored_wings, prefix.max_slots)
+    assert store.used == prefix.used

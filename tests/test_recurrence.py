@@ -131,13 +131,24 @@ def test_intervals_enclose_exact_diagonal():
     assert np.max(intervals[1] - intervals[0]) < 1e-13
 
 
+def test_certify_settles_an_exact_tie_with_the_exact_table():
+    """R(1,1) = 1/2 at t = 1: the intervals straddle 1/2, the exact table decides."""
+    cert = certify_diagonal(1, 5, "1/2")
+    assert cert.lo < 0.5 < cert.hi
+    assert cert.verdict == "holds"
+    assert certify_diagonal(1, 5, Fraction(cert.hi)).verdict == "VIOLATED"
+
+
 def test_certify_verdicts_and_guard():
     cert = certify_diagonal(0.8, 400, "0.5506")
     assert cert.verdict == "holds" and cert.lo < cert.hi
     assert f"{cert.lo:.10f}" == "0.5510308349"
     assert certify_diagonal(0.8, 400, "0.5511").verdict == "VIOLATED"
-    # a bound strictly inside [min lo, min hi] can be neither proved nor refuted
-    assert certify_diagonal(0.8, 400, Fraction(cert.hi)).verdict == "not certified"
+    # above EXACT_LIMIT a bound strictly inside [min lo, min hi] can be neither
+    # proved nor refuted
+    k = recurrence.EXACT_LIMIT + 1
+    wide = certify_diagonal(0.8, k, "0.5506")
+    assert certify_diagonal(0.8, k, Fraction(wide.hi)).verdict == "not certified"
     with pytest.raises(SizeLimitError, match="certificate is guarded to k <= 10000"):
         certify_diagonal(0.8, recurrence.CERTIFY_LIMIT + 1, "0.5506")
     with pytest.raises(PreconditionError):
