@@ -47,9 +47,13 @@ from .matching import (
 from .recurrence import _t_as_fraction, certify_diagonal, compute_table, min_diagonal
 from .stream_model import Element, InjectionPlan, InstanceSplit, build_stream
 from .submodular import CoverageInstance, CoverageOracle, brute_force_opt
-from .tree_stream import RunStats, delta_fraction, guess_run, run_tree_stream
+from .tree_stream import RunStats, delta_fraction, guess_run, run_tree_streams
+from .tree_stream import run_tree_stream  # noqa: F401 - perfbench's tracer wraps it by this name
 
 OUT_DIR_ENV = "INJECTSTREAM_OUT_DIR"
+
+#: most permutations of one trial realized and run together in one forest
+FOREST_STREAMS = 256
 
 SUBMOD_COLUMNS = (
     "seed", "perm_index", "guess_mode", "best_value", "opt_value",
@@ -190,7 +194,9 @@ class TrialRecord:
     """One algorithm run; `columns` mirrors the CSV row for its problem.
 
     A failed run keeps its error text; ``invariant`` marks a failure that
-    raised :class:`InvariantError`.
+    raised :class:`InvariantError`.  ``wall_time_s`` is the realization
+    time of the run's stream plus 1/P of the run time of the P streams it
+    ran with (P = 1 outside the known-guess submod modes).
     """
 
     columns: dict
@@ -300,14 +306,18 @@ def _run_trials(config: ExperimentConfig, load, run) -> list[TrialRecord]:
     ``load(config, t_seed)`` returns one trial's (split, fixed plan or None,
     trial data); without a fixed plan the configured adversary makes one
     from the trial seed.
-    ``run(config, stream, trial data)`` runs the algorithm on one realized
-    stream and returns (CSV columns other than seed, perm_index and
-    config_fp; memory counters).  A failure in a trial is recorded, not
-    raised.  An instance file is loaded once, before the first trial, and
-    every trial gets the same (split, plan, trial data); a bad file raises.
+    ``run(config, streams, trial data)`` runs the algorithm on realized
+    streams and returns, per stream, (CSV columns other than seed,
+    perm_index and config_fp; memory counters).  A failure in a trial is
+    recorded, not raised.  An instance file is loaded once, before the
+    first trial, and every trial gets the same (split, plan, trial data); a
+    bad file raises.  The known-guess submod modes run up to
+    ``FOREST_STREAMS`` permutations of a trial together, in one forest;
+    every other run gets its streams one at a time.
     """
     fp = config.fingerprint()
     loaded = load(config, None) if "file" in config.instance else None
+    batch = FOREST_STREAMS if config.problem == "submod" and config.guess == "known" else 1
     records = []
     for t_idx in range(config.trials):
         t_seed = trial_seed(config.seed, t_idx)
@@ -322,19 +332,59 @@ def _run_trials(config: ExperimentConfig, load, run) -> list[TrialRecord]:
         except Exception as exc:  # noqa: BLE001 - record and move on
             records.append(_failed(exc))
             continue
-        for p_idx in range(config.perms):
-            started = time.perf_counter()
-            try:
-                stream = build_stream(split, plan, perm_seed(t_seed, p_idx))
-                columns, memory = run(config, stream, trial)
-                records.append(TrialRecord(
-                    columns={"seed": t_seed, "perm_index": p_idx, **columns, "config_fp": fp},
-                    wall_time_s=time.perf_counter() - started,
-                    memory=memory,
-                ))
-            except Exception as exc:  # noqa: BLE001
-                records.append(_failed(exc, time.perf_counter() - started))
+        for lo in range(0, config.perms, batch):
+            perms = range(lo, min(lo + batch, config.perms))
+            records += _run_perms(config, run, (split, plan, trial), t_seed, perms, fp)
     return records
+
+
+def _run_perms(
+    config: ExperimentConfig, run, loaded: tuple, t_seed: int, perms: range, fp: str
+) -> list[TrialRecord]:
+    """Realize the streams of ``perms``, run them together, and return
+    their records in perm order.
+
+    If the batch raises, each of its streams runs alone, so only a stream
+    that raises on its own gets a failed record.  A record's
+    ``wall_time_s`` is its stream's realization time plus its share, 1/P,
+    of the run time of the P streams it ran with.
+    """
+    split, plan, trial = loaded
+    done: dict = {}
+    streams = []  # (perm index, stream, realization seconds)
+    for p_idx in perms:
+        started = time.perf_counter()
+        try:
+            stream = build_stream(split, plan, perm_seed(t_seed, p_idx))
+        except Exception as exc:  # noqa: BLE001 - record and move on
+            done[p_idx] = _failed(exc, time.perf_counter() - started)
+            continue
+        streams.append((p_idx, stream, time.perf_counter() - started))
+
+    def attempt(part: list) -> None:
+        started = time.perf_counter()
+        try:
+            results = run(config, [stream for _, stream, _ in part], trial)
+        except Exception as exc:  # noqa: BLE001
+            if len(part) > 1:
+                raise
+            done[part[0][0]] = _failed(exc, part[0][2] + time.perf_counter() - started)
+            return
+        share = (time.perf_counter() - started) / len(part)
+        for (p_idx, _, realize_s), (columns, memory) in zip(part, results):
+            done[p_idx] = TrialRecord(
+                columns={"seed": t_seed, "perm_index": p_idx, **columns, "config_fp": fp},
+                wall_time_s=realize_s + share,
+                memory=memory,
+            )
+
+    if streams:
+        try:
+            attempt(streams)
+        except Exception:  # noqa: BLE001 - the batch failed: run each stream alone
+            for one in streams:
+                attempt([one])
+    return [done[p_idx] for p_idx in perms]
 
 
 def _failed(exc: Exception, wall_time_s: float = 0.0) -> TrialRecord:
@@ -369,29 +419,28 @@ def _load_submod_trial(
     return split, plan, (oracle, opt.value)
 
 
-def _submod_run(config: ExperimentConfig, stream, trial: tuple) -> tuple[dict, dict]:
+def _submod_run(config: ExperimentConfig, streams: list, trial: tuple) -> list[tuple[dict, dict]]:
     oracle, opt_value = trial
-    stats = RunStats()
     if config.guess == "auto":
-        sol = guess_run(stream, config.k, config.delta, oracle, stats=stats)
+        results = []
+        for stream in streams:
+            stats = RunStats()
+            results.append((guess_run(stream, config.k, config.delta, oracle, stats=stats), stats))
     else:  # exact mode ignores the guess g
-        sol = run_tree_stream(
-            stream, config.k, config.delta, oracle,
-            mode=config.mode, g=opt_value, stats=stats,
+        results = run_tree_streams(
+            streams, config.k, config.delta, oracle, mode=config.mode, g=opt_value,
         )
-    columns = {
-        "guess_mode": config.guess,
-        "best_value": sol.value,
-        "opt_value": opt_value,
-        "ratio": sol.value / opt_value if opt_value else 0.0,
-        "nodes_live_max": stats.nodes_live_max,
-        "oracle_calls": stats.oracle_calls,
-    }
-    memory = {
-        "nodes_live_max": stats.nodes_live_max,
-        "guesses_live_max": stats.guesses_live_max,
-    }
-    return columns, memory
+    return [(
+        {
+            "guess_mode": config.guess,
+            "best_value": sol.value,
+            "opt_value": opt_value,
+            "ratio": sol.value / opt_value if opt_value else 0.0,
+            "nodes_live_max": stats.nodes_live_max,
+            "oracle_calls": stats.oracle_calls,
+        },
+        {"nodes_live_max": stats.nodes_live_max, "guesses_live_max": stats.guesses_live_max},
+    ) for sol, stats in results]
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +462,11 @@ def _load_matching_trial(
     return split, None, m_star
 
 
-def _matching_run(config: ExperimentConfig, stream, m_star: int) -> tuple[dict, dict]:
+def _matching_run(config: ExperimentConfig, streams: list, m_star: int) -> list[tuple[dict, dict]]:
+    return [_match_stream(config, stream, m_star) for stream in streams]
+
+
+def _match_stream(config: ExperimentConfig, stream, m_star: int) -> tuple[dict, dict]:
     algo = config.match_mode
     edges = edges_from_stream(stream)
     memory: dict = {}
@@ -434,7 +487,7 @@ def _matching_run(config: ExperimentConfig, stream, m_star: int) -> tuple[dict, 
     return columns, memory
 
 
-#: problem -> (CSV columns, trial loader, per-stream run) for ``_run_trials``
+#: problem -> (CSV columns, trial loader, run over realized streams) for ``_run_trials``
 PROBLEMS = {
     "submod": (SUBMOD_COLUMNS, _load_submod_trial, _submod_run),
     "matching": (MATCHING_COLUMNS, _load_matching_trial, _matching_run),

@@ -11,22 +11,31 @@ tests) and bucketed (the gain range 0..g is split into ceil(k/delta) buckets
 of width delta*g/k, plus one clamp bucket for marginals at or above the top,
 which can happen when the guess g undershoots OPT).
 
-The tree lives in node arrays, one row per node in creation order: the
+Trees live in a forest of node arrays: one row per node in creation order,
+with a ``tree`` column naming the tree the row belongs to.  A row holds the
 oracle state of the node's set, its value and gain, depth, parent row, the
 arrival that created it, the interned element ids of its path, and a bitset
-of the child keys already present.  One arriving element is one vectorized
-pass over the rows: the live rows (depth < k, element not on the path) are
-extended in one batch through the oracle's ``extend_states`` (one counted
-call per row), their gains are keyed by the keyer's vectorized ``keys``,
-rows that already hold that key are dropped, and the rest get a child whose
-value is its parent's value plus its gain.  ``tree.root``, ``tree.nodes``
-and ``node.children`` are lazy views built from the arrays.
+of the child keys already present.  One stream position is one vectorized
+pass over the rows of every tree, each tree reading its own element (or all
+of them the same one): the live rows (depth < k, element not on the path)
+are grouped by element and extended through the oracle's ``extend_states``
+once per distinct element (one counted call per row), their gains are keyed
+row-wise by the keyer's vectorized ``keys``, rows that already hold that key
+are dropped, and the rest get a child whose value is its parent's value plus
+its gain.  Each tree's oracle calls and node count come from a ``bincount``
+over the ``tree`` column, and its best node is its earliest row of maximum
+value.  ``tree.root``, ``tree.nodes`` and ``node.children`` are lazy views
+built from the arrays.
 
-When OPT is unknown, a guess manager runs one tree per active geometric
-guess g = (1+delta)^j, keyed to the running maximum singleton value m: the
-shared window of ``geomgrid.update_window`` dismisses guesses outside
-[m/(1+delta), (k/delta)*m], new guesses start fresh at the current stream
-position, and the best surviving tree wins.
+Three runs share the one forest.  ``run_tree_streams`` advances several
+streams together, one tree per stream and one keyer for all of them (the
+harness runs a trial's permutations this way), and ``run_tree_stream`` is
+its one-stream case.  When OPT is unknown, a guess manager keeps one tree
+per active geometric guess g = (1+delta)^j, keyed to the running maximum
+singleton value m: the shared window of ``geomgrid.update_window`` dismisses
+guesses outside [m/(1+delta), (k/delta)*m] and their rows are compacted
+away, a newly admitted guess joins with a fresh root row at the current
+stream position, and the best surviving tree wins.
 
 The interval-greedy leaf trace is an analysis oracle, not part of the
 algorithm: it reads the recorded permutation to reproduce the half-floor
@@ -39,6 +48,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Hashable, Iterable, Optional, Union
 
 import numpy as np
@@ -50,13 +60,16 @@ from .submodular import SubmodularOracle, Solution
 
 INITIAL_ROWS = 64
 _BIT = np.array([1 << i for i in range(8)], dtype=np.uint8)
+_ABSENT = -2  # interned id of an element on no path (paths pad with -1)
+_ROWS = ("tree", "states", "values", "gains", "depth", "parent", "origin", "path", "presence")
 
 
 class ExactKeys:
     """Child keying by the raw marginal value (dedup on exact equality).
 
     ``keys`` interns each distinct gain into a dense id, so exact keys share
-    the bucketed trees' presence bitsets; use one ExactKeys per tree.
+    the bucketed trees' presence bitsets; one ExactKeys serves every tree of
+    a forest.
     """
 
     def __init__(self) -> None:
@@ -69,7 +82,8 @@ class ExactKeys:
     def key(self, gain) -> Hashable:
         return gain
 
-    def keys(self, gains: np.ndarray) -> np.ndarray:
+    def keys(self, gains: np.ndarray, trees=None) -> np.ndarray:
+        """Dense ids of ``gains``; the ids do not depend on the ``trees`` of the rows."""
         ids = self._ids
         return np.array([ids.setdefault(g, len(ids)) for g in gains.tolist()], dtype=np.int64)
 
@@ -122,8 +136,9 @@ class IncreaseBuckets:
             return min(int(gain * self._q // self._p), self.bucket_count)
         return min(int(gain // self.width), self.bucket_count)  # float floor division
 
-    def keys(self, gains: np.ndarray) -> np.ndarray:
-        """``key`` over an array of gains, elementwise identical."""
+    def keys(self, gains: np.ndarray, trees=None) -> np.ndarray:
+        """``key`` over an array of gains, elementwise identical; one guess
+        serves every tree, so the ``trees`` of the rows do not matter."""
         kind = gains.dtype.kind
         if kind == "f" or (kind == "i" and self._p is None):
             raw = gains // float(self.width)
@@ -135,8 +150,36 @@ class IncreaseBuckets:
         return np.minimum(np.maximum(raw, 0), self.bucket_count).astype(np.int64)
 
 
+class GuessBuckets:
+    """Row-wise keying for the guess forest: tree i keys as ``buckets[i]``.
+
+    Every guess is a float power (1+delta)^j, so each tree's
+    ``IncreaseBuckets`` keys by float floor division and all of them share
+    one bucket count: a row keys to min(max(gain // widths[tree], 0),
+    bucket_count), which is that tree's ``keys`` elementwise.
+    """
+
+    def __init__(self, k: int, delta: Union[float, str, Fraction]) -> None:
+        self.bucket_count = math.ceil(k / delta_fraction(delta))
+        self.key_count = self.bucket_count + 1
+        self.use([])
+
+    def use(self, buckets: list) -> None:
+        """Key tree i as ``buckets[i]`` from now on."""
+        self.buckets = buckets
+        self.widths = np.array([b.width for b in buckets], dtype=np.float64)
+
+    def keys(self, gains: np.ndarray, trees: np.ndarray) -> np.ndarray:
+        if gains.dtype.kind not in "fi":  # exact rationals: each tree's scalar key
+            buckets = self.buckets
+            return np.array([buckets[t].key(g) for g, t in zip(gains.tolist(), trees.tolist())],
+                            dtype=np.int64)
+        raw = gains // self.widths[trees]
+        return np.minimum(np.maximum(raw, 0), self.bucket_count).astype(np.int64)
+
+
 class NodeView:
-    """One tree node, read lazily from the tree's arrays."""
+    """One tree node, read lazily from the forest's arrays."""
 
     __slots__ = ("tree", "index")
 
@@ -158,7 +201,7 @@ class NodeView:
 
     @property
     def element(self) -> Optional[Element]:
-        """The arrival that created this node (None for the root)."""
+        """The arrival that created this node (None for a root)."""
         a = int(self.tree.origin[self.index])
         return self.tree.arrivals[a] if a >= 0 else None
 
@@ -171,8 +214,10 @@ class NodeView:
         """Child views by gain key, in creation order."""
         tree = self.tree
         rows = np.flatnonzero(tree.parent[: tree.size] == self.index)
-        views = [NodeView(tree, int(r)) for r in rows]
-        return {tree.keyer.key(c.gain): c for c in views}
+        if not rows.size:
+            return {}
+        keys = tree.keyer.keys(tree.gains[rows], tree.tree[rows])
+        return {key: NodeView(tree, r) for key, r in zip(keys.tolist(), rows.tolist())}
 
 
 class NodeList(Sequence):
@@ -189,39 +234,49 @@ class NodeList(Sequence):
 
 
 class PrefixTree:
-    """The bounded-height solution tree for one (guess, stream) run.
+    """A forest of bounded-height solution trees, one per (guess, stream) run.
 
-    Row arrays, one row per node in creation order (row 0 is the root):
+    It starts with ``trees`` trees, each a root row (the empty set);
+    ``add_trees`` appends roots and ``drop_trees`` compacts trees away.  With
+    one tree, row 0 is its root.  Row arrays, one row per node in creation
+    order: ``tree`` (the index of the node's tree, 0 .. trees-1),
     ``states``/``values`` in the layout of the oracle's ``empty_states``
-    (allocated on the first ``tree_process``, which binds the tree to that
+    (allocated on the first ``tree_process``, which binds the forest to that
     oracle), ``gains`` (the marginal each node's element had on arrival),
-    ``depth``, ``parent`` (-1 for the root), ``origin`` (index into
-    ``arrivals`` of the element that created the node, -1 for the root),
+    ``depth``, ``parent`` (-1 for a root), ``origin`` (index into
+    ``arrivals`` of the element that created the node, -1 for a root),
     ``path`` (interned element ids of the path in ``path[i, :depth[i]]``, -1
     after it), and ``presence`` (bit ``key`` of row i is set when row i has a
-    child with that gain key).
+    child with that gain key; rows at or past ``size`` have none).
+    ``calls[i]`` counts tree i's oracle calls, and ``keyer.keys(gains,
+    trees)`` keys gains of rows of any trees.
     """
 
-    def __init__(self, k: int, keyer=None) -> None:
+    def __init__(self, k: int, keyer=None, trees: int = 1) -> None:
         if k < 0:
             raise PreconditionError("k must be >= 0")
         self.k = k
         self.keyer = keyer if keyer is not None else ExactKeys()
-        self.size = 1
+        self.size = self.trees = 0
         self.states = self.values = self.gains = None
-        self.depth = np.zeros(INITIAL_ROWS, dtype=np.int32)
-        self.parent = np.full(INITIAL_ROWS, -1, dtype=np.int32)
-        self.origin = np.full(INITIAL_ROWS, -1, dtype=np.int32)
-        self.path = np.full((INITIAL_ROWS, k), -1, dtype=np.int32)
-        self.presence = np.zeros((INITIAL_ROWS, 1), dtype=np.uint8)
-        self.arrivals: list[Element] = []  # one entry per arrival that made children
+        self._empty_states = None          # the bound oracle's empty_states
+        rows = max(INITIAL_ROWS, trees)
+        self.tree = np.zeros(rows, dtype=np.int32)
+        self.depth = np.zeros(rows, dtype=np.int32)
+        self.parent = np.full(rows, -1, dtype=np.int32)
+        self.origin = np.full(rows, -1, dtype=np.int32)
+        self.path = np.full((rows, k), -1, dtype=np.int32)
+        self.presence = np.zeros((rows, 1), dtype=np.uint8)
+        self.calls = np.zeros(0, dtype=np.int64)
+        self.arrivals: list[Element] = []  # arrivals that made children, one per tree if trees differ
         self.ids: list = []                # interned id -> element id
         self.element_index: dict = {}      # element id -> interned id
+        self.add_trees(trees)
 
     @property
     def nodes(self) -> NodeList:
         # built per access: a stored view would make a reference cycle, and a
-        # dismissed guess's tree would then wait for the cyclic collector
+        # dropped forest would then wait for the cyclic collector
         return NodeList(self)
 
     @property
@@ -232,68 +287,149 @@ class PrefixTree:
     def live_node_count(self) -> int:
         return self.size
 
+    def node_counts(self) -> np.ndarray:
+        """Nodes per tree."""
+        return np.bincount(self.tree[: self.size], minlength=self.trees)
+
     def value(self, i: int):
         return 0 if self.values is None else self.values.item(i)
 
     def path_ids(self, i: int) -> frozenset:
         return frozenset(self.ids[x] for x in self.path[i, : self.depth[i]].tolist())
 
+    def add_trees(self, count: int) -> None:
+        """Append ``count`` trees, each a fresh root row."""
+        n, t = self.size, self.trees
+        self._reserve(n + count, 0)
+        roots = slice(n, n + count)
+        self.tree[roots] = np.arange(t, t + count)
+        self.depth[roots] = 0
+        self.parent[roots] = self.origin[roots] = self.path[roots] = -1
+        if self.values is not None:
+            self.states[roots], self.values[roots] = self._empty_states(count)
+            self.gains[roots] = 0
+        self.calls = np.concatenate([self.calls, np.zeros(count, dtype=np.int64)])
+        self.size, self.trees = n + count, t + count
+
+    def drop_trees(self, keep: np.ndarray) -> None:
+        """Compact away each tree i with ``keep[i]`` false, with its rows and
+        with the arrivals and interned ids only its rows used.  The kept
+        trees and rows keep their order and are numbered from 0 again."""
+        n = self.size
+        rows = keep[self.tree[:n]].nonzero()[0]
+        m = rows.size
+        moved = np.full(n, -1, dtype=np.int32)
+        moved[rows] = np.arange(m)
+        for name in _ROWS:
+            a = getattr(self, name)
+            if a is not None:
+                a[:m] = a[rows]
+        self.presence[m:n] = 0
+        parent, origin, path = self.parent[:m], self.origin[:m], self.path[:m]
+        parent[parent >= 0] = moved[parent[parent >= 0]]
+        self.tree[:m] = (np.cumsum(keep) - 1)[self.tree[:m]]
+        self.calls = self.calls[keep]
+        self.size, self.trees = m, int(np.count_nonzero(keep))
+        used = np.unique(origin[origin >= 0])
+        self.arrivals = [self.arrivals[a] for a in used.tolist()]
+        origin[origin >= 0] = np.searchsorted(used, origin[origin >= 0])
+        used = np.unique(path[path >= 0])
+        self.ids = [self.ids[x] for x in used.tolist()]
+        self.element_index = {eid: x for x, eid in enumerate(self.ids)}
+        path[path >= 0] = np.searchsorted(used, path[path >= 0])
+
+    def _bind(self, oracle: SubmodularOracle) -> None:
+        self._empty_states = oracle.empty_states
+        self.states, self.values = oracle.empty_states(len(self.depth))
+        self.gains = np.zeros_like(self.values)
+
     def _reserve(self, rows: int, keys: int) -> None:
         """Room for ``rows`` nodes and ``keys`` presence bits per node."""
         cap = len(self.depth)
         if rows > cap:
             extra = max(rows, 2 * cap) - cap
-            for name in ("states", "values", "gains", "depth", "parent", "origin", "path",
-                         "presence"):
+            for name in _ROWS:
                 a = getattr(self, name)
-                fill = -1 if name in ("parent", "origin", "path") else 0
-                pad = np.full((extra,) + a.shape[1:], fill, dtype=a.dtype)
-                setattr(self, name, np.concatenate([a, pad]))
+                if a is None:
+                    continue
+                # zeroed pages stay untouched, and so out of RSS, until rows
+                # reach them; a row past ``size`` is written in full before use
+                grown = np.zeros((cap + extra,) + a.shape[1:], dtype=a.dtype)
+                grown[:cap] = a
+                setattr(self, name, grown)
         words = -(-keys // 8)
         if words > self.presence.shape[1]:
             pad = np.zeros((len(self.presence), words - self.presence.shape[1]), np.uint8)
             self.presence = np.concatenate([self.presence, pad], axis=1)
 
-    def _append(self, parents: np.ndarray, states, values, gains, e: Element, x: int) -> None:
-        """Children of rows ``parents`` for arrival e, interned as x (room reserved)."""
+    def _append(self, parents: np.ndarray, states, values, gains, x, origin) -> None:
+        """Children of rows ``parents``, for elements interned as ``x`` and
+        created by ``arrivals[origin]`` (room reserved)."""
         n, m = self.size, len(parents)
         d = self.depth[parents]
+        self.tree[n : n + m] = self.tree[parents]
         self.states[n : n + m] = states
         self.values[n : n + m] = values
         self.gains[n : n + m] = gains
         self.depth[n : n + m] = d + 1
         self.parent[n : n + m] = parents
-        self.origin[n : n + m] = len(self.arrivals)
-        self.arrivals.append(e)
+        self.origin[n : n + m] = origin
         path = self.path[parents]
         path[np.arange(m), d] = x
         self.path[n : n + m] = path
         self.size = n + m
 
 
-def tree_process(tree: PrefixTree, e: Element, oracle: SubmodularOracle) -> PrefixTree:
-    """Feed one stream element to the tree.
+def tree_process(tree: PrefixTree, e, oracle: SubmodularOracle) -> PrefixTree:
+    """Feed one stream position to every tree of the forest.
 
-    Every node at depth < k without a child for this element's gain key gets
-    one.  Only the rows that exist before e are read, so children created
-    for e are not themselves extended by e.  An element already on a node's
-    path is skipped there (its marginal is zero and a duplicate id cannot
-    enlarge the solution).
+    ``e`` is one Element, which every tree reads, or a sequence with one
+    entry per tree: that tree's Element, or None when its stream has ended.
+    In each tree, every node at depth < k without a child for the gain key
+    of its element gets one.  Only the rows that exist before this pass are
+    read, so children created for e are not themselves extended by e.  An
+    element already on a node's path is skipped there (its marginal is zero
+    and a duplicate id cannot enlarge the solution).  The live rows are
+    grouped by element, one ``extend_states`` call per distinct element.
     """
     if tree.values is None:
-        tree.states, tree.values = oracle.empty_states(len(tree.depth))
-        tree.gains = np.zeros_like(tree.values)
+        tree._bind(oracle)
     n = tree.size
     live = (tree.depth[:n] < tree.k).nonzero()[0]
-    x = tree.element_index.get(e.id)
-    if x is not None:  # e is on some path already
-        live = live[(tree.path[live] != x).all(axis=1)]
+    index = tree.element_index
+    if isinstance(e, Element):
+        ids, group = [e.id], None
+    else:
+        slots: dict = {}
+        of_tree = np.array([-1 if a is None else slots.setdefault(a.id, len(slots)) for a in e],
+                           dtype=np.int64)
+        ids, group = list(slots), of_tree[tree.tree[live]]
+        live, group = live[group >= 0], group[group >= 0]
+    xs = [index.get(i, _ABSENT) for i in ids]
+    if max(xs, default=_ABSENT) >= 0:  # an element is on some path already
+        if group is None:
+            live = live[(tree.path[live] != xs[0]).all(axis=1)]
+        else:
+            off = (tree.path[live] != np.array(xs)[group][:, None]).all(axis=1)
+            live, group = live[off], group[off]
     if not live.size:
         return tree
-    base = tree.values[live]
-    states, values = oracle.extend_states(tree.states[live], base, e.id)
+    if len(ids) > 1:  # contiguous rows per element; each tree keeps its row order
+        order = np.argsort(group, kind="stable")
+        live, group = live[order], group[order]
+    states, base = tree.states[live], tree.values[live]
+    if len(ids) == 1:
+        states, values = oracle.extend_states(states, base, ids[0])
+    else:
+        ends = np.cumsum(np.bincount(group, minlength=len(ids))).tolist()
+        parts = [oracle.extend_states(states[a:b], base[a:b], ids[g])
+                 for g, (a, b) in enumerate(zip([0] + ends, ends)) if b > a]
+        states = np.concatenate([s for s, _ in parts])
+        values = np.concatenate([v for _, v in parts])
+    owner = tree.tree[live]
+    tree.calls += np.bincount(owner, minlength=tree.trees)
     gains = values - base
-    keys = tree.keyer.keys(gains)
+    keys = tree.keyer.keys(gains, owner)
     tree._reserve(n + live.size, tree.keyer.key_count)
     word, bit = keys >> 3, _BIT[keys & 7]
     new = ((tree.presence[live, word] & bit) == 0).nonzero()[0]
@@ -301,25 +437,50 @@ def tree_process(tree: PrefixTree, e: Element, oracle: SubmodularOracle) -> Pref
         return tree
     parents = live[new]
     tree.presence[parents, word[new]] |= bit[new]
-    if x is None:
-        x = tree.element_index[e.id] = len(tree.ids)
-        tree.ids.append(e.id)
+    for g in [0] if group is None else np.bincount(group[new]).nonzero()[0].tolist():
+        if xs[g] < 0:
+            xs[g] = index[ids[g]] = len(tree.ids)
+            tree.ids.append(ids[g])
+    if group is None:
+        x, origin = xs[0], len(tree.arrivals)
+        tree.arrivals.append(e)
+    else:  # one arrival per tree that made children
+        x = np.array(xs)[group[new]]
+        made = np.bincount(owner[new], minlength=tree.trees) > 0
+        origin = len(tree.arrivals) + (np.cumsum(made) - 1)[owner[new]]
+        tree.arrivals.extend(e[t] for t in made.nonzero()[0].tolist())
     # a child's value is its parent's value plus its gain: with float values
     # that can differ in the last bits from f(S + e) summed in another order
     gains = gains[new]
-    tree._append(parents, states[new], base[new] + gains, gains, e, x)
+    tree._append(parents, states[new], base[new] + gains, gains, x, origin)
     return tree
 
 
-def best_solution(tree: PrefixTree) -> Solution:
-    """Best value over all nodes; ties go to the earliest-created node.
+def best_solutions(tree: PrefixTree) -> list[Solution]:
+    """Each tree's best value over all its nodes; ties go to its
+    earliest-created node.
 
     The root counts, so an empty stream yields (empty set, 0).  Scanning all
     nodes rather than only depth-k leaves is safe by monotonicity and covers
     trees that never filled (short streams).
     """
-    best = 0 if tree.values is None else int(np.argmax(tree.values[: tree.size]))
-    return Solution(elements=tree.path_ids(best), value=tree.value(best))
+    n, owner = tree.size, tree.tree[: tree.size]
+    best = np.full(tree.trees, n)
+    np.minimum.at(best, owner, np.arange(n))  # each tree's root
+    if tree.values is not None:
+        values = tree.values[:n]
+        top = values[best]
+        np.maximum.at(top, owner, values)
+        hit = (values == top[owner]).nonzero()[0]
+        best[:] = n
+        np.minimum.at(best, owner[hit], hit)
+    return [Solution(elements=tree.path_ids(r), value=tree.value(r)) for r in best.tolist()]
+
+
+def best_solution(tree: PrefixTree) -> Solution:
+    """The best solution of a one-tree forest (see ``best_solutions``)."""
+    (sol,) = best_solutions(tree)
+    return sol
 
 
 def node_count_bound(k: int, delta: Union[float, str, Fraction]) -> int:
@@ -336,14 +497,16 @@ class RunStats:
 
 
 class GuessManager:
-    """Parallel trees for the active geometric guesses of OPT.
+    """Parallel trees for the active geometric guesses of OPT, in one forest.
 
     Active guesses are the exact powers (1+delta)^j, j integer, inside
     [m/(1+delta), (k/delta)*m] where m is the running maximum singleton
     value.  The absolute-grid anchoring means a guess that stays in the
     window keeps its tree across m updates; a guess that falls out is
-    dismissed along with its tree, and a newly admitted guess starts a fresh
-    tree at the current stream position.
+    dismissed and its tree's rows are compacted away, and a newly admitted
+    guess joins ``forest`` as a fresh root at the current stream position.
+    ``runs`` maps each active exponent j to its tree's keyer, and
+    ``order[i]`` is the exponent of the forest's tree i.
     """
 
     def __init__(self, k: int, delta: float) -> None:
@@ -352,37 +515,85 @@ class GuessManager:
         self.k = k
         self.delta = delta
         self.m = 0
-        self.runs: dict[int, PrefixTree] = {}
+        self.runs: dict[int, IncreaseBuckets] = {}
+        self.order: list[int] = []
+        self.forest = PrefixTree(k, GuessBuckets(k, delta), trees=0)
         self.guesses_live_max = 0
         self.nodes_live_max = 0
 
     def observe(self, singleton_value) -> None:
-        """Update m and the active guess set for an arriving element."""
-        if singleton_value > self.m:
-            self.m = singleton_value
-        if self.m <= 0:
+        """Update m and the active guess set for an arriving element.
+
+        The window depends on m alone, so it moves only when m grows.
+        """
+        if not singleton_value > self.m:
             return
+        self.m = singleton_value
         base = 1.0 + self.delta
         geomgrid.update_window(
             self.runs, self.m, base, self.k / self.delta,
-            lambda j: PrefixTree(self.k, IncreaseBuckets(base**j, self.k, self.delta)),
+            lambda j: IncreaseBuckets(base**j, self.k, self.delta),
         )
+        kept = [j in self.runs for j in self.order]
+        if not all(kept):
+            self.forest.drop_trees(np.array(kept, dtype=bool))
+            self.order = [j for j in self.order if j in self.runs]
+        admitted = self.runs.keys() - self.order
+        self.forest.add_trees(len(admitted))
+        self.order += sorted(admitted)
+        self.forest.keyer.use([self.runs[j] for j in self.order])
         self.guesses_live_max = max(self.guesses_live_max, len(self.runs))
 
     def process(self, e: Element, oracle: SubmodularOracle) -> None:
-        for tree in self.runs.values():
-            tree_process(tree, e, oracle)
-        self.nodes_live_max = max(
-            self.nodes_live_max, sum(t.live_node_count for t in self.runs.values())
-        )
+        tree_process(self.forest, e, oracle)
+        self.nodes_live_max = max(self.nodes_live_max, self.forest.size)
 
     def best(self) -> Solution:
+        """The best surviving tree's solution; ties go to the smallest guess."""
         best = Solution(elements=frozenset(), value=0)
-        for j in sorted(self.runs):
-            sol = best_solution(self.runs[j])
+        for _, sol in sorted(zip(self.order, best_solutions(self.forest)), key=lambda p: p[0]):
             if sol.value > best.value:
                 best = sol
         return best
+
+
+def _keyer(mode: str, k: int, delta, g):
+    if mode == "exact":
+        return ExactKeys()
+    if mode == "bucketed":
+        if g is None:
+            raise PreconditionError("bucketed mode needs a guess g")
+        return IncreaseBuckets(g, k, delta)
+    raise PreconditionError(f"unknown mode {mode!r}")
+
+
+def run_tree_streams(
+    streams: Sequence[Iterable[Element]],
+    k: int,
+    delta: Union[float, str, Fraction],
+    oracle: SubmodularOracle,
+    mode: str = "bucketed",
+    g=None,
+) -> list[tuple[Solution, RunStats]]:
+    """Streaming runs with a known guess (or exact gains), one tree per
+    stream, all in one forest with one keyer; (best solution, stats) per
+    stream, in order.
+
+    mode "exact" dedups children on raw gains; mode "bucketed" requires the
+    guess g.  Position i of every stream is one ``tree_process`` pass, so
+    each stream is read one element at a time, element i+1 only after
+    position i has been processed; streams may differ in length.  For
+    unknown OPT use :func:`guess_run`.
+    """
+    tree = PrefixTree(k, _keyer(mode, k, delta, g), trees=len(streams))
+    for elements in zip_longest(*streams):
+        tree_process(tree, elements if len(elements) > 1 else elements[0], oracle)
+    return [
+        (sol, RunStats(nodes_live_max=nodes, guesses_live_max=1, oracle_calls=calls))
+        for sol, nodes, calls in zip(
+            best_solutions(tree), tree.node_counts().tolist(), tree.calls.tolist()
+        )
+    ]
 
 
 def run_tree_stream(
@@ -394,29 +605,11 @@ def run_tree_stream(
     g=None,
     stats: Optional[RunStats] = None,
 ) -> Solution:
-    """One full streaming run with a known guess (or exact gains).
-
-    mode "exact" dedups children on raw gains; mode "bucketed" requires the
-    guess g.  For unknown OPT use :func:`guess_run`.
-    """
-    if mode == "exact":
-        tree = PrefixTree(k, ExactKeys())
-    elif mode == "bucketed":
-        if g is None:
-            raise PreconditionError("bucketed mode needs a guess g")
-        tree = PrefixTree(k, IncreaseBuckets(g, k, delta))
-    else:
-        raise PreconditionError(f"unknown mode {mode!r}")
-    calls0 = oracle.call_counter
-    nodes_max = 1
-    for e in stream:
-        tree_process(tree, e, oracle)
-        nodes_max = max(nodes_max, tree.live_node_count)
+    """One full streaming run: ``run_tree_streams`` on the one stream."""
+    ((sol, run_stats),) = run_tree_streams([stream], k, delta, oracle, mode=mode, g=g)
     if stats is not None:
-        stats.nodes_live_max = nodes_max
-        stats.guesses_live_max = 1
-        stats.oracle_calls = oracle.call_counter - calls0
-    return best_solution(tree)
+        vars(stats).update(vars(run_stats))
+    return sol
 
 
 def guess_run(

@@ -5,8 +5,9 @@ the keyer's scalar ``key``; the same skip, dedup and tie rules as
 ``injectstream.tree_stream``.  Test-only.
 """
 
+from injectstream.geomgrid import update_window
 from injectstream.submodular import Solution
-from injectstream.tree_stream import GuessManager, RunStats
+from injectstream.tree_stream import IncreaseBuckets, RunStats
 
 
 class RefNode:
@@ -55,21 +56,23 @@ def ref_run(stream, k, keyer, oracle):
 
 
 def ref_guess_run(stream, k, delta, oracle):
-    """Guessed run: the library's guess window, one reference tree per guess."""
-    manager, trees, calls0 = GuessManager(k, delta), {}, oracle.call_counter
-    nodes_max = 0
+    """Guessed run: one reference tree per guess in the window of
+    ``geomgrid.update_window``; (solution, stats, trees by exponent)."""
+    trees, m, calls0, nodes_max, guesses_max = {}, 0, oracle.call_counter, 0, 0
+    base = 1.0 + delta
     for e in stream:
-        manager.observe(oracle.evaluate((e.id,)))
-        # a guess keeps its reference tree while its window entry is unchanged
-        trees = {j: trees[j] if j in trees and trees[j][0] is t else (t, RefTree(k, t.keyer))
-                 for j, t in manager.runs.items()}
-        for _, tree in trees.values():
+        m = max(m, oracle.evaluate((e.id,)))
+        if m > 0:
+            update_window(trees, m, base, k / delta,
+                          lambda j: RefTree(k, IncreaseBuckets(base**j, k, delta)))
+        guesses_max = max(guesses_max, len(trees))
+        for tree in trees.values():
             ref_process(tree, e, oracle)
-        nodes_max = max(nodes_max, sum(len(t.nodes) for _, t in trees.values()))
+        nodes_max = max(nodes_max, sum(len(t.nodes) for t in trees.values()))
     best = Solution(elements=frozenset(), value=0)
     for j in sorted(trees):
-        sol = ref_best(trees[j][1])
+        sol = ref_best(trees[j])
         if sol.value > best.value:
             best = sol
-    stats = RunStats(nodes_max, manager.guesses_live_max, oracle.call_counter - calls0)
-    return best, stats
+    stats = RunStats(nodes_max, guesses_max, oracle.call_counter - calls0)
+    return best, stats, trees

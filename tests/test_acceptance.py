@@ -58,6 +58,7 @@ from injectstream.tree_stream import (
     live_guess_bound,
     node_count_bound,
     run_tree_stream,
+    run_tree_streams,
     tree_process,
 )
 
@@ -170,13 +171,14 @@ def test_criterion_04_half_floor_exhaustive():
             instances += 1
             for strat in ADVERSARY_STRATEGIES:
                 plan = make_plan(split, strat, seed=instances)
-                for s in enumerate_streams(split, plan):
-                    exact = run_tree_stream(s, k, "0.05", oracle, mode="exact")
-                    assert 2 * exact.value >= opt.value  # no exceptions allowed
-                    bucketed = run_tree_stream(
-                        s, k, "0.05", oracle, mode="bucketed", g=opt.value
-                    )
-                    assert bucketed.value >= 0.45 * opt.value
+                streams = enumerate_streams(split, plan)
+                exact = run_tree_streams(streams, k, "0.05", oracle, mode="exact")
+                bucketed = run_tree_streams(
+                    streams, k, "0.05", oracle, mode="bucketed", g=opt.value
+                )
+                for (exact_sol, _), (bucketed_sol, _) in zip(exact, bucketed, strict=True):
+                    assert 2 * exact_sol.value >= opt.value  # no exceptions allowed
+                    assert bucketed_sol.value >= 0.45 * opt.value
                     runs += 1
         assert runs >= 200 * len(ADVERSARY_STRATEGIES)
 
@@ -191,9 +193,8 @@ def test_criterion_05_empirical_055():
             opt = brute_force_opt(oracle, inst.ground_set(), k)
             assert opt.value > 0
             total = 0.0
-            for p in range(200):
-                s = build_stream(split, plan, seed=7_000_000 + 997 * i + p)
-                sol = run_tree_stream(s, k, "0.1", oracle, mode="exact")
+            streams = [build_stream(split, plan, seed=7_000_000 + 997 * i + p) for p in range(200)]
+            for sol, _ in run_tree_streams(streams, k, "0.1", oracle, mode="exact"):
                 total += sol.value / opt.value
             assert total / 200 >= 0.53
         assert time.perf_counter() - t0 < 600.0

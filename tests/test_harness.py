@@ -284,7 +284,7 @@ def test_failed_trials_recorded_not_raised(tmp_path, monkeypatch):
     def every_run_fails(*args, **kwargs):
         raise ValueError("planted")
 
-    monkeypatch.setattr(harness, "run_tree_stream", every_run_fails)
+    monkeypatch.setattr(harness, "run_tree_streams", every_run_fails)
     cfg = config_from_dict(dict(
         problem="submod",
         instance={"kind": "random", "params": {"n": 6, "universe": 10}},
@@ -302,11 +302,13 @@ def test_failed_trials_recorded_not_raised(tmp_path, monkeypatch):
     assert len(rows) == 1  # header only
 
 
+#: failing run -> (the harness name patched to fail it, CLI argv)
 RUN_ARGV = {
-    "run_tree_stream": ["submod", "run", "--kind", "random",
-                        "--params", '{"n": 8, "universe": 12}', "--k", "2", "--mode", "exact"],
-    "match_run": ["matching", "run", "--kind", "greedy_trap", "--params", '{"s": 3}',
-                  "--mode", "match"],
+    "run_tree_stream": ("run_tree_streams", [
+        "submod", "run", "--kind", "random",
+        "--params", '{"n": 8, "universe": 12}', "--k", "2", "--mode", "exact"]),
+    "match_run": ("match_run", [
+        "matching", "run", "--kind", "greedy_trap", "--params", '{"s": 3}', "--mode", "match"]),
 }
 
 
@@ -318,8 +320,10 @@ RUN_ARGV = {
 def test_failed_run_exit_code_from_exception_type(
     tmp_path, monkeypatch, capsys, algo, exc, code
 ):
-    real = getattr(harness, algo)
+    name, argv = RUN_ARGV[algo]
+    real = getattr(harness, name)
     calls = []
+    second_seed = harness.perm_seed(harness.trial_seed(2, 0), 1)
 
     def second_run_fails(*args, **kwargs):
         calls.append(None)
@@ -327,13 +331,40 @@ def test_failed_run_exit_code_from_exception_type(
             raise exc
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, algo, second_run_fails)
+    def second_stream_fails(streams, *args, **kwargs):
+        """The forest of a trial's perms raises whenever it holds perm 1."""
+        if any(s.seed == second_seed for s in streams):
+            raise exc
+        return real(streams, *args, **kwargs)
+
+    monkeypatch.setattr(harness, name,
+                        second_stream_fails if name == "run_tree_streams" else second_run_fails)
     out = str(tmp_path / "runs.csv")
-    argv = RUN_ARGV[algo] + ["--trials", "1", "--perms", "3", "--seed", "2", "--out", out]
-    assert main(argv) == code
+    assert main(argv + ["--trials", "1", "--perms", "3", "--seed", "2", "--out", out]) == code
     rows = list(csv.DictReader(open(out)))
     assert [row["perm_index"] for row in rows] == ["0", "2"]
     assert f"{type(exc).__name__}: {exc}" in capsys.readouterr().err
+
+
+def test_forest_chunks_leave_the_csv_unchanged(tmp_path, monkeypatch):
+    """A trial's perms run in forests of at most FOREST_STREAMS streams,
+    realized one chunk at a time; chunks of 2 write the same bytes."""
+    argv = ["submod", "run", "--kind", "random", "--params", '{"n": 8, "universe": 12}',
+            "--k", "2", "--mode", "bucketed", "--trials", "2", "--perms", "5", "--seed", "4"]
+    assert main(argv + ["--out", str(tmp_path / "whole.csv")]) == 0
+    real, sizes = harness.run_tree_streams, []
+
+    def recorded(streams, *args, **kwargs):
+        sizes.append(len(streams))
+        return real(streams, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "FOREST_STREAMS", 2)
+    monkeypatch.setattr(harness, "run_tree_streams", recorded)
+    assert main(argv + ["--out", str(tmp_path / "chunked.csv")]) == 0
+    assert sizes == [2, 2, 1, 2, 2, 1]
+    whole = (tmp_path / "whole.csv").read_bytes()
+    assert (tmp_path / "chunked.csv").read_bytes() == whole
+    assert len(whole.splitlines()) == 11
 
 
 # ------------------------------------------------------------ instance files

@@ -1,6 +1,7 @@
 """The array-backed prefix tree against the object reference in reference_tree.py."""
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +15,15 @@ from injectstream.submodular import (
 )
 from injectstream.tree_stream import (
     ExactKeys,
+    GuessManager,
     IncreaseBuckets,
     PrefixTree,
     RunStats,
     best_solution,
+    best_solutions,
     guess_run,
     run_tree_stream,
+    run_tree_streams,
     tree_process,
 )
 from reference_tree import ref_guess_run, ref_run
@@ -38,9 +42,11 @@ WEIGHTS = {
 
 
 @st.composite
-def oracle_and_stream(draw):
-    """(oracle factory, stream); streams may repeat element ids, and each
-    arrival carries its stream position as payload."""
+def oracle_and_stream(draw, count=None):
+    """(oracle factory, stream), or with ``count`` (oracle factory, that
+    many streams of independent lengths); streams may repeat element ids,
+    and each arrival carries its stream position as payload, paired with
+    its stream's index when there are several."""
     kind = draw(st.sampled_from(ORACLE_KINDS))
     members = draw(st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True))
     weight = WEIGHTS[kind.partition("-")[2] or "int"]
@@ -61,15 +67,26 @@ def oracle_and_stream(draw):
 
             def make():
                 return WeightedCoverageOracle(inst, weights)
-    ids = draw(st.lists(st.sampled_from(members), max_size=10))
-    stream = [Element(i, payload=pos) for pos, i in enumerate(ids)]
-    return make, stream
+
+    def stream(index=None):
+        ids = draw(st.lists(st.sampled_from(members), max_size=10))
+        return [Element(i, payload=pos if index is None else (index, pos))
+                for pos, i in enumerate(ids)]
+
+    if count is None:
+        return make, stream()
+    return make, [stream(index) for index in range(count)]
 
 
 def node_rows(nodes):
     """Nodes in creation order as comparable tuples; a node's element is
     the arrival that created it, payload included."""
     return [(n.element, n.gain, n.value, n.depth, n.path_ids) for n in nodes]
+
+
+def tree_nodes(forest, t):
+    """The nodes of the forest's tree t, in creation order."""
+    return [n for n in forest.nodes if forest.tree[n.index] == t]
 
 
 guesses = st.one_of(
@@ -109,11 +126,95 @@ def test_array_tree_matches_reference(case, k, g, delta):
     assert stats == ref_stats
 
 
+@given(
+    st.sampled_from([2, 5]).flatmap(oracle_and_stream), st.integers(0, 3),
+    st.one_of(st.none(), guesses), st.sampled_from(["0.1", "0.25", "0.5", "1"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_forest_matches_reference_per_tree(case, k, g, delta):
+    """P streams of unequal length in one forest with one keyer: per tree,
+    the reference's nodes in creation order, best solution and stats."""
+    make, streams = case
+    mode = "exact" if g is None else "bucketed"
+    if g is not None:
+        k = max(k, 1)
+
+    def keyer():
+        return ExactKeys() if g is None else IncreaseBuckets(g, k, delta)
+
+    refs = [ref_run(stream, k, keyer(), make()) for stream in streams]
+
+    oracle = make()
+    forest = PrefixTree(k, keyer(), trees=len(streams))
+    for elements in zip_longest(*streams):
+        tree_process(forest, elements, oracle)
+    for t, (_, _, ref_tree) in enumerate(refs):
+        assert node_rows(tree_nodes(forest, t)) == node_rows(ref_tree.nodes)
+    assert best_solutions(forest) == [sol for sol, _, _ in refs]
+
+    results = run_tree_streams([iter(s) for s in streams], k, delta, make(), mode=mode, g=g)
+    assert results == [(sol, stats) for sol, stats, _ in refs]
+
+
+def guess_forest(stream, k, delta, oracle):
+    """The guess manager after the stream, driven as guess_run drives it."""
+    manager = GuessManager(k, delta)
+    for e in stream:
+        manager.observe(oracle.evaluate((e.id,)))
+        manager.process(e, oracle)
+    return manager
+
+
+def assert_guess_trees_match(manager, ref_trees):
+    assert sorted(manager.order) == sorted(ref_trees) == sorted(manager.runs)
+    for t, j in enumerate(manager.order):
+        assert node_rows(tree_nodes(manager.forest, t)) == node_rows(ref_trees[j].nodes)
+
+
+@given(oracle_and_stream(), st.integers(1, 3), st.sampled_from([0.1, 0.2, 0.5]))
+@settings(max_examples=80, deadline=None)
+def test_guess_forest_matches_reference_per_guess(case, k, delta):
+    """Each live guess's tree in the forest against its reference tree."""
+    make, stream = case
+    _, _, ref_trees = ref_guess_run(stream, k, delta, make())
+    assert_guess_trees_match(guess_forest(stream, k, delta, make()), ref_trees)
+
+
+def test_guess_forest_compacts_dismissed_guesses():
+    """Singletons 1, then 50, then 2000 move the window up twice: each move
+    dismisses the lowest guesses, whose rows, arrivals and interned ids are
+    compacted away, and admits new guesses as fresh roots mid-stream.  (m
+    only grows, so a dismissed guess never comes back.)"""
+    weights = {0: 1, 1: 50, 2: 3, 3: 2000, 4: 7, 5: 40}
+    stream = [Element(i, payload=pos) for pos, i in enumerate([0, 2, 4, 1, 5, 2, 3, 4, 0, 5])]
+    k, delta = 2, 0.5
+    ref_sol, ref_stats, ref_trees = ref_guess_run(stream, k, delta, AdditiveOracle(weights))
+    oracle = AdditiveOracle(weights)
+    manager = GuessManager(k, delta)
+    windows = []
+    for e in stream:
+        manager.observe(oracle.evaluate((e.id,)))
+        windows.append(list(manager.order))
+        manager.process(e, oracle)
+    assert windows[0][0] < windows[3][0] < windows[6][0]       # dismissed twice
+    assert windows[0][-1] < windows[3][-1] < windows[6][-1]    # admitted twice
+    assert_guess_trees_match(manager, ref_trees)
+    forest = manager.forest
+    assert forest.trees == len(manager.runs) and forest.size == len(forest.nodes)
+    on_paths = set().union(*(n.path_ids for n in forest.nodes))
+    assert set(forest.ids) == on_paths
+    assert len(forest.arrivals) == len({id(n.element) for n in forest.nodes if n.depth})
+    assert manager.best() == ref_sol
+    stats = RunStats()
+    assert guess_run(iter(stream), k, delta, AdditiveOracle(weights), stats=stats) == ref_sol
+    assert stats == ref_stats
+
+
 @given(oracle_and_stream(), st.integers(1, 3), st.sampled_from([0.1, 0.2, 0.5]))
 @settings(max_examples=80, deadline=None)
 def test_guess_run_matches_reference(case, k, delta):
     make, stream = case
-    ref_sol, ref_stats = ref_guess_run(stream, k, delta, make())
+    ref_sol, ref_stats, _ = ref_guess_run(stream, k, delta, make())
     stats = RunStats()
     assert guess_run(iter(stream), k, delta, make(), stats=stats) == ref_sol
     assert stats == ref_stats

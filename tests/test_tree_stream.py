@@ -42,6 +42,7 @@ from injectstream.tree_stream import (
     live_guess_bound,
     node_count_bound,
     run_tree_stream,
+    run_tree_streams,
     tree_process,
 )
 
@@ -327,6 +328,20 @@ def test_runs_consume_the_stream_one_element_at_a_time(fig2_oracle, run):
         run_tree_stream(stream, k, "0.5", oracle, mode=run, g=5)
     assert len(seen) == 5
     assert all(a < b for a, b in zip(seen, seen[1:]))
+
+
+def test_forest_consumes_each_stream_one_element_at_a_time(fig2_oracle):
+    """With P > 1 streams of unequal length, each stream yields element i+1
+    only after position i has been processed: no stream is buffered."""
+    oracle, k = fig2_oracle
+    ids = (["A", "B", "C", "D", "B"], ["D", "C"], ["B", "A", "D"])
+    seen = [[] for _ in ids]
+    streams = [recording_stream(i, oracle, s) for i, s in zip(ids, seen)]
+    results = run_tree_streams(streams, k, "0.5", oracle, mode="exact")
+    assert len(results) == 3
+    for s, i in zip(seen, ids):
+        assert len(s) == len(i)
+        assert all(a < b for a, b in zip(s, s[1:]))
 
 
 #: demo script -> lines its output must hold
