@@ -7,13 +7,14 @@ The tree uses x = the largest singleton value and coef = k/delta; matching
 uses x = |M1| and coef = 4/(1 - 2 eps).  Exponent bounds computed via float
 logarithms get snapped by direct power comparisons (with a 1e-12 relative
 slack) so a value sitting exactly on a grid power cannot flip its exponent
-by one ulp.
+by one ulp.  x only grows in both wrappers, so ``window`` only moves up.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+
+from .errors import PreconditionError
 
 
 def snap_floor_log(base: float, x: float) -> int:
@@ -36,20 +37,19 @@ def snap_ceil_log(base: float, x: float) -> int:
     return j
 
 
-def update_window(runs: dict, x, base: float, coef: float, start: Callable[[int], object]) -> None:
-    """Move the window of ``runs`` (exponent j -> run) to the value x > 0.
+def window(x, base: float, coef: float) -> range:
+    """The exponents j with x/base <= base**j <= coef*x, for a value x > 0.
 
-    Runs with x/base <= base**j <= coef*x stay; the others are dismissed,
-    and ``start(j)`` makes the run of each exponent newly inside.  Anchoring
-    on the absolute grid means a run stays with its exponent across updates.
+    Anchoring on the absolute grid means a run stays with its exponent
+    while x moves.  A top coef*x that is not a finite float is rejected.
     """
-    lo = snap_ceil_log(base, x / base)
-    hi = snap_floor_log(base, coef * x)
-    for j in [j for j in runs if j < lo or j > hi]:
-        del runs[j]
-    for j in range(lo, hi + 1):
-        if j not in runs:
-            runs[j] = start(j)
+    try:
+        top = coef * x
+    except OverflowError:  # an int too large for a float
+        top = math.inf
+    if not math.isfinite(top):
+        raise PreconditionError(f"guess window top {coef!r} * x is not finite for x={x!r}")
+    return range(snap_ceil_log(base, x / base), snap_floor_log(base, top) + 1)
 
 
 def live_guess_bound(base: float, coef: float) -> int:

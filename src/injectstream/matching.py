@@ -9,9 +9,8 @@ collects vertex-disjoint 3-augmenting paths for the first F edges of M1,
 read in place from the shared M1, which only grows.  The collected
 augmentations are applied at stream end and the larger of the two branches
 is the output.  When m_star is unknown, branch 2 is replicated for
-geometric guesses of it, kept in the shared window of
-``geomgrid.update_window`` around the live size of M1.  Every run reads its
-stream once, edge by edge.
+geometric guesses of it, one per exponent of ``geomgrid.window`` around
+the live size of M1.  Every run reads its stream once, edge by edge.
 
 EPS = 1/50 and BETA = (4 - 43 EPS) / (4 - 8 EPS) are the certified
 constants of the analysis; they are fixed, not settings.
@@ -344,16 +343,17 @@ def geometric_guess_run(
     base = 1.0 + delta_guess
     upper_coef = 4.0 / float(1 - 2 * EPS)
     m1 = Matching()
-    stores: dict[int, AugPathStore] = {}
+    stores: dict[int, AugPathStore] = {}  # exponent -> its branch 2, in exponent order
     live_max = size = 0
     for e in stream:
         greedy_step(m1, e)
         if len(m1) > size:
             size = len(m1)
-            geomgrid.update_window(
-                stores, size, base, upper_coef,
-                lambda i: AugPathStore(m1, max(size, phase1_threshold(math.ceil(base**i)))),
-            )
+            stores = {
+                i: stores[i] if i in stores
+                else AugPathStore(m1, max(size, phase1_threshold(math.ceil(base**i))))
+                for i in geomgrid.window(size, base, upper_coef)
+            }
             live_max = max(live_max, len(stores))
         for store in stores.values():
             if size >= store.size:
@@ -361,8 +361,8 @@ def geometric_guess_run(
     if stats is not None:
         stats.guesses_live_max = live_max
     best = m1
-    for i in sorted(stores):
-        out = _finish(m1, stores[i])
+    for store in stores.values():
+        out = _finish(m1, store)
         if len(out) > len(best):
             best = out
     return best

@@ -32,10 +32,11 @@ streams together, one tree per stream and one keyer for all of them (the
 harness runs a trial's permutations this way), and ``run_tree_stream`` is
 its one-stream case.  When OPT is unknown, a guess manager keeps one tree
 per active geometric guess g = (1+delta)^j, keyed to the running maximum
-singleton value m: the shared window of ``geomgrid.update_window`` dismisses
-guesses outside [m/(1+delta), (k/delta)*m] and their rows are compacted
-away, a newly admitted guess joins with a fresh root row at the current
-stream position, and the best surviving tree wins.
+singleton value m: tree i is the guess j = ``window[i]`` of
+``geomgrid.window``, which holds g in [m/(1+delta), (k/delta)*m] and only
+moves up, so dismissed guesses are the first trees, whose rows are
+compacted away, a newly admitted guess joins as a fresh last root at the
+current stream position, and the best surviving tree wins.
 
 The interval-greedy leaf trace is an analysis oracle, not part of the
 algorithm: it reads the recorded permutation to reproduce the half-floor
@@ -93,6 +94,14 @@ def delta_fraction(delta: Union[float, str, Fraction]) -> Fraction:
     return Fraction(str(delta)) if isinstance(delta, float) else Fraction(delta)
 
 
+def _float_width(g: float, k: int, d: Fraction) -> float:
+    """The width delta*g/k of a float guess g, rejected if it underflows to 0."""
+    width = float(d) * g / k
+    if width == 0:
+        raise PreconditionError(f"guess g={g!r} gives bucket width delta*g/k = {width!r} (underflow)")
+    return width
+
+
 class IncreaseBuckets:
     """Bucketed gain keying: index = min(floor(gain / width), bucket_count).
 
@@ -122,11 +131,7 @@ class IncreaseBuckets:
             top = -(-self.bucket_count * self._p // self._q)
             self._top = top if top * self._q < 2**63 else None
         else:
-            self.width = float(d) * g / k
-            if self.width == 0:
-                raise PreconditionError(
-                    f"guess g={g!r} gives bucket width delta*g/k = {self.width!r} (underflow)"
-                )
+            self.width = _float_width(g, k, d)
             self._p = None
 
     def key(self, gain) -> int:
@@ -151,30 +156,27 @@ class IncreaseBuckets:
 
 
 class GuessBuckets:
-    """Row-wise keying for the guess forest: tree i keys as ``buckets[i]``.
+    """Row-wise keying for the guess forest: tree i is the guess (1+delta)**window[i].
 
-    Every guess is a float power (1+delta)^j, so each tree's
-    ``IncreaseBuckets`` keys by float floor division and all of them share
-    one bucket count: a row keys to min(max(gain // widths[tree], 0),
-    bucket_count), which is that tree's ``keys`` elementwise.
+    Every guess is a float power, so a row keys to min(max(gain //
+    widths[tree], 0), bucket_count), as that guess's ``IncreaseBuckets``
+    keys it; an int or Fraction gain floor-divides by a float as its float.
     """
 
     def __init__(self, k: int, delta: Union[float, str, Fraction]) -> None:
-        self.bucket_count = math.ceil(k / delta_fraction(delta))
+        self.k, self.delta = k, delta_fraction(delta)
+        self.bucket_count = math.ceil(k / self.delta)
         self.key_count = self.bucket_count + 1
-        self.use([])
+        self.use(range(0))
 
-    def use(self, buckets: list) -> None:
-        """Key tree i as ``buckets[i]`` from now on."""
-        self.buckets = buckets
-        self.widths = np.array([b.width for b in buckets], dtype=np.float64)
+    def use(self, window: range) -> None:
+        """Key tree i as the guess of exponent ``window[i]`` from now on."""
+        base = 1.0 + float(self.delta)
+        self.widths = np.array([_float_width(base**j, self.k, self.delta) for j in window],
+                               dtype=np.float64)
 
     def keys(self, gains: np.ndarray, trees: np.ndarray) -> np.ndarray:
-        if gains.dtype.kind not in "fi":  # exact rationals: each tree's scalar key
-            buckets = self.buckets
-            return np.array([buckets[t].key(g) for g, t in zip(gains.tolist(), trees.tolist())],
-                            dtype=np.int64)
-        raw = gains // self.widths[trees]
+        raw = gains.astype(np.float64, copy=False) // self.widths[trees]
         return np.minimum(np.maximum(raw, 0), self.bucket_count).astype(np.int64)
 
 
@@ -237,8 +239,8 @@ class PrefixTree:
     """A forest of bounded-height solution trees, one per (guess, stream) run.
 
     It starts with ``trees`` trees, each a root row (the empty set);
-    ``add_trees`` appends roots and ``drop_trees`` compacts trees away.  With
-    one tree, row 0 is its root.  Row arrays, one row per node in creation
+    ``add_trees`` appends roots and ``drop_trees`` compacts the first trees
+    away.  With one tree, row 0 is its root.  Row arrays, one row per node in creation
     order: ``tree`` (the index of the node's tree, 0 .. trees-1),
     ``states``/``values`` in the layout of the oracle's ``empty_states``
     (allocated on the first ``tree_process``, which binds the forest to that
@@ -311,12 +313,14 @@ class PrefixTree:
         self.calls = np.concatenate([self.calls, np.zeros(count, dtype=np.int64)])
         self.size, self.trees = n + count, t + count
 
-    def drop_trees(self, keep: np.ndarray) -> None:
-        """Compact away each tree i with ``keep[i]`` false, with its rows and
-        with the arrivals and interned ids only its rows used.  The kept
-        trees and rows keep their order and are numbered from 0 again."""
+    def drop_trees(self, count: int) -> None:
+        """Compact away the first ``count`` trees, with their rows and with
+        the arrivals and interned ids only their rows used.  The other trees
+        and rows keep their order, and tree t becomes tree t - count."""
+        if not count:
+            return
         n = self.size
-        rows = keep[self.tree[:n]].nonzero()[0]
+        rows = (self.tree[:n] >= count).nonzero()[0]
         m = rows.size
         moved = np.full(n, -1, dtype=np.int32)
         moved[rows] = np.arange(m)
@@ -327,9 +331,9 @@ class PrefixTree:
         self.presence[m:n] = 0
         parent, origin, path = self.parent[:m], self.origin[:m], self.path[:m]
         parent[parent >= 0] = moved[parent[parent >= 0]]
-        self.tree[:m] = (np.cumsum(keep) - 1)[self.tree[:m]]
-        self.calls = self.calls[keep]
-        self.size, self.trees = m, int(np.count_nonzero(keep))
+        self.tree[:m] -= count
+        self.calls = self.calls[count:]
+        self.size, self.trees = m, self.trees - count
         used = np.unique(origin[origin >= 0])
         self.arrivals = [self.arrivals[a] for a in used.tolist()]
         origin[origin >= 0] = np.searchsorted(used, origin[origin >= 0])
@@ -385,6 +389,7 @@ def tree_process(tree: PrefixTree, e, oracle: SubmodularOracle) -> PrefixTree:
 
     ``e`` is one Element, which every tree reads, or a sequence with one
     entry per tree: that tree's Element, or None when its stream has ended.
+    A sequence of another length is rejected.
     In each tree, every node at depth < k without a child for the gain key
     of its element gets one.  Only the rows that exist before this pass are
     read, so children created for e are not themselves extended by e.  An
@@ -400,6 +405,8 @@ def tree_process(tree: PrefixTree, e, oracle: SubmodularOracle) -> PrefixTree:
     if isinstance(e, Element):
         ids, group = [e.id], None
     else:
+        if len(e) != tree.trees:
+            raise PreconditionError(f"tree_process got {len(e)} elements for {tree.trees} trees")
         slots: dict = {}
         of_tree = np.array([-1 if a is None else slots.setdefault(a.id, len(slots)) for a in e],
                            dtype=np.int64)
@@ -499,14 +506,13 @@ class RunStats:
 class GuessManager:
     """Parallel trees for the active geometric guesses of OPT, in one forest.
 
-    Active guesses are the exact powers (1+delta)^j, j integer, inside
-    [m/(1+delta), (k/delta)*m] where m is the running maximum singleton
-    value.  The absolute-grid anchoring means a guess that stays in the
-    window keeps its tree across m updates; a guess that falls out is
-    dismissed and its tree's rows are compacted away, and a newly admitted
-    guess joins ``forest`` as a fresh root at the current stream position.
-    ``runs`` maps each active exponent j to its tree's keyer, and
-    ``order[i]`` is the exponent of the forest's tree i.
+    Active guesses are the exact powers (1+delta)^j for j in ``window``:
+    (1+delta)^j in [m/(1+delta), (k/delta)*m], where m is the running
+    maximum singleton value, and tree i of ``forest`` is the guess j =
+    ``window[i]``.  A guess that stays in the window keeps its tree across
+    m updates.  m only grows, so the guesses that fall out are the first
+    trees, which are compacted away, and a newly admitted guess joins at the
+    end as a fresh root at the current stream position.
     """
 
     def __init__(self, k: int, delta: float) -> None:
@@ -515,8 +521,7 @@ class GuessManager:
         self.k = k
         self.delta = delta
         self.m = 0
-        self.runs: dict[int, IncreaseBuckets] = {}
-        self.order: list[int] = []
+        self.window = range(0)
         self.forest = PrefixTree(k, GuessBuckets(k, delta), trees=0)
         self.guesses_live_max = 0
         self.nodes_live_max = 0
@@ -529,20 +534,13 @@ class GuessManager:
         if not singleton_value > self.m:
             return
         self.m = singleton_value
-        base = 1.0 + self.delta
-        geomgrid.update_window(
-            self.runs, self.m, base, self.k / self.delta,
-            lambda j: IncreaseBuckets(base**j, self.k, self.delta),
-        )
-        kept = [j in self.runs for j in self.order]
-        if not all(kept):
-            self.forest.drop_trees(np.array(kept, dtype=bool))
-            self.order = [j for j in self.order if j in self.runs]
-        admitted = self.runs.keys() - self.order
-        self.forest.add_trees(len(admitted))
-        self.order += sorted(admitted)
-        self.forest.keyer.use([self.runs[j] for j in self.order])
-        self.guesses_live_max = max(self.guesses_live_max, len(self.runs))
+        old, window = self.window, geomgrid.window(self.m, 1.0 + self.delta, self.k / self.delta)
+        kept = len(range(max(old.start, window.start), old.stop))
+        self.forest.keyer.use(window)
+        self.forest.drop_trees(len(old) - kept)
+        self.forest.add_trees(len(window) - kept)
+        self.window = window
+        self.guesses_live_max = max(self.guesses_live_max, len(window))
 
     def process(self, e: Element, oracle: SubmodularOracle) -> None:
         tree_process(self.forest, e, oracle)
@@ -551,7 +549,7 @@ class GuessManager:
     def best(self) -> Solution:
         """The best surviving tree's solution; ties go to the smallest guess."""
         best = Solution(elements=frozenset(), value=0)
-        for _, sol in sorted(zip(self.order, best_solutions(self.forest)), key=lambda p: p[0]):
+        for sol in best_solutions(self.forest):
             if sol.value > best.value:
                 best = sol
         return best

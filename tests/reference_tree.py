@@ -5,7 +5,7 @@ the keyer's scalar ``key``; the same skip, dedup and tie rules as
 ``injectstream.tree_stream``.  Test-only.
 """
 
-from injectstream.geomgrid import update_window
+from injectstream.geomgrid import snap_ceil_log, snap_floor_log
 from injectstream.submodular import Solution
 from injectstream.tree_stream import IncreaseBuckets, RunStats
 
@@ -56,15 +56,17 @@ def ref_run(stream, k, keyer, oracle):
 
 
 def ref_guess_run(stream, k, delta, oracle):
-    """Guessed run: one reference tree per guess in the window of
-    ``geomgrid.update_window``; (solution, stats, trees by exponent)."""
+    """Guessed run: one reference tree per exponent j with
+    m/(1+delta) <= (1+delta)**j <= (k/delta)*m, by the snapped logs, not by
+    ``geomgrid.window``; (solution, stats, trees by exponent)."""
     trees, m, calls0, nodes_max, guesses_max = {}, 0, oracle.call_counter, 0, 0
     base = 1.0 + delta
     for e in stream:
         m = max(m, oracle.evaluate((e.id,)))
         if m > 0:
-            update_window(trees, m, base, k / delta,
-                          lambda j: RefTree(k, IncreaseBuckets(base**j, k, delta)))
+            lo, hi = snap_ceil_log(base, m / base), snap_floor_log(base, k / delta * m)
+            trees = {j: trees[j] if j in trees else RefTree(k, IncreaseBuckets(base**j, k, delta))
+                     for j in range(lo, hi + 1)}
         guesses_max = max(guesses_max, len(trees))
         for tree in trees.values():
             ref_process(tree, e, oracle)

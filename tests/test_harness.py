@@ -643,6 +643,7 @@ ERROR_CASES = [
     (["gen", "--problem", "submod", "--kind", "random", "--out", "nodir/x.jsonl"],
      "output directory nodir does not exist"),
     (["recurrence", "--certify", "50", "--emit", "x.csv"], "writes no CSV; drop --emit"),
+    (["recurrence", "--kmax", "5", "--bound", "0.9"], "--bound is read only by --certify"),
     (["submod", "run", "--kind", "random", "--seed", "-1"], "seed must be an integer in"),
     (["gen", "--problem", "matching", "--kind", "random", "--seed", "-1", "--out", "x.jsonl"],
      "seed must be an integer in [0, 2**64); got -1"),

@@ -166,8 +166,9 @@ def guess_forest(stream, k, delta, oracle):
 
 
 def assert_guess_trees_match(manager, ref_trees):
-    assert sorted(manager.order) == sorted(ref_trees) == sorted(manager.runs)
-    for t, j in enumerate(manager.order):
+    assert list(manager.window) == sorted(ref_trees)
+    assert manager.forest.trees == len(manager.window)
+    for t, j in enumerate(manager.window):
         assert node_rows(tree_nodes(manager.forest, t)) == node_rows(ref_trees[j].nodes)
 
 
@@ -194,13 +195,13 @@ def test_guess_forest_compacts_dismissed_guesses():
     windows = []
     for e in stream:
         manager.observe(oracle.evaluate((e.id,)))
-        windows.append(list(manager.order))
+        windows.append(manager.window)
         manager.process(e, oracle)
     assert windows[0][0] < windows[3][0] < windows[6][0]       # dismissed twice
     assert windows[0][-1] < windows[3][-1] < windows[6][-1]    # admitted twice
     assert_guess_trees_match(manager, ref_trees)
     forest = manager.forest
-    assert forest.trees == len(manager.runs) and forest.size == len(forest.nodes)
+    assert forest.trees == len(manager.window) and forest.size == len(forest.nodes)
     on_paths = set().union(*(n.path_ids for n in forest.nodes))
     assert set(forest.ids) == on_paths
     assert len(forest.arrivals) == len({id(n.element) for n in forest.nodes if n.depth})

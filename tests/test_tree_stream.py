@@ -1,6 +1,7 @@
 """Prefix-tree streaming: structure, bucketing, guessing, leaf traces."""
 
 import math
+import re
 import runpy
 import tempfile
 from fractions import Fraction
@@ -11,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from injectstream import geomgrid
 from injectstream.errors import (
     InvalidInstanceError,
     InvariantError,
     PreconditionError,
 )
+from injectstream.matching import EPS
 from injectstream.stream_model import (
     Element,
     InjectionPlan,
@@ -32,12 +35,14 @@ from injectstream.submodular import (
 )
 from injectstream.tree_stream import (
     ExactKeys,
+    GuessBuckets,
     GuessManager,
     IncreaseBuckets,
     PrefixTree,
     RunStats,
     analysis_leaf_trace,
     best_solution,
+    delta_fraction,
     guess_run,
     live_guess_bound,
     node_count_bound,
@@ -99,6 +104,18 @@ def test_snapshot_no_same_element_chains(fig2_oracle):
     assert [c.element.id for c in tree.root.children.values()] == ["A"]
     a = next(iter(tree.root.children.values()))
     assert a.children == {}
+
+
+@pytest.mark.parametrize("trees, elements", [(1, ["A", "B"]), (3, ["A", "B"]), (2, [])])
+def test_tree_process_rejects_a_sequence_not_one_per_tree(fig2_oracle, trees, elements):
+    """A per-tree sequence longer than the forest would drop its extra
+    elements, and a shorter one would index past its end: both are rejected
+    before any tree changes."""
+    oracle, _ = fig2_oracle
+    tree = PrefixTree(2, trees=trees)
+    with pytest.raises(PreconditionError, match=f"got {len(elements)} elements for {trees} trees"):
+        tree_process(tree, [Element(i) for i in elements], oracle)
+    assert tree.size == trees and tree.calls.tolist() == [0] * trees
 
 
 def test_duplicate_arrival_skipped_on_own_path(fig2_oracle):
@@ -171,6 +188,17 @@ def bucket_edge_gains(b: IncreaseBuckets) -> list:
     return out
 
 
+def edge_gain_arrays(b: IncreaseBuckets, extra: list) -> list:
+    """int64, object (int and Fraction) and float64 gains on b's bucket edges."""
+    edges = bucket_edge_gains(b)
+    ints = [math.floor(x) for x in edges] + extra + [0, -3, 10**6, 2**62]
+    return [
+        np.array(ints, dtype=np.int64),
+        np.array([Fraction(x) for x in edges] + extra, dtype=object),
+        np.array([float(x) for x in edges] + extra + [-0.5, 1e12], dtype=np.float64),
+    ]
+
+
 @given(
     st.one_of(st.integers(1, 500),
               st.fractions(min_value=Fraction(1, 7), max_value=500, max_denominator=10**6),
@@ -182,16 +210,12 @@ def bucket_edge_gains(b: IncreaseBuckets) -> list:
 @settings(max_examples=200, deadline=None)
 def test_bucket_keys_match_scalar_key(g, k, delta, extra):
     """The vectorized keys() is key() elementwise for int, Fraction and float
-    widths, on gains <= 0, on the bucket edges and above the clamp bucket."""
+    widths, on gains <= 0, on the bucket edges and above the clamp bucket.
+    So are a guess forest's row-wise keys: three trees with guesses
+    (1+delta)**j around g, each row against the IncreaseBuckets of its tree's
+    guess, on that guess's edges, for int64, object and float64 gains."""
     b = IncreaseBuckets(g, k, delta)
-    edges = bucket_edge_gains(b)
-    ints = [math.floor(x) for x in edges] + extra + [0, -3, 10**6, 2**62]
-    arrays = [
-        np.array(ints, dtype=np.int64),
-        np.array([Fraction(x) for x in edges] + extra, dtype=object),
-        np.array([float(x) for x in edges] + extra + [-0.5, 1e12], dtype=np.float64),
-    ]
-    for gains in arrays:
+    for gains in edge_gain_arrays(b, extra):
         keys = b.keys(gains)
         assert keys.dtype == np.int64
         assert keys.tolist() == [b.key(x) for x in gains.tolist()]
@@ -199,6 +223,19 @@ def test_bucket_keys_match_scalar_key(g, k, delta, extra):
             assert b.key(x) == (0 if x <= 0 else min(int(x // b.width), b.bucket_count))
     assert b.key(0) == b.key(-1) == 0
     assert b.key(10**6 * b.width) == b.bucket_count  # clamp bucket
+
+    base = 1.0 + float(delta_fraction(delta))
+    j = geomgrid.snap_floor_log(base, float(g))
+    window = range(j - 1, j + 2)
+    guesses = GuessBuckets(k, delta)
+    guesses.use(window)
+    per_tree = [IncreaseBuckets(base**i, k, delta) for i in window]
+    for arrays in zip(*(edge_gain_arrays(t, extra) for t in per_tree)):
+        gains = np.concatenate(arrays[::-1])  # the rows of the last tree first
+        trees = np.repeat(np.arange(len(window))[::-1], [len(a) for a in arrays[::-1]])
+        keys = guesses.keys(gains, trees)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [per_tree[t].key(x) for x, t in zip(gains.tolist(), trees.tolist())]
 
 
 def test_float_gain_on_a_rational_bucket_edge_keys_by_float_division():
@@ -232,6 +269,15 @@ def test_float_guess_whose_bucket_width_underflows_is_rejected(use):
         else:
             oracle = AdditiveOracle({0: 5e-324, 1: 1e-323})
             guess_run([Element(0), Element(1)], 4, 0.1, oracle)
+
+
+@pytest.mark.parametrize("top", [1e308, math.inf, 10**400])
+def test_guess_whose_window_top_overflows_is_rejected(top):
+    """A singleton x whose window top (k/delta)*x is not a finite float
+    raises a PreconditionError naming x, not a bare OverflowError."""
+    oracle = AdditiveOracle({0: top, 1: 1.0})
+    with pytest.raises(PreconditionError, match=re.escape(f"x={top!r}")):
+        guess_run([Element(0), Element(1)], 4, 0.1, oracle)
 
 
 def test_node_count_bound_values():
@@ -277,20 +323,43 @@ def test_guess_window_hits_bound_exactly():
     """A singleton of value 1 makes the window [1/(1+d), k/d] with 40 guesses."""
     mgr = GuessManager(4, 0.1)
     mgr.observe(1)
-    assert len(mgr.runs) == live_guess_bound(4, 0.1)
-    js = sorted(mgr.runs)
+    assert len(mgr.window) == mgr.forest.trees == live_guess_bound(4, 0.1)
     base = 1.1
-    assert js[0] == -1  # (1.1)^-1 is the smallest power >= 1/1.1
-    assert base ** js[-1] <= 40.0 + 1e-9
+    assert mgr.window[0] == -1  # (1.1)^-1 is the smallest power >= 1/1.1
+    assert base ** mgr.window[-1] <= 40.0 + 1e-9
 
 
 def test_guess_manager_dismisses_low_guesses():
     mgr = GuessManager(2, 0.5)
     mgr.observe(1)
-    low = min(mgr.runs)
+    low = mgr.window[0]
     mgr.observe(1000)
-    assert low not in mgr.runs
-    assert len(mgr.runs) <= live_guess_bound(2, 0.5)
+    assert low not in mgr.window
+    assert len(mgr.window) == mgr.forest.trees <= live_guess_bound(2, 0.5)
+
+
+@given(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.sampled_from([0.05, 0.1, 0.2, 0.5, 0.9]),
+    st.integers(0, 16),
+)
+@settings(max_examples=300, deadline=None)
+def test_guess_window_moves_up_and_holds_its_powers(x, y, delta, k):
+    """For x <= y the window's start and stop never decrease; every j in it
+    has x/base <= base**j <= coef*x up to the snaps' 1e-12 slack; and it holds
+    at most live_guess_bound(base, coef) exponents.  coef is a tree's k/delta,
+    or matching's 4/(1 - 2 EPS) for k = 0.  (An exact power coef*base =
+    base**n would let both ends of the window sit on the grid, one exponent
+    over the bound; no such coef arises here.)"""
+    x, y = min(x, y), max(x, y)
+    base = 1.0 + delta
+    coef = k / delta if k else 4.0 / float(1 - 2 * EPS)
+    low, high = geomgrid.window(x, base, coef), geomgrid.window(y, base, coef)
+    assert low.start <= high.start and low.stop <= high.stop
+    for j in low:
+        assert x / base * (1 - 1e-12) <= base**j <= coef * x * (1 + 1e-12)
+    assert len(low) <= geomgrid.live_guess_bound(base, coef)
 
 
 def test_guess_run_matches_exact_on_figure2(fig2_oracle):
