@@ -115,8 +115,7 @@ def make_plan(split: InstanceSplit, strategy: str, seed: int = 0) -> InjectionPl
     elif strategy == "spread":
         entries = [(j % (n + 1), i) for j, i in enumerate(ids)]
     elif strategy == "random":
-        rng = PhiloxRNG(seed)
-        entries = [(rng.randbelow(n + 1), i) for i in ids]
+        entries = list(zip(PhiloxRNG(seed).randbelow_many([n + 1] * len(ids)), ids))
     else:
         raise PreconditionError(f"unknown adversary strategy {strategy!r}")
     plan = InjectionPlan(entries=tuple(entries))
@@ -214,13 +213,11 @@ def generate_matching_instance(
 
 
 def _random_bipartite(seed: int, nl: int, nr: int, p: float) -> tuple[InstanceSplit, int]:
-    rng = PhiloxRNG(seed)
     scale = 10**6
-    edges = []
-    for u in range(nl):
-        for v in range(nr):
-            if rng.randbelow(scale) < p * scale:
-                edges.append(Edge(f"L{u}", f"R{v}"))
+    draws = iter(PhiloxRNG(seed).randbelow_many([scale] * (nl * nr)))
+    edges = [
+        Edge(f"L{u}", f"R{v}") for u in range(nl) for v in range(nr) if next(draws) < p * scale
+    ]
     if not edges:
         edges.append(Edge("L0", "R0"))
     mstar = exact_max_matching(edges)

@@ -53,5 +53,9 @@ def window(x, base: float, coef: float) -> range:
 
 
 def live_guess_bound(base: float, coef: float) -> int:
-    """Ceiling of log base of coef*base: a cap on the runs in one window."""
-    return math.ceil(math.log(coef * base) / math.log(base))
+    """A cap on the runs in one window: the largest j with base**j <= coef*base, plus 1.
+
+    A window holds at most that many exponents, and exactly that many when
+    x/base sits on the grid.
+    """
+    return snap_floor_log(base, coef * base) + 1

@@ -6,11 +6,11 @@ would match greedily on the same stream until it holds
 matching is a prefix of M1 and branch 2 is described by that prefix's size
 F alone: from the first edge where |M1| reaches F, that edge included, it
 collects vertex-disjoint 3-augmenting paths for the first F edges of M1,
-read in place from the shared M1, which only grows.  The collected
-augmentations are applied at stream end and the larger of the two branches
-is the output.  When m_star is unknown, branch 2 is replicated for
-geometric guesses of it, one per exponent of ``geomgrid.window`` around
-the live size of M1.  Every run reads its stream once, edge by edge.
+read in place from the shared M1, which only grows.  At stream end branch
+2's size is F plus its collected paths; its augmentations are applied only
+when that beats M1, and the larger branch is the output.  When m_star is
+unknown, branch 2 is replicated for geometric guesses of it, one per
+exponent of ``geomgrid.window`` around the live size of M1.  Every run reads its stream once, edge by edge.
 
 EPS = 1/50 and BETA = (4 - 43 EPS) / (4 - 8 EPS) are the certified
 constants of the analysis; they are fixed, not settings.
@@ -291,12 +291,41 @@ def apply_augmentations(M: Matching, paths: Sequence[AugPath]) -> Matching:
     return out
 
 
-def _finish(m1: Matching, store: AugPathStore) -> Matching:
-    """The larger of M1 and the store's augmented frozen prefix (M1 on ties)."""
-    if len(m1) < store.size:
-        return m1  # M1 never reached the prefix: branch 2 never froze
-    m2 = apply_augmentations(Matching(islice(m1.edges, store.size)), store.paths())
-    return m2 if len(m2) > len(m1) else m1
+def _check_paths(store: AugPathStore) -> None:
+    """Raise InvariantError unless the committed paths augment the frozen
+    prefix: each center lies in it, and the free endpoints lie outside it and
+    are pairwise distinct.  These are the conditions ``apply_augmentations``
+    checks, in O(paths) instead of O(prefix)."""
+    index, size = store.M.index, store.size
+    free: set = set()
+    for center, path in store.committed.items():
+        in_prefix = index.get(center.u, size) < size and store.M.matched[center.u] == center
+        if path.center != center or not in_prefix:
+            raise InvariantError(f"augmenting path center not in the frozen matching: {path}")
+        for w in path.free_endpoints():
+            if index.get(w, size) < size or w in free:
+                raise InvariantError(f"augmenting path endpoints not free: {path}")
+            free.add(w)
+
+
+def _finish(m1: Matching, stores: Iterable[AugPathStore]) -> Matching:
+    """The largest of M1 and the branches' augmented frozen prefixes.
+
+    A branch's augmented size is its prefix size plus its committed paths,
+    so only the winner is built: the earliest branch of the largest size,
+    and M1 unless some branch beats it.  Every branch's paths are checked.
+    """
+    best, best_size = None, len(m1)
+    for store in stores:
+        if len(m1) < store.size:
+            continue  # M1 never reached the prefix: branch 2 never froze
+        _check_paths(store)
+        augmented = store.size + len(store.committed)
+        if augmented > best_size:
+            best, best_size = store, augmented
+    if best is None:
+        return m1
+    return apply_augmentations(Matching(islice(m1.edges, best.size)), best.paths())
 
 
 def match_run(stream: Iterable[Edge], m_star: int) -> Matching:
@@ -316,7 +345,7 @@ def match_run(stream: Iterable[Edge], m_star: int) -> Matching:
         greedy_step(m1, e)
         if len(m1) >= store.size:
             store.offer(e)
-    return _finish(m1, store)
+    return _finish(m1, [store])
 
 
 @dataclass
@@ -336,7 +365,8 @@ def geometric_guess_run(
     Each guess runs its own branch 2 on the shared M1: the prefix of M1 at
     that guess's threshold, or all of M1 if it already reaches the threshold
     when the guess is admitted.  A guess leaving the window is dismissed.
-    Returns the best final matching over greedy and all surviving guesses.
+    Returns the best final matching over greedy and all surviving guesses:
+    the lowest guess of the largest size, or M1 if no guess beats it.
     """
     if not 0 < delta_guess < 1:
         raise PreconditionError("delta_guess must lie in (0, 1)")
@@ -360,16 +390,11 @@ def geometric_guess_run(
                 store.offer(e)
     if stats is not None:
         stats.guesses_live_max = live_max
-    best = m1
-    for store in stores.values():
-        out = _finish(m1, store)
-        if len(out) > len(best):
-            best = out
-    return best
+    return _finish(m1, stores.values())
 
 
 def live_guess_bound(delta_guess: float) -> int:
-    """Ceiling of log base (1+delta) of 4(1+delta)/(1-2 EPS)."""
+    """The guess-count cap: floor(log base (1+delta) of 4(1+delta)/(1-2 EPS)) + 1."""
     return geomgrid.live_guess_bound(1.0 + delta_guess, 4.0 / float(1 - 2 * EPS))
 
 

@@ -1,6 +1,8 @@
 """Seedable randomness for reproducible experiments.
 
-Two generator flavors share one tiny interface, ``randbelow(m)``:
+Two generator flavors share one tiny interface: ``randbelow(m)`` and its
+bulk form ``randbelow_many(highs)``, which returns exactly the draws of
+``[randbelow(m) for m in highs]``:
 
 * :class:`PhiloxRNG` wraps numpy's counter-based Philox bit generator.  The
   same (seed, draw sequence) replays bit-exactly across runs and platforms,
@@ -19,10 +21,18 @@ import numpy as np
 
 T = TypeVar("T")
 
+#: fewer bounds than this draw one by one: one numpy call over an array of
+#: bounds costs about as much as three scalar draws
+_BULK_MIN = 4
+
 
 class CounterRNG(Protocol):
     def randbelow(self, m: int) -> int:
         """Return an integer in [0, m)."""
+        ...
+
+    def randbelow_many(self, highs: Sequence[int]) -> list[int]:
+        """``[randbelow(m) for m in highs]``, in one call."""
         ...
 
 
@@ -36,6 +46,20 @@ class PhiloxRNG:
         if m <= 0:
             raise ValueError("randbelow needs m >= 1")
         return int(self._gen.integers(0, m))
+
+    def randbelow_many(self, highs: Sequence[int]) -> list[int]:
+        """One ``Generator.integers`` call over an array of bounds.
+
+        Its draws equal the scalar calls' in order, because numpy draws each
+        element of an array of bounds as it draws a scalar bound;
+        tests/test_rng.py guards that equality.
+        """
+        if len(highs) < _BULK_MIN:
+            return [self.randbelow(m) for m in highs]
+        bounds = np.asarray(highs, dtype=np.int64)
+        if bounds.min() <= 0:
+            raise ValueError("randbelow needs m >= 1")
+        return self._gen.integers(0, bounds).tolist()
 
 
 class MixedRadixRNG:
@@ -59,6 +83,9 @@ class MixedRadixRNG:
         self._state //= m
         return digit
 
+    def randbelow_many(self, highs: Sequence[int]) -> list[int]:
+        return [self.randbelow(m) for m in highs]
+
 
 def fisher_yates(items: Sequence[T], rng: CounterRNG) -> list[T]:
     """Uniform shuffle (given a uniform ``randbelow``), deterministic in rng state.
@@ -68,7 +95,8 @@ def fisher_yates(items: Sequence[T], rng: CounterRNG) -> list[T]:
     exactly one draw sequence, so uniform draws give a uniform permutation.
     """
     out = list(items)
-    for i in range(len(out) - 1, 0, -1):
-        j = rng.randbelow(i + 1)
+    n = len(out)
+    draws = rng.randbelow_many(range(n, 1, -1))
+    for i, j in zip(range(n - 1, 0, -1), draws):
         out[i], out[j] = out[j], out[i]
     return out

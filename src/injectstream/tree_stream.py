@@ -516,6 +516,8 @@ class GuessManager:
     """
 
     def __init__(self, k: int, delta: float) -> None:
+        if k < 1:
+            raise PreconditionError(f"guessing needs k >= 1; got k={k!r}")
         if not 0 < delta < 1:
             raise PreconditionError("guessing delta must lie in (0, 1)")
         self.k = k
@@ -635,7 +637,7 @@ def guess_run(
 
 
 def live_guess_bound(k: int, delta: float) -> int:
-    """Ceiling of log base (1+delta) of k(1+delta)/delta, the guess-count cap."""
+    """The guess-count cap: floor(log base (1+delta) of k(1+delta)/delta) + 1."""
     return geomgrid.live_guess_bound(1.0 + delta, k / delta)
 
 

@@ -287,7 +287,7 @@ def test_trap_stream_beats_half():
 
 
 def test_live_guess_bound_value():
-    # ceil(log_1.1(4 * 1.1 / 0.96)) = 16
+    # floor(log_1.1(4 * 1.1 / 0.96)) + 1 = 16
     assert live_guess_bound(0.1) == 16
 
 
@@ -362,6 +362,81 @@ def test_guess_run_on_trap_stream():
     ]
     out = geometric_guess_run(stream, 0.1)
     assert len(out) > s  # strictly beats the greedy stall
+
+
+def counting_apply(monkeypatch) -> list:
+    """Patch matching.apply_augmentations to record its calls; return the record."""
+    calls = []
+    real = matching.apply_augmentations
+    monkeypatch.setattr(
+        matching, "apply_augmentations", lambda M, paths: calls.append(len(paths)) or real(M, paths)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("stall, applied", [(True, 1), (False, 0)])
+def test_guess_run_builds_only_the_winning_branch(monkeypatch, stall, applied):
+    """Of the ~16 surviving guesses, only the winner is augmented, and none
+    is when greedy already holds a perfect matching."""
+    s = 10
+    crossing = [Edge(4 * i + 1, 4 * i + 2) for i in range(s)] if stall else []
+    stream = crossing + [Edge(2 * j, 2 * j + 1) for j in range(2 * s)]
+    calls = counting_apply(monkeypatch)
+    out = geometric_guess_run(stream, 0.1)
+    assert len(calls) == applied
+    assert len(out) == (2 * phase1_threshold(2 * s) if stall else 2 * s)
+
+
+def planted_finish(paths):
+    """M1 of 4 edges; a winning branch freezes all of it and commits one
+    valid path, a losing branch freezes its first 2 edges and holds ``paths``."""
+    m1 = Matching(Edge(2 * i, 2 * i + 1) for i in range(4))
+    winner = AugPathStore(m1, 4)
+    winner.committed[Edge(6, 7)] = AugPath(Edge(6, 20), Edge(6, 7), Edge(7, 21))
+    loser = AugPathStore(m1, 2)
+    for p in paths:
+        loser.committed[p.center] = p
+    return m1, winner, loser
+
+
+BAD_LOSER_PATHS = {
+    "free endpoint in the prefix": [AugPath(Edge(2, 0), Edge(0, 1), Edge(1, 9))],
+    "shared free endpoint": [
+        AugPath(Edge(8, 0), Edge(0, 1), Edge(1, 9)),
+        AugPath(Edge(8, 2), Edge(2, 3), Edge(3, 10)),
+    ],
+    "center outside the prefix": [AugPath(Edge(4, 11), Edge(4, 5), Edge(5, 12))],
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_LOSER_PATHS))
+@pytest.mark.parametrize("loser_first", [True, False])
+def test_finish_checks_the_paths_of_a_losing_branch(monkeypatch, bad, loser_first):
+    """A branch that does not win is never built, but its paths are still
+    checked for what apply_augmentations would reject."""
+    paths = BAD_LOSER_PATHS[bad]
+    m1, winner, loser = planted_finish(paths)
+    assert loser.size + len(loser.committed) < winner.size + len(winner.committed)
+    with pytest.raises(InvariantError):
+        apply_augmentations(Matching(list(m1.edges)[: loser.size]), paths)
+    calls = counting_apply(monkeypatch)
+    with pytest.raises(InvariantError):
+        matching._finish(m1, [loser, winner] if loser_first else [winner, loser])
+    assert calls == []
+
+
+def test_finish_builds_the_earliest_largest_branch(monkeypatch):
+    """Not the first branch that beats M1: the largest one, earliest among equals."""
+    m1, beats, loser = planted_finish([AugPath(Edge(8, 0), Edge(0, 1), Edge(1, 9))])
+    largest, twin = AugPathStore(m1, 4), AugPathStore(m1, 4)
+    for store, center in ((largest, Edge(0, 1)), (twin, Edge(2, 3))):
+        store.committed.update(beats.committed)
+        store.committed[center] = AugPath(Edge(30, center.u), center, Edge(center.v, 31))
+    calls = counting_apply(monkeypatch)
+    out = matching._finish(m1, [loser, beats, largest, twin])
+    assert calls == [2] and len(out) == 6
+    assert {Edge(30, 0), Edge(1, 31), Edge(6, 20), Edge(7, 21)} <= set(out)
+    assert matching._finish(m1, [loser]) is m1
 
 
 # ------------------------------------------------------------- exact oracles

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from injectstream.rng import MixedRadixRNG, PhiloxRNG, fisher_yates
 
@@ -58,3 +60,28 @@ def test_philox_near_uniform_on_small_range():
     for _ in range(6000):
         counts[r.randbelow(6)] += 1
     assert min(counts) > 800
+
+
+@given(
+    st.sampled_from(["philox", "mixed"]),
+    st.integers(0, 2**64 - 1),
+    st.lists(st.one_of(st.integers(1, 10), st.integers(1, 2**40)), max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_randbelow_many_equals_scalar_draws(kind, seed, highs):
+    """The bulk draw replays the scalar draws exactly, on both sides of the
+    PhiloxRNG cutoff below which it draws one by one.  NumPy does not
+    document that an array of bounds draws like a sequence of scalar
+    bounds, so this test guards it."""
+    make = PhiloxRNG if kind == "philox" else MixedRadixRNG
+    bulk, scalar = make(seed), make(seed)
+    assert bulk.randbelow_many(highs) == [scalar.randbelow(m) for m in highs]
+    # both generators are left in the same state
+    assert bulk.randbelow_many(highs) == [scalar.randbelow(m) for m in highs]
+
+
+@pytest.mark.parametrize("make", [PhiloxRNG, MixedRadixRNG])
+@pytest.mark.parametrize("highs", [[0], [3, -1], [5, 5, 5, 5, 0], [7] * 20 + [-2]])
+def test_randbelow_many_rejects_bounds_below_one(make, highs):
+    with pytest.raises(ValueError):
+        make(1).randbelow_many(highs)

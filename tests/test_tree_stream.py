@@ -314,9 +314,17 @@ def test_run_tree_stream_modes(fig2_oracle):
 
 
 def test_live_guess_bound_value():
-    # ceil(log_{1.1}(4 * 1.1 / 0.1)) = ceil(39.69...) = 40
+    # floor(log_{1.1}(4 * 1.1 / 0.1)) + 1 = floor(39.69...) + 1 = 40
     assert live_guess_bound(4, 0.1) == 40
     assert live_guess_bound(3, 0.2) == 16
+
+
+@pytest.mark.parametrize("x, base, coef, size", [(2.0, 2.0, 4.0, 4), (1.0, 1.1, 1.0, 2)])
+def test_live_guess_bound_counts_both_ends_on_the_grid(x, base, coef, size):
+    """When coef*base is a power of base and x/base sits on the grid, both
+    window ends are grid powers and the window reaches the bound."""
+    window = geomgrid.window(x, base, coef)
+    assert len(window) == size == geomgrid.live_guess_bound(base, coef)
 
 
 def test_guess_window_hits_bound_exactly():
@@ -349,9 +357,7 @@ def test_guess_window_moves_up_and_holds_its_powers(x, y, delta, k):
     """For x <= y the window's start and stop never decrease; every j in it
     has x/base <= base**j <= coef*x up to the snaps' 1e-12 slack; and it holds
     at most live_guess_bound(base, coef) exponents.  coef is a tree's k/delta,
-    or matching's 4/(1 - 2 EPS) for k = 0.  (An exact power coef*base =
-    base**n would let both ends of the window sit on the grid, one exponent
-    over the bound; no such coef arises here.)"""
+    or matching's 4/(1 - 2 EPS) for k = 0."""
     x, y = min(x, y), max(x, y)
     base = 1.0 + delta
     coef = k / delta if k else 4.0 / float(1 - 2 * EPS)
@@ -375,6 +381,12 @@ def test_guess_manager_rejects_bad_delta():
         GuessManager(2, 0.0)
     with pytest.raises(PreconditionError):
         GuessManager(2, 1.0)
+
+
+def test_guess_run_rejects_k_zero_before_the_window():
+    """k = 0 would put the window top (k/delta)*m at 0, whose log is undefined."""
+    with pytest.raises(PreconditionError, match="k=0"):
+        guess_run([Element(0)], 0, 0.1, AdditiveOracle({0: 1.0}))
 
 
 def recording_stream(ids, oracle, seen):
