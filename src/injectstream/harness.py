@@ -132,7 +132,9 @@ class ExperimentConfig:
         for name in ("trials", "perms", "k", "kmax", "certify_k"):
             value = getattr(self, name)
             if name != "certify_k" or value is not None:
-                _check(isinstance(value, int) and value >= 1, name, value, "an integer >= 1")
+                _check(type(value) is int and value >= 1, name, value, "an integer >= 1")
+        for name in ("t", "delta", "delta_guess"):     # JSON true must not read as 1
+            _check(not isinstance(getattr(self, name), bool), name, getattr(self, name), "a number")
         if "kind" in src and self.problem != "recurrence":
             kind_params(self.problem, src["kind"], _generator_params(self))
         _t_as_fraction(self.t)
@@ -169,8 +171,7 @@ def _check(ok: bool, name: str, value, wanted: str) -> None:
 
 def check_seed(name: str, value) -> None:
     """PreconditionError unless ``value`` is a seed: an integer in [0, 2**64)."""
-    _check(isinstance(value, int) and 0 <= value < 2**64, name, value,
-           "an integer in [0, 2**64)")
+    _check(type(value) is int and 0 <= value < 2**64, name, value, "an integer in [0, 2**64)")
 
 
 def _parsed(parse, value):
@@ -581,13 +582,13 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
 
     ``parse_payload`` turns a record's JSON payload into the element payload
     and raises TypeError or ValueError on a malformed one.  A malformed line,
-    a repeated id, or a slots record that does not fit the elements raises
-    InvalidInstanceError naming ``path:line``; a file that cannot be opened
-    raises it naming ``path``.
+    a repeated id, a second slots record, or a slots record that does not fit
+    the elements raises InvalidInstanceError naming ``path:line``; a file
+    that cannot be opened raises it naming ``path``.
     """
     elements: dict = {"good": [], "noise": []}
     id_lines: dict = {}              # element id -> line of its record
-    plan = plan_where = None
+    plan = plan_line = None
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -608,12 +609,15 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
             if not isinstance(rec, dict):
                 raise InvalidInstanceError(f"{where}: expected a JSON object")
             if "slots" in rec:
+                if plan_line is not None:
+                    raise InvalidInstanceError(f"{where}: a second slots record; "
+                                               f"the first is on line {plan_line}")
                 try:
                     plan = InjectionPlan(entries=tuple(_slot(*e) for e in rec["slots"]))
                 except (TypeError, ValueError):
                     raise InvalidInstanceError(f"{where}: slots must be [slot, noise_id] "
                                                "pairs of an integer and a number or string") from None
-                plan_where = where
+                plan_line = lineno
                 continue
             missing = [name for name in ("id", "role", "payload") if name not in rec]
             if missing:
@@ -641,7 +645,7 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
         try:
             plan.validate(split)
         except PlanValidationError as exc:
-            raise InvalidInstanceError(f"{plan_where}: {exc}") from None
+            raise InvalidInstanceError(f"{path}:{plan_line}: {exc}") from None
     return split, plan
 
 

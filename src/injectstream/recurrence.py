@@ -10,14 +10,15 @@ Definition (threshold parameter t in (0,1]):
 One builder streams the table column by column in 64-bit floats, with
 O(k_max) working memory, in both modes.  Column h covers only the rows
 k = h..k_max that are ever read: its first term reads rows h..k_max of
-column h-1, its second rows h-1..k_max-1.  Dense value/tag storage is kept
-while k_max <= DENSE_LIMIT; beyond that only the diagonal R(k,k) and its
-argmin tags are retained.  Exact mode is a filter over the float columns:
-it streams each column again as unnormalized integer pairs (num, den).
-Where the float margin between candidate terms exceeds FILTER_MARGIN the
-float argmin is trusted (the accumulated float error is provably far
-smaller, see below); a near-tie is settled by integer cross-multiplication
-and its tag corrected.  Only the exact diagonal is stored.
+column h-1, its second rows h-1..k_max-1.  Only the diagonal R(k,k) and
+its argmin tags are kept, whatever k_max; ``first_term_dominance`` walks
+the same columns with one flag per row.  Exact mode is a filter over the
+float columns: it streams each column again as unnormalized integer pairs
+(num, den).  Where the float margin between candidate terms exceeds
+FILTER_MARGIN the float argmin is trusted (the accumulated float error is
+provably far smaller, see below); a near-tie is settled by integer
+cross-multiplication and its tag corrected.  Only the exact diagonal is
+stored.
 
 Float-filter soundness.  Each streamed column applies affine maps with
 coefficients in [0,1) and a three-way min, both 1-Lipschitz in the inputs,
@@ -74,8 +75,7 @@ import numpy as np
 
 from .errors import PreconditionError, SizeLimitError
 
-DENSE_LIMIT = 6000          # largest k_max with full value/tag storage
-EXACT_LIMIT = 2000          # guard for exact mode; below DENSE_LIMIT, so exact tables are dense
+EXACT_LIMIT = 2000          # guard for exact mode
 FLOAT_LIMIT = 200_000
 CERTIFY_LIMIT = 10_000      # guard for certify_diagonal
 FILTER_MARGIN = 1e-9
@@ -96,21 +96,17 @@ def _t_as_fraction(t: Union[float, int, str, Fraction]) -> Fraction:
 
 @dataclass
 class RecurrenceTable:
-    """Computed recurrence values plus which term attained each minimum.
+    """The diagonal R(k,k), 0 <= k <= k_max, plus which term attained each minimum.
 
-    ``values``/``tags`` are dense (k_max+1)x(k_max+1) arrays (NaN / TAG_NONE
-    above the diagonal) when k_max <= DENSE_LIMIT; larger tables keep only
-    ``diagonal`` and ``diag_tags``.  The float values are stored in both
-    modes.  Exact mode adds the exact diagonal, a list of Fractions, and the
-    number of near-ties it settled exactly.
+    The float diagonal is stored in both modes.  Exact mode adds the exact
+    diagonal, a list of Fractions, and the number of near-ties it settled
+    exactly.
     """
 
     t: Fraction
     k_max: int
     diagonal: np.ndarray
     diag_tags: np.ndarray
-    values: Optional[np.ndarray] = None
-    tags: Optional[np.ndarray] = None
     exact_diagonal: Optional[list] = None
     exact_comparisons: int = 0
 
@@ -127,7 +123,7 @@ def compute_table(
     k_max: int = 1000,
     mode: str = "float",
 ) -> RecurrenceTable:
-    """Fill the lower-triangular R(k,h) table for 0 <= h <= k <= k_max."""
+    """Stream the R(k,h) table for 0 <= h <= k <= k_max, keeping its diagonal."""
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
     t_exact = _t_as_fraction(t)
@@ -138,18 +134,10 @@ def compute_table(
         raise SizeLimitError(f"{mode} mode is guarded to k_max <= {limits[mode]}")
     table = RecurrenceTable(t=t_exact, k_max=k_max, diagonal=np.zeros(k_max + 1),
                             diag_tags=np.full(k_max + 1, TAG_NONE, dtype=np.int8))
-    dense = k_max <= DENSE_LIMIT
-    if dense:
-        table.values = np.full((k_max + 1, k_max + 1), np.nan)
-        table.tags = np.full((k_max + 1, k_max + 1), TAG_NONE, dtype=np.int8)
-        table.values[:, 0] = 0.0
-    columns = _float_columns(float(t_exact), k_max, dense)
+    columns = _float_columns(float(t_exact), k_max, mode == "exact")
     if mode == "exact":
         columns = _settle_exactly(columns, table)
     for h, _fa, _fb, cur, col_tags in columns:
-        if dense:
-            table.values[h:, h] = cur
-            table.tags[h:, h] = col_tags
         table.diagonal[h] = cur[0]
         table.diag_tags[h] = col_tags[0]
     return table
@@ -336,37 +324,39 @@ class DominanceReport:
         return self.violation_count == 0
 
 
-def first_term_dominance(table: RecurrenceTable, k_threshold: int) -> DominanceReport:
-    """Check that the first term attains every minimum for k >= k_threshold.
+def first_term_dominance(
+    t: Union[float, int, str, Fraction], k_max: int, k_threshold: int
+) -> DominanceReport:
+    """Check that the first term attains every float minimum for k_threshold <= k <= k_max.
 
-    Also evaluates the closed form R(k,h) = 1 - (1 - t/k)^h on every prefix
-    of h values for which dominance has held from h=1, reporting the largest
-    absolute deviation from the table.
+    Walks the float columns once, keeping per row whether the first term has
+    held since h=1.  Along that prefix of each row it evaluates the closed
+    form R(k,h) = 1 - (1 - t/k)^h, reporting the largest absolute deviation
+    from the table.  Violations are reported in (k, h) order.
     """
-    if table.tags is None or table.values is None:
-        raise PreconditionError(
-            "first_term_dominance needs dense tags: an exact table, "
-            f"or a float one with k_max <= {DENSE_LIMIT}"
-        )
-    if not 1 <= k_threshold <= table.k_max:
-        raise PreconditionError("k_threshold outside table range")
-    tf = float(table.t)
-    kmax = table.k_max
-    violations = []
+    tf = float(_t_as_fraction(t))
+    if not 1 <= k_threshold <= k_max:
+        raise PreconditionError(f"need 1 <= k_threshold <= k_max, got {k_threshold} and {k_max}")
+    if k_max > FLOAT_LIMIT:
+        raise SizeLimitError(f"float mode is guarded to k_max <= {FLOAT_LIMIT}")
+    with np.errstate(divide="ignore"):         # log 0 at t = k = 1, where the third term wins
+        log_a = np.log1p(-tf / np.arange(k_threshold, k_max + 1))
+    held = np.ones(log_a.size, dtype=bool)     # per row: the first term held since h=1
+    violations: list = []
     count = 0
     max_dev = 0.0
-    for k in range(k_threshold, kmax + 1):
-        row_tags = table.tags[k, 1 : k + 1]
-        bad = np.nonzero(row_tags != TAG_FIRST)[0]
-        prefix = k if bad.size == 0 else int(bad[0])
+    for h, _fa, _fb, cur, tags in _float_columns(tf, k_max, True):
+        n = min(cur.size, held.size)             # rows max(h, k_threshold)..k_max
+        tags, run = tags[-n:], held[-n:]         # run is a view into held
+        run &= tags == TAG_FIRST
+        if run.any():
+            closed = -np.expm1(h * log_a[-n:][run])
+            max_dev = max(max_dev, float(np.max(np.abs(cur[-n:][run] - closed))))
+        bad = np.flatnonzero(tags != TAG_FIRST)
         count += bad.size
-        for idx in bad[: max(0, 50 - len(violations))]:
-            violations.append((k, int(idx) + 1, int(row_tags[idx])))
-        if prefix > 0:
-            hs = np.arange(1, prefix + 1, dtype=np.float64)
-            closed = -np.expm1(hs * np.log1p(-tf / k))
-            dev = np.max(np.abs(table.values[k, 1 : prefix + 1] - closed))
-            max_dev = max(max_dev, float(dev))
+        if bad.size:
+            found = [(k_max + 1 - n + i, h, int(tags[i])) for i in bad[:50].tolist()]
+            violations = sorted(violations + found)[:50]
     return DominanceReport(
         k_threshold=k_threshold,
         violations=violations,

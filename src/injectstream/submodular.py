@@ -182,16 +182,21 @@ class CoverageOracle(SubmodularOracle):
         return covered, counts[:, 0] if self.words == 1 else counts.sum(axis=1, dtype=np.int64)
 
 
+def _check_weight(w, what: str) -> None:
+    """InvariantError unless ``w`` is finite and >= 0; ints and Fractions of any size pass."""
+    if not w >= 0 or w == math.inf:          # NaN fails every comparison
+        raise InvariantError(f"weight for {what} must be finite and >= 0, got {w!r}")
+
+
 class WeightedCoverageOracle(SubmodularOracle):
-    """f(S) = total weight of points covered by S; weights must be >= 0."""
+    """f(S) = total weight of points covered by S; weights must be finite and >= 0."""
 
     def __init__(self, instance: CoverageInstance, weights: Mapping[Hashable, object]) -> None:
         super().__init__()
         self.instance = instance
         self.weights = dict(weights)
         for p in instance.universe:
-            if self.weights.get(p, 0) < 0:
-                raise InvariantError(f"negative weight for point {p!r}")
+            _check_weight(self.weights.get(p, 0), f"point {p!r}")
         self.exact = not any(isinstance(w, float) for w in self.weights.values())
 
     def _eval(self, ids: frozenset):
@@ -205,14 +210,13 @@ class WeightedCoverageOracle(SubmodularOracle):
 
 
 class AdditiveOracle(SubmodularOracle):
-    """f(S) = sum of per-element weights (modular; weights >= 0)."""
+    """f(S) = sum of per-element weights (modular; weights finite and >= 0)."""
 
     def __init__(self, weights: Mapping[Hashable, object]) -> None:
         super().__init__()
         self.weights = dict(weights)
         for e, w in self.weights.items():
-            if w < 0:
-                raise InvariantError(f"negative weight for element {e!r}")
+            _check_weight(w, f"element {e!r}")
         self.exact = not any(isinstance(w, float) for w in self.weights.values())
 
     def _eval(self, ids: frozenset):

@@ -61,6 +61,7 @@ from injectstream.tree_stream import (
     run_tree_streams,
     tree_process,
 )
+from reference_recurrence import streamed_cells
 
 
 @contextmanager
@@ -117,16 +118,16 @@ def test_criterion_01_certified_recurrence_bound():
 
 def test_criterion_02_first_term_dominance():
     with criterion(2, "first term attains every minimum for 1000 <= k <= 5000; closed form to 1e-12"):
-        table = compute_table(t=0.8, k_max=5000, mode="float")
-        report = first_term_dominance(table, 1000)
+        report = first_term_dominance(0.8, 5000, 1000)
         assert report.violation_count == 0
         assert report.ok
         assert report.closed_form_max_dev <= 1e-12
         # spot-check the closed form against the stable evaluation directly
+        cells = streamed_cells(0.8, 5000, rows=(1000, 2500, 5000))
         for k in (1000, 2500, 5000):
             for h in (1, k // 2, k):
                 closed = -math.expm1(h * math.log1p(-0.8 / k))
-                assert abs(table.values[k, h] - closed) <= 1e-12
+                assert abs(cells[k, h][0] - closed) <= 1e-12
 
 
 def test_criterion_03_figure2_tree_reproduction():

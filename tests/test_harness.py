@@ -115,6 +115,30 @@ def test_cli_bad_config_value_is_one_line_and_exit_2(tmp_path, capsys, case):
     assert not out.exists()
 
 
+BOOL_FIELDS = {
+    "trials": {"trials": True}, "perms": {"perms": True}, "seed": {"seed": False},
+    "adversary seed": {"adversary": {"strategy": "random", "seed": True}},
+    "k": {"k": True}, "kmax": {"kmax": True}, "certify_k": {"certify_k": True},
+    "t": {"t": True}, "delta": {"delta": True}, "delta_guess": {"delta_guess": False},
+}
+
+
+@pytest.mark.parametrize("name", BOOL_FIELDS)
+def test_config_rejects_json_booleans_in_number_fields(name):
+    """JSON true is a Python bool, an int subclass: it must not read as 1."""
+    with pytest.raises(PreconditionError, match=f"^{name} must be .*; got (True|False)$"):
+        config_from_dict(BOOL_FIELDS[name])
+
+
+def test_cli_config_with_boolean_trials_exits_2(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": True, "out": str(out)}))
+    assert main(["submod", "run", "--config", str(cfg_path)]) == 2
+    assert "error: trials must be an integer >= 1; got True" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("delta", [0.1, "0.1", "1/10", 1])
 def test_config_accepts_every_delta_a_tree_reads(tmp_path, delta):
     guess = "known" if delta == 1 else "auto"
@@ -457,6 +481,18 @@ def test_malformed_instance_line_names_file_and_line(tmp_path, read, bad):
     path = tmp_path / "inst.jsonl"
     path.write_text('{"id": 1, "role": "good", "payload": [1, 2]}\n\n' + bad + "\n")
     with pytest.raises(InvalidInstanceError, match="^" + re.escape(f"{path}:3: ")):
+        read(str(path))
+
+
+@pytest.mark.parametrize("read", [read_submod_instance_file, read_matching_instance_file])
+def test_second_slots_record_is_rejected(tmp_path, read):
+    """Two plans in one file: the second would silently replace the first."""
+    path = tmp_path / "inst.jsonl"
+    path.write_text('{"id": 1, "role": "good", "payload": [1, 2]}\n'
+                    '{"id": 2, "role": "noise", "payload": [3, 4]}\n'
+                    '{"slots": [[0, 2]]}\n\n{"slots": [[1, 2]]}\n')
+    with pytest.raises(InvalidInstanceError, match="^" + re.escape(
+            f"{path}:5: a second slots record; the first is on line 3")):
         read(str(path))
 
 

@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from injectstream import recurrence
 from injectstream.errors import PreconditionError, SizeLimitError
 from injectstream.recurrence import (
     TAG_FIRST,
+    TAG_NONE,
     TAG_SECOND,
     TAG_THIRD,
     asymptote,
@@ -22,7 +23,7 @@ from injectstream.recurrence import (
     first_term_dominance,
     min_diagonal,
 )
-from reference_recurrence import reference_table
+from reference_recurrence import reference_dominance, reference_table, streamed_cells
 
 
 def test_hand_computed_small_values():
@@ -33,22 +34,26 @@ def test_hand_computed_small_values():
     so the admissible minimum is 5/9 via the third term.
     """
     table = compute_table(t="0.8", k_max=2, mode="exact")
+    cells = streamed_cells("0.8", 2, mode="exact")
     d = table.exact_diagonal
     assert d[1] == Fraction(5, 9)
-    assert table.tags[1, 1] == TAG_THIRD
+    assert cells[1, 1][1] == table.diag_tags[1] == TAG_THIRD
     # R(2,1) = t/2: first term wins
     assert reference_table(Fraction(4, 5), 2)[2, 1] == (Fraction(2, 5), TAG_FIRST)
-    assert table.tags[2, 1] == TAG_FIRST
+    assert cells[2, 1][1] == TAG_FIRST
     # R(2,2) = min(2/5 + 3/5 * 2/5, 1/2 + (1 - 9/10) * 5/9, 5/9)
     #        = min(16/25, 1/2 + 1/18, 5/9) -> 5/9 at the second term (ties low tag)
     assert d[2] == Fraction(5, 9)
-    assert table.tags[2, 2] == TAG_SECOND
+    assert cells[2, 2][1] == table.diag_tags[2] == TAG_SECOND
 
 
 def test_base_row_is_zero():
     table = compute_table(t="0.8", k_max=3, mode="exact")
-    assert (table.values[:, 0] == 0).all()
+    assert table.diagonal[0] == 0 and table.diag_tags[0] == TAG_NONE
     assert table.exact_diagonal[0] == 0
+    # column 1 reads R(., 0) = 0: R(k,1) = min(t/k, 1/k, 1/(1+t))
+    cells = streamed_cells(0.8, 3)
+    assert [cells[k, 1][0] for k in (1, 2, 3)] == [1 / 1.8, 0.8 / 2, 0.8 / 3]
 
 
 def test_exact_and_float_agree():
@@ -70,15 +75,17 @@ def test_filter_margin_resolves_exact_ties():
     At t = 4/5 the second term applied to R = 1/(1+t) reproduces 1/(1+t)
     exactly, so the second and third terms tie all along the 5/9 plateau.
     """
-    exact = compute_table(t="0.8", k_max=120, mode="exact")
-    flt = compute_table(t=0.8, k_max=120, mode="float")
+    exact = streamed_cells("0.8", 120, mode="exact")
+    flt = streamed_cells(0.8, 120)
     t = Fraction(4, 5)
     ref = reference_table(t, 120)
-    for k, h in np.argwhere(exact.tags[1:, 1:] != flt.tags[1:, 1:]) + 1:
+    differ = [(k, h) for (k, h), (_, tag) in exact.items() if tag != flt[k, h][1]]
+    assert differ
+    for k, h in differ:
         second = Fraction(1, k) + (1 - (1 + t) / k) * ref[k - 1, h - 1][0]
         third = 1 / (1 + t)
         assert second == third  # a genuine tie, not a filter failure
-        assert exact.tags[k, h] < flt.tags[k, h]  # exact resolves low
+        assert exact[k, h][1] < flt[k, h][1]  # exact resolves low
 
 
 def test_five_ninths_plateau_ends():
@@ -107,16 +114,13 @@ def test_mode_and_size_guards():
         compute_table(t=0.8, k_max=2001, mode="exact")
 
 
-def test_diagonal_storage_matches_dense(monkeypatch):
-    dense = compute_table(t=0.8, k_max=400, mode="float")
-    assert dense.values is not None
-    monkeypatch.setattr(recurrence, "DENSE_LIMIT", 399)
-    diag = compute_table(t=0.8, k_max=400, mode="float")
-    assert np.allclose(dense.diagonal, diag.diagonal, atol=0)
-    assert np.array_equal(dense.diag_tags, diag.diag_tags)
-    assert diag.values is None
-    with pytest.raises(PreconditionError):
-        first_term_dominance(diag, 100)
+@pytest.mark.parametrize("mode, k_max", [("float", 300), ("exact", 60)])
+def test_table_holds_only_the_diagonal(mode, k_max):
+    """Every array or list a table keeps has at most k_max + 1 entries."""
+    table = compute_table(t="0.8", k_max=k_max, mode=mode)
+    held = [v for v in vars(table).values() if isinstance(v, (np.ndarray, list))]
+    assert len(held) == (3 if mode == "exact" else 2)     # the exact diagonal too
+    assert all(len(v) <= k_max + 1 and np.ndim(v) == 1 for v in held)
 
 
 def _encloses(intervals, exact) -> bool:
@@ -156,21 +160,56 @@ def test_certify_verdicts_and_guard():
 
 
 def test_first_term_dominance_small_range():
-    table = compute_table(t=0.8, k_max=300, mode="float")
-    report = first_term_dominance(table, 60)
+    report = first_term_dominance(0.8, 300, 60)
     assert report.ok
     assert report.closed_form_max_dev <= 1e-12
     # early rows do violate: R(1,1) is a third-term cell
-    low = first_term_dominance(table, 1)
+    low = first_term_dominance(0.8, 300, 1)
     assert not low.ok
+    assert low.violations[0] == (1, 1, TAG_THIRD)
+
+
+def test_first_term_dominance_guards():
+    with pytest.raises(PreconditionError):
+        first_term_dominance(1.5, 10, 1)
+    for k_max, k_threshold in ((10, 0), (10, 11), (0, 1)):
+        with pytest.raises(PreconditionError):
+            first_term_dominance(0.8, k_max, k_threshold)
+    with pytest.raises(SizeLimitError):
+        first_term_dominance(0.8, recurrence.FLOAT_LIMIT + 1, 1)
+
+
+@given(
+    st.integers(1, 30).flatmap(
+        lambda den: st.integers(1, den).map(lambda num: Fraction(num, den))
+    ),
+    st.integers(1, 60).flatmap(lambda k_max: st.tuples(st.just(k_max), st.integers(1, k_max))),
+)
+@example(Fraction(1), (60, 1))      # 1,771 violations: the list is cut to the first 50
+@example(Fraction(4, 5), (60, 2))
+@settings(max_examples=30, deadline=None)
+def test_first_term_dominance_matches_row_wise_check(t, sizes):
+    """The column-by-column report equals the row-by-row one on the same float cells."""
+    k_max, k_threshold = sizes
+    report = first_term_dominance(t, k_max, k_threshold)
+    violations, count, max_dev = reference_dominance(t, k_max, k_threshold)
+    assert report.violations == violations
+    assert report.violation_count == count
+    assert report.closed_form_max_dev == max_dev
+
+
+def test_first_term_dominance_reaches_the_certificate_limit():
+    """Rows 1000..10000 stream in O(k_max) memory; no dense grid bounds k_max."""
+    report = first_term_dominance(0.8, recurrence.CERTIFY_LIMIT, 1000)
+    assert report.ok and report.closed_form_max_dev <= 1e-12
 
 
 def test_closed_form_expr_matches_table():
-    table = compute_table(t=0.8, k_max=300, mode="float")
+    cells = streamed_cells(0.8, 300, rows=[200])
     k = 200
     for h in (1, 37, 200):
         closed = -math.expm1(h * math.log1p(-0.8 / k))
-        assert abs(table.values[k, h] - closed) <= 1e-12
+        assert abs(cells[k, h][0] - closed) <= 1e-12
 
 
 def test_asymptote_value():
@@ -211,9 +250,12 @@ def test_exact_engine_matches_fraction_reference(t, k_max):
     ref = reference_table(t, k_max)
     table = compute_table(t=t, k_max=k_max, mode="exact")
     assert table.exact_diagonal == [ref[k, k][0] for k in range(k_max + 1)]
-    for (k, h), (value, tag) in ref.items():
-        assert table.tags[k, h] == tag, (k, h)
-        assert abs(table.values[k, h] - float(value)) <= 1e-12, (k, h)
+    assert table.diag_tags.tolist() == [ref[k, k][1] for k in range(k_max + 1)]
+    cells = streamed_cells(t, k_max, mode="exact")
+    assert len(cells) == len(ref) - (k_max + 1)      # the base row h = 0 is not streamed
+    for (k, h), (value, tag) in cells.items():
+        assert tag == ref[k, h][1], (k, h)
+        assert abs(value - float(ref[k, h][0])) <= 1e-12, (k, h)
 
 
 @given(

@@ -1,7 +1,9 @@
 """Oracle values, brute-force optimum, and the axiom checker."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +139,25 @@ def test_weighted_coverage_rejects_negative_weight():
     inst = CoverageInstance({"a": frozenset({1})})
     with pytest.raises(InvariantError):
         WeightedCoverageOracle(inst, {1: -0.5})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, np.float32("inf")])
+def test_oracles_reject_non_finite_or_negative_weights(bad):
+    """NaN compares False with 0, so it needs its own check; an infinite
+    weight would make every set through it worth the same inf."""
+    inst = CoverageInstance({"a": frozenset({1, 2})})
+    with pytest.raises(InvariantError, match="weight for point 2 must be finite"):
+        WeightedCoverageOracle(inst, {1: 1.0, 2: bad})
+    with pytest.raises(InvariantError, match="weight for element 1 must be finite"):
+        AdditiveOracle({0: 1.0, 1: bad, 2: 2.0})
+
+
+def test_oracles_accept_exact_weights_of_any_size():
+    big = 10**400
+    assert AdditiveOracle({0: big, 1: Fraction(big, 3)}).evaluate({0, 1}) == Fraction(4 * big, 3)
+    inst = CoverageInstance({"a": frozenset({1, 2})})
+    oracle = WeightedCoverageOracle(inst, {1: big, 2: Fraction(1, 3)})
+    assert oracle.evaluate({"a"}) == big + Fraction(1, 3)
 
 
 def test_additive_oracle():

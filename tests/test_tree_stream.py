@@ -30,6 +30,7 @@ from injectstream.submodular import (
     AdditiveOracle,
     CoverageInstance,
     CoverageOracle,
+    WeightedCoverageOracle,
     brute_force_opt,
     figure2_instance,
 )
@@ -274,8 +275,13 @@ def test_float_guess_whose_bucket_width_underflows_is_rejected(use):
 @pytest.mark.parametrize("top", [1e308, math.inf, 10**400])
 def test_guess_whose_window_top_overflows_is_rejected(top):
     """A singleton x whose window top (k/delta)*x is not a finite float
-    raises a PreconditionError naming x, not a bare OverflowError."""
-    oracle = AdditiveOracle({0: top, 1: 1.0})
+    raises a PreconditionError naming x, not a bare OverflowError.  Weights
+    must be finite, so x = inf is the overflowing sum of two finite ones."""
+    if top == math.inf:
+        inst = CoverageInstance({0: frozenset({"a", "b"}), 1: frozenset({"c"})})
+        oracle = WeightedCoverageOracle(inst, {"a": 1e308, "b": 1e308, "c": 1.0})
+    else:
+        oracle = AdditiveOracle({0: top, 1: 1.0})
     with pytest.raises(PreconditionError, match=re.escape(f"x={top!r}")):
         guess_run([Element(0), Element(1)], 4, 0.1, oracle)
 
@@ -429,7 +435,8 @@ def test_forest_consumes_each_stream_one_element_at_a_time(fig2_oracle):
 DEMO_LINES = {
     "01_adversarial_streams": ["enumerated 24 permutations; noise prefix is invariant:"],
     "02_prefix_tree": ["best node: ['A', 'B'] value 5", "live nodes max 8 <= 43"],
-    "03_recurrence_certificate": ["certified >= 0.5506: True"],
+    "03_recurrence_certificate": ["certified >= 0.5506: True",
+                                  "first-term dominance for k >= 1000: ok=True"],
     "04_matching_two_branch": ["certified case-1 floor: 28.40"],
     # the fingerprint does not depend on the temporary output directory
     "05_full_experiment": ["submod: fingerprint 76e2054b8b5e, exit 0",
