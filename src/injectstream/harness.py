@@ -24,7 +24,6 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidInstanceError, InvariantError, PlanValidationError, PreconditionError
@@ -44,8 +43,10 @@ from .matching import (
     greedy_matching,
     match_run,
 )
-from .recurrence import _t_as_fraction, certify_diagonal, compute_table, min_diagonal
-from .stream_model import Element, InjectionPlan, InstanceSplit, build_stream
+from .recurrence import (
+    _bound_as_fraction, _t_as_fraction, certify_diagonal, compute_table, min_diagonal,
+)
+from .stream_model import Element, InjectionPlan, InstanceSplit, build_stream, build_streams
 from .submodular import CoverageInstance, CoverageOracle, brute_force_opt
 from .tree_stream import RunStats, delta_fraction, guess_run, run_tree_streams
 from .tree_stream import run_tree_stream  # noqa: F401 - perfbench's tracer wraps it by this name
@@ -143,8 +144,8 @@ class ExperimentConfig:
         _check(self.guess != "auto" or delta < 1, "delta", self.delta, "below 1 with guess auto")
         _check(isinstance(self.delta_guess, (int, float)) and 0 < self.delta_guess < 1,
                "delta_guess", self.delta_guess, "a number in (0, 1)")
-        _check(self.bound is None or _parsed(Fraction, str(self.bound)) is not None,
-               "bound", self.bound, "a decimal or a fraction")
+        if self.bound is not None:
+            _bound_as_fraction(self.bound)
 
     def canonical_json(self) -> str:
         """Every value except ``out``: where the rows go does not change them."""
@@ -195,9 +196,10 @@ class TrialRecord:
     """One algorithm run; `columns` mirrors the CSV row for its problem.
 
     A failed run keeps its error text; ``invariant`` marks a failure that
-    raised :class:`InvariantError`.  ``wall_time_s`` is the realization
-    time of the run's stream plus 1/P of the run time of the P streams it
-    ran with (P = 1 outside the known-guess submod modes).
+    raised :class:`InvariantError`.  ``wall_time_s`` is the run's share of
+    its stream's realization time plus 1/P of the run time of the P streams
+    it ran with (P = 1 outside the known-guess submod modes); see
+    ``_run_perms``.
     """
 
     columns: dict
@@ -342,25 +344,35 @@ def _run_trials(config: ExperimentConfig, load, run) -> list[TrialRecord]:
 def _run_perms(
     config: ExperimentConfig, run, loaded: tuple, t_seed: int, perms: range, fp: str
 ) -> list[TrialRecord]:
-    """Realize the streams of ``perms``, run them together, and return
-    their records in perm order.
+    """Realize the streams of ``perms`` in one call, run them together, and
+    return their records in perm order.
 
-    If the batch raises, each of its streams runs alone, so only a stream
-    that raises on its own gets a failed record.  A record's
-    ``wall_time_s`` is its stream's realization time plus its share, 1/P,
-    of the run time of the P streams it ran with.
+    If the realization raises, each perm is realized alone; if the run
+    raises, each stream runs alone.  So only a perm that fails on its own
+    gets a failed record.  A record's ``wall_time_s`` is its stream's share
+    of the realization time (1/len(perms) of the batch call, or all of its
+    own call) plus its share, 1/P, of the run time of the P streams it ran
+    with.
     """
     split, plan, trial = loaded
     done: dict = {}
+    seeds = [perm_seed(t_seed, p_idx) for p_idx in perms]
     streams = []  # (perm index, stream, realization seconds)
-    for p_idx in perms:
-        started = time.perf_counter()
-        try:
-            stream = build_stream(split, plan, perm_seed(t_seed, p_idx))
-        except Exception as exc:  # noqa: BLE001 - record and move on
-            done[p_idx] = _failed(exc, time.perf_counter() - started)
-            continue
-        streams.append((p_idx, stream, time.perf_counter() - started))
+    started = time.perf_counter()
+    try:
+        built = build_streams(split, plan, seeds)
+    except Exception:  # noqa: BLE001 - the batch failed: realize each perm alone
+        for p_idx, seed in zip(perms, seeds):
+            started = time.perf_counter()
+            try:
+                stream = build_stream(split, plan, seed)
+            except Exception as exc:  # noqa: BLE001 - record and move on
+                done[p_idx] = _failed(exc, time.perf_counter() - started)
+                continue
+            streams.append((p_idx, stream, time.perf_counter() - started))
+    else:
+        share = (time.perf_counter() - started) / len(perms)
+        streams = [(p_idx, stream, share) for p_idx, stream in zip(perms, built)]
 
     def attempt(part: list) -> None:
         started = time.perf_counter()
@@ -469,7 +481,7 @@ def _matching_run(config: ExperimentConfig, streams: list, m_star: int) -> list[
 
 def _match_stream(config: ExperimentConfig, stream, m_star: int) -> tuple[dict, dict]:
     algo = config.match_mode
-    edges = edges_from_stream(stream)
+    edges = (el.payload for el in stream)  # every algorithm reads its stream once
     memory: dict = {}
     if algo == "greedy":
         out = greedy_matching(edges)

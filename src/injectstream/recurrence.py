@@ -94,6 +94,15 @@ def _t_as_fraction(t: Union[float, int, str, Fraction]) -> Fraction:
     return frac
 
 
+def _bound_as_fraction(bound: Union[float, int, str, Fraction]) -> Fraction:
+    """``bound`` as an exact rational, read from ``str(bound)``; PreconditionError
+    unless that is a decimal or a fraction."""
+    try:
+        return Fraction(str(bound))
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(f"bound must be a decimal or a fraction; got {bound!r}") from None
+
+
 @dataclass
 class RecurrenceTable:
     """The diagonal R(k,k), 0 <= k <= k_max, plus which term attained each minimum.
@@ -284,9 +293,9 @@ def certify_diagonal(
     minimum, is settled by the exact table when k_max <= EXACT_LIMIT, and is
     "not certified" above it.  Every comparison with ``bound`` is exact.
     """
+    b = _bound_as_fraction(bound)
     diag = diagonal_intervals(t, k_max)
     lo, hi = float(diag[0, 1:].min()), float(diag[1, 1:].min())
-    b = Fraction(str(bound))
     if Fraction(lo) >= b:
         verdict = "holds"
     elif Fraction(hi) < b:

@@ -25,6 +25,10 @@ T = TypeVar("T")
 #: bounds costs about as much as three scalar draws
 _BULK_MIN = 4
 
+_LOW_WORD = 2**64 - 1
+#: Philox's zero counter and empty buffer; setting the state copies them
+_ZEROS = np.zeros(4, dtype=np.uint64)
+
 
 class CounterRNG(Protocol):
     def randbelow(self, m: int) -> int:
@@ -40,7 +44,28 @@ class PhiloxRNG:
     """Counter-based production RNG (numpy Philox under the hood)."""
 
     def __init__(self, seed: int) -> None:
-        self._gen = np.random.Generator(np.random.Philox(key=seed))
+        self._bits = np.random.Philox(key=seed)
+        self._gen = np.random.Generator(self._bits)
+
+    def reseed(self, seed: int) -> None:
+        """Restart as ``PhiloxRNG(seed)`` would start, without building a new one.
+
+        Sets the bit generator's state to (key = seed as two uint64 words,
+        low word first; counter 0; empty buffer; no cached uint32), which is
+        the state ``Philox(key=seed)`` starts in.  NumPy does not promise
+        this state layout; tests/test_rng.py pins it.
+        """
+        if not 0 <= seed < 2**128:
+            raise ValueError("key must be positive and less than 2**128.")
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZEROS,
+                      "key": np.array([seed & _LOW_WORD, seed >> 64], dtype=np.uint64)},
+            "buffer": _ZEROS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def randbelow(self, m: int) -> int:
         if m <= 0:

@@ -10,6 +10,11 @@ good/noise labels.
 Slot convention: slot i means "inject before the (i+1)-th good element", so
 slot 0 is the stream front and slot len(good) is the end.  Noise elements
 assigned to the same slot appear in the plan's list order.
+
+A trial's permuted streams are realized in one call: :func:`build_streams`
+validates the plan and groups its noise by slot once, then reseeds one
+Philox generator per permutation seed.  :func:`build_stream` is its
+one-seed case.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator, Optional, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidInstanceError, PlanValidationError, SizeLimitError
 from .rng import CounterRNG, MixedRadixRNG, PhiloxRNG, fisher_yates
@@ -127,25 +132,61 @@ def realize_stream(
     seed: Optional[int] = None,
 ) -> InjectedStream:
     """Interleave a concrete permutation with a validated plan."""
-    plan.validate(split)
+    per_slot = _noise_by_slot(split, plan)
     if Counter(e.id for e in permutation) != Counter(e.id for e in split.good):
         raise InvalidInstanceError("permutation is not a permutation of the good set")
-    noise_of = split.noise_by_id()
-    per_slot: list[list[Element]] = [[] for _ in range(split.n_good + 1)]
-    for slot, nid in plan.entries:
-        per_slot[slot].append(noise_of[nid])
-    order: list[Element] = []
-    for i, g in enumerate(permutation):
-        order.extend(per_slot[i])
-        order.append(g)
-    order.extend(per_slot[split.n_good])
-    return InjectedStream(order=tuple(order), permutation=tuple(permutation), seed=seed)
+    return _interleave(per_slot, permutation, seed)
+
+
+def build_streams(
+    split: InstanceSplit, plan: InjectionPlan, seeds: Iterable[int]
+) -> list[InjectedStream]:
+    """``[build_stream(split, plan, seed) for seed in seeds]``, in one call.
+
+    The plan is validated and its noise grouped by slot once, and one
+    Philox generator is reseeded per seed instead of built anew.  The
+    shuffles are made here, so they skip ``realize_stream``'s permutation
+    check.
+    """
+    if split.n_good == 0:
+        raise InvalidInstanceError("cannot permute an empty good set")
+    per_slot = _noise_by_slot(split, plan)
+    rng: Optional[PhiloxRNG] = None
+    streams = []
+    for seed in seeds:
+        if rng is None:
+            rng = PhiloxRNG(seed)
+        else:
+            rng.reseed(seed)
+        streams.append(_interleave(per_slot, fisher_yates(split.good, rng), seed))
+    return streams
 
 
 def build_stream(split: InstanceSplit, plan: InjectionPlan, seed: int) -> InjectedStream:
     """Sample a permutation for the split and realize the plan against it."""
-    perm = sample_permutation(split.good, seed)
-    return realize_stream(split, plan, perm, seed=seed)
+    return build_streams(split, plan, (seed,))[0]
+
+
+def _noise_by_slot(split: InstanceSplit, plan: InjectionPlan) -> list[list[Element]]:
+    """Validate the plan; per_slot[i] is slot i's noise, in plan order."""
+    plan.validate(split)
+    noise_of = split.noise_by_id()
+    per_slot: list[list[Element]] = [[] for _ in range(split.n_good + 1)]
+    for slot, nid in plan.entries:
+        per_slot[slot].append(noise_of[nid])
+    return per_slot
+
+
+def _interleave(
+    per_slot: list[list[Element]], permutation: Sequence[Element], seed: Optional[int]
+) -> InjectedStream:
+    """Slot i's noise before the permutation's i-th element; the last slot's at the end."""
+    order: list[Element] = []
+    for noise, g in zip(per_slot, permutation):
+        order.extend(noise)
+        order.append(g)
+    order.extend(per_slot[-1])
+    return InjectedStream(order=tuple(order), permutation=tuple(permutation), seed=seed)
 
 
 def enumerate_streams(split: InstanceSplit, plan: InjectionPlan) -> list[InjectedStream]:
@@ -162,8 +203,8 @@ def enumerate_streams(split: InstanceSplit, plan: InjectionPlan) -> list[Injecte
         )
     if n == 0:
         raise InvalidInstanceError("cannot enumerate permutations of an empty good set")
-    streams = []
-    for seed in range(math.factorial(n)):
-        perm = sample_permutation(split.good, seed, rng_factory=MixedRadixRNG)
-        streams.append(realize_stream(split, plan, perm, seed=seed))
-    return streams
+    per_slot = _noise_by_slot(split, plan)
+    return [
+        _interleave(per_slot, fisher_yates(split.good, MixedRadixRNG(seed)), seed)
+        for seed in range(math.factorial(n))
+    ]

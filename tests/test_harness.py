@@ -391,6 +391,63 @@ def test_forest_chunks_leave_the_csv_unchanged(tmp_path, monkeypatch):
     assert len(whole.splitlines()) == 11
 
 
+#: a known-guess submod run: each trial realizes its 5 perms in one batch
+BATCH_ARGV = ["submod", "run", "--kind", "random", "--params", '{"n": 8, "universe": 12}',
+              "--k", "2", "--mode", "bucketed", "--trials", "2", "--perms", "5", "--seed", "4"]
+
+
+def batch_fails(*args, **kwargs):
+    raise ValueError("planted batch failure")
+
+
+def test_failed_batch_realization_falls_back_to_each_perm(tmp_path, monkeypatch):
+    """If a trial's one build_streams call raises, each perm is realized
+    alone through build_stream, and the CSV bytes do not change."""
+    assert main(BATCH_ARGV + ["--out", str(tmp_path / "batch.csv")]) == 0
+    real, seeds = harness.build_stream, []
+
+    def recorded(split, plan, seed):
+        seeds.append(seed)
+        return real(split, plan, seed)
+
+    monkeypatch.setattr(harness, "build_streams", batch_fails)
+    monkeypatch.setattr(harness, "build_stream", recorded)
+    assert main(BATCH_ARGV + ["--out", str(tmp_path / "alone.csv")]) == 0
+    assert seeds == [perm_seed(trial_seed(4, t), p) for t in range(2) for p in range(5)]
+    batch = (tmp_path / "batch.csv").read_bytes()
+    assert (tmp_path / "alone.csv").read_bytes() == batch
+    assert len(batch.splitlines()) == 11
+
+
+def test_perm_that_fails_alone_loses_only_its_row(tmp_path, monkeypatch):
+    """With the batch call failing, a perm whose own realization raises gets
+    a failed record holding the error; every other perm keeps its row."""
+    real = harness.build_stream
+    bad_seed = perm_seed(trial_seed(4, 1), 3)
+
+    def one_perm_fails(split, plan, seed):
+        if seed == bad_seed:
+            raise InvalidInstanceError("planted perm failure")
+        return real(split, plan, seed)
+
+    monkeypatch.setattr(harness, "build_streams", batch_fails)
+    monkeypatch.setattr(harness, "build_stream", one_perm_fails)
+    out = str(tmp_path / "runs.csv")
+    cfg = config_from_dict(dict(
+        problem="submod", instance={"kind": "random", "params": {"n": 8, "universe": 12}},
+        k=2, mode="bucketed", trials=2, perms=5, seed=4, out=out,
+    ))
+    r = run_experiment(cfg)
+    assert r.exit_code == 1
+    failed = [i for i, rec in enumerate(r.records) if rec.error is not None]
+    assert failed == [8]
+    assert r.records[8].error == "InvalidInstanceError: planted perm failure"
+    assert not r.records[8].invariant
+    rows = [(row["seed"], row["perm_index"]) for row in csv.DictReader(open(out))]
+    expected = [(str(trial_seed(4, t)), str(p)) for t in range(2) for p in range(5)]
+    assert rows == [key for key in expected if key != (str(trial_seed(4, 1)), "3")]
+
+
 # ------------------------------------------------------------ instance files
 
 

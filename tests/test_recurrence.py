@@ -159,6 +159,18 @@ def test_certify_verdicts_and_guard():
         certify_diagonal(0.8, 0, "0.5506")
 
 
+@pytest.mark.parametrize("bound", ["abc", True, "1/0", None])
+def test_certify_rejects_an_unreadable_bound_first(monkeypatch, bound):
+    """The bound is read, by the rule ExperimentConfig applies, before any
+    interval is computed."""
+    def no_intervals(*args):
+        raise AssertionError("diagonal_intervals ran before the bound was read")
+
+    monkeypatch.setattr(recurrence, "diagonal_intervals", no_intervals)
+    with pytest.raises(PreconditionError, match=r"bound must be a decimal or a fraction; got"):
+        certify_diagonal(0.8, 5, bound)
+
+
 def test_first_term_dominance_small_range():
     report = first_term_dominance(0.8, 300, 60)
     assert report.ok

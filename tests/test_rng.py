@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from injectstream import rng as rng_module
 from injectstream.rng import MixedRadixRNG, PhiloxRNG, fisher_yates
 
 
@@ -85,3 +87,38 @@ def test_randbelow_many_equals_scalar_draws(kind, seed, highs):
 def test_randbelow_many_rejects_bounds_below_one(make, highs):
     with pytest.raises(ValueError):
         make(1).randbelow_many(highs)
+
+
+def _state_items(state: dict) -> list:
+    """A bit generator's state dict with its arrays as lists, for ==."""
+    return [(key, _state_items(value) if isinstance(value, dict)
+             else value.tolist() if isinstance(value, np.ndarray) else value)
+            for key, value in sorted(state.items())]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 + 3, 2**128 - 1])
+def test_reseed_restarts_as_a_fresh_philox(seed):
+    """``reseed`` writes numpy's Philox state dict by hand: key as two uint64
+    words (low first), counter 0, empty buffer, no cached uint32.  NumPy does
+    not promise that layout, so this test pins it."""
+    used = PhiloxRNG(99)
+    used.randbelow(7)                  # leaves a cached uint32 behind
+    used.randbelow_many([2**40] * 6)   # and a partly used buffer
+    used.reseed(seed)
+    assert _state_items(used._bits.state) == _state_items(np.random.Philox(key=seed).state)
+    fresh = PhiloxRNG(seed)
+    for highs in ([7], [2**40] * 6, [3, 2], [10**9] * 5):
+        assert used.randbelow_many(highs) == fresh.randbelow_many(highs)
+        assert used.randbelow(1000) == fresh.randbelow(1000)
+    # setting the state copied the shared zero arrays rather than drawing into them
+    assert not rng_module._ZEROS.any()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 2**130])
+def test_reseed_rejects_seeds_outside_the_key_range(seed):
+    with pytest.raises(ValueError):
+        np.random.Philox(key=seed)
+    with pytest.raises(ValueError):
+        PhiloxRNG(seed)
+    with pytest.raises(ValueError):
+        PhiloxRNG(0).reseed(seed)

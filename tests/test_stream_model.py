@@ -4,7 +4,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from injectstream.errors import (
@@ -12,6 +12,7 @@ from injectstream.errors import (
     PlanValidationError,
     SizeLimitError,
 )
+from injectstream.harness import perm_seed, trial_seed
 from injectstream.rng import MixedRadixRNG
 from injectstream.stream_model import (
     ENUMERATION_LIMIT,
@@ -19,6 +20,7 @@ from injectstream.stream_model import (
     InjectionPlan,
     InstanceSplit,
     build_stream,
+    build_streams,
     enumerate_streams,
     realize_stream,
     sample_permutation,
@@ -143,6 +145,37 @@ def test_realized_stream_properties(sp, seed):
             assert p > good_pos[s.permutation[slot - 1].id]
     # permutation uniformity is sample_permutation's contract; here just shape
     assert len(perm_index) == split.n_good
+
+
+#: the largest perm seed whose trial and perm indices stay below perm_seed's
+#: multiplier, under the largest master seed: about 2**104, so a Philox key
+#: with a nonzero high word
+LARGEST_PERM_SEED = perm_seed(trial_seed(2**64 - 1, 1_000_002), 1_000_002)
+EXAMPLE_SPLIT = InstanceSplit(good=els(*range(4)), noise=els("n0", "n1"))
+EXAMPLE_PLAN = InjectionPlan(((0, "n0"), (4, "n1")))
+
+
+@given(split_and_plan(), st.lists(st.integers(0, 2**128 - 1), max_size=6))
+@example((EXAMPLE_SPLIT, EXAMPLE_PLAN), [2**64 - 1, 2**64, LARGEST_PERM_SEED])
+@example((EXAMPLE_SPLIT, EXAMPLE_PLAN), [])
+@settings(max_examples=150, deadline=None)
+def test_build_streams_equals_one_stream_per_seed(sp, seeds):
+    """One reseeded generator, one plan check and one noise grouping give
+    the streams of separate calls, and of the fully checked reference."""
+    split, plan = sp
+    streams = build_streams(split, plan, seeds)
+    assert streams == [build_stream(split, plan, s) for s in seeds]
+    assert streams == [
+        realize_stream(split, plan, sample_permutation(split.good, s), seed=s) for s in seeds
+    ]
+
+
+def test_build_streams_checks_the_plan_and_the_good_set():
+    split = InstanceSplit(good=els("a", "b"), noise=els("x"))
+    with pytest.raises(PlanValidationError):
+        build_streams(split, InjectionPlan(((3, "x"),)), [1, 2])
+    with pytest.raises(InvalidInstanceError):
+        build_streams(InstanceSplit(good=(), noise=els("x")), InjectionPlan(((0, "x"),)), [1])
 
 
 @given(st.integers(1, 5))
