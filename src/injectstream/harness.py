@@ -46,7 +46,8 @@ from .matching import (
 from .recurrence import (
     _bound_as_fraction, _t_as_fraction, certify_diagonal, compute_table, min_diagonal,
 )
-from .stream_model import Element, InjectionPlan, InstanceSplit, build_stream, build_streams
+from .stream_model import Element, InjectionPlan, InstanceSplit, build_streams
+from .stream_model import build_stream  # noqa: F401 - perfbench's tracer wraps it by this name
 from .submodular import CoverageInstance, CoverageOracle, brute_force_opt
 from .tree_stream import RunStats, delta_fraction, guess_run, run_tree_streams
 from .tree_stream import run_tree_stream  # noqa: F401 - perfbench's tracer wraps it by this name
@@ -347,12 +348,12 @@ def _run_perms(
     """Realize the streams of ``perms`` in one call, run them together, and
     return their records in perm order.
 
-    If the realization raises, each perm is realized alone; if the run
-    raises, each stream runs alone.  So only a perm that fails on its own
-    gets a failed record.  A record's ``wall_time_s`` is its stream's share
-    of the realization time (1/len(perms) of the batch call, or all of its
-    own call) plus its share, 1/P, of the run time of the P streams it ran
-    with.
+    The realization can fail only for reasons shared by every perm (the
+    plan, an empty good set), so if it raises, every perm gets a failed
+    record.  If the run raises, each stream runs alone, so only a stream
+    that fails on its own gets a failed record.  A record's
+    ``wall_time_s`` is 1/len(perms) of the realization time plus its share,
+    1/P, of the run time of the P streams it ran with.
     """
     split, plan, trial = loaded
     done: dict = {}
@@ -361,15 +362,9 @@ def _run_perms(
     started = time.perf_counter()
     try:
         built = build_streams(split, plan, seeds)
-    except Exception:  # noqa: BLE001 - the batch failed: realize each perm alone
-        for p_idx, seed in zip(perms, seeds):
-            started = time.perf_counter()
-            try:
-                stream = build_stream(split, plan, seed)
-            except Exception as exc:  # noqa: BLE001 - record and move on
-                done[p_idx] = _failed(exc, time.perf_counter() - started)
-                continue
-            streams.append((p_idx, stream, time.perf_counter() - started))
+    except Exception as exc:  # noqa: BLE001 - record and move on
+        share = (time.perf_counter() - started) / len(perms)
+        done.update((p_idx, _failed(exc, share)) for p_idx in perms)
     else:
         share = (time.perf_counter() - started) / len(perms)
         streams = [(p_idx, stream, share) for p_idx, stream in zip(perms, built)]

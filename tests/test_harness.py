@@ -37,7 +37,7 @@ from injectstream.harness import (
 )
 from injectstream.matching import Edge
 from injectstream.recurrence import certify_diagonal
-from injectstream.stream_model import Element, InjectionPlan, InstanceSplit
+from injectstream.stream_model import Element, InjectionPlan, InstanceSplit, build_stream
 
 
 # ------------------------------------------------------------------- config
@@ -391,61 +391,35 @@ def test_forest_chunks_leave_the_csv_unchanged(tmp_path, monkeypatch):
     assert len(whole.splitlines()) == 11
 
 
-#: a known-guess submod run: each trial realizes its 5 perms in one batch
-BATCH_ARGV = ["submod", "run", "--kind", "random", "--params", '{"n": 8, "universe": 12}',
-              "--k", "2", "--mode", "bucketed", "--trials", "2", "--perms", "5", "--seed", "4"]
+def test_bad_plan_fails_every_perm_of_its_trial(tmp_path, monkeypatch):
+    """A plan that build_streams rejects gives each perm of its trial a
+    failed record with the error one build_stream call raises; the other
+    trial keeps its rows."""
+    real, bad_seed, errors = harness.make_plan, trial_seed(4, 1), []
 
+    def bad_second_plan(split, strategy, seed):
+        plan = real(split, strategy, seed=seed)
+        if seed != bad_seed:
+            return plan
+        (_, nid), *rest = plan.entries
+        bad = InjectionPlan(((split.n_good + 1, nid), *rest))
+        with pytest.raises(Exception) as raised:
+            build_stream(split, bad, 0)
+        errors.append(f"{raised.type.__name__}: {raised.value}")
+        return bad
 
-def batch_fails(*args, **kwargs):
-    raise ValueError("planted batch failure")
-
-
-def test_failed_batch_realization_falls_back_to_each_perm(tmp_path, monkeypatch):
-    """If a trial's one build_streams call raises, each perm is realized
-    alone through build_stream, and the CSV bytes do not change."""
-    assert main(BATCH_ARGV + ["--out", str(tmp_path / "batch.csv")]) == 0
-    real, seeds = harness.build_stream, []
-
-    def recorded(split, plan, seed):
-        seeds.append(seed)
-        return real(split, plan, seed)
-
-    monkeypatch.setattr(harness, "build_streams", batch_fails)
-    monkeypatch.setattr(harness, "build_stream", recorded)
-    assert main(BATCH_ARGV + ["--out", str(tmp_path / "alone.csv")]) == 0
-    assert seeds == [perm_seed(trial_seed(4, t), p) for t in range(2) for p in range(5)]
-    batch = (tmp_path / "batch.csv").read_bytes()
-    assert (tmp_path / "alone.csv").read_bytes() == batch
-    assert len(batch.splitlines()) == 11
-
-
-def test_perm_that_fails_alone_loses_only_its_row(tmp_path, monkeypatch):
-    """With the batch call failing, a perm whose own realization raises gets
-    a failed record holding the error; every other perm keeps its row."""
-    real = harness.build_stream
-    bad_seed = perm_seed(trial_seed(4, 1), 3)
-
-    def one_perm_fails(split, plan, seed):
-        if seed == bad_seed:
-            raise InvalidInstanceError("planted perm failure")
-        return real(split, plan, seed)
-
-    monkeypatch.setattr(harness, "build_streams", batch_fails)
-    monkeypatch.setattr(harness, "build_stream", one_perm_fails)
+    monkeypatch.setattr(harness, "make_plan", bad_second_plan)
     out = str(tmp_path / "runs.csv")
-    cfg = config_from_dict(dict(
+    r = run_experiment(config_from_dict(dict(
         problem="submod", instance={"kind": "random", "params": {"n": 8, "universe": 12}},
         k=2, mode="bucketed", trials=2, perms=5, seed=4, out=out,
-    ))
-    r = run_experiment(cfg)
+    )))
     assert r.exit_code == 1
-    failed = [i for i, rec in enumerate(r.records) if rec.error is not None]
-    assert failed == [8]
-    assert r.records[8].error == "InvalidInstanceError: planted perm failure"
-    assert not r.records[8].invariant
+    assert errors and errors[0].startswith("PlanValidationError: slot ")
+    assert [rec.error for rec in r.records] == [None] * 5 + [errors[0]] * 5
+    assert not any(rec.invariant for rec in r.records)
     rows = [(row["seed"], row["perm_index"]) for row in csv.DictReader(open(out))]
-    expected = [(str(trial_seed(4, t)), str(p)) for t in range(2) for p in range(5)]
-    assert rows == [key for key in expected if key != (str(trial_seed(4, 1)), "3")]
+    assert rows == [(str(trial_seed(4, 0)), str(p)) for p in range(5)]
 
 
 # ------------------------------------------------------------ instance files
