@@ -157,8 +157,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_recurrence(args: argparse.Namespace) -> int:
     if args.certify_k is not None and args.out is not None:
         raise PreconditionError("--certify prints a verdict and writes no CSV; drop --emit")
-    if args.bound is not None and args.certify_k is None:
-        raise PreconditionError("--bound is read only by --certify; add --certify K or drop --bound")
     # without --emit no CSV is written, so ``out`` is None, not the default
     config = _load_config(args, problem="recurrence", out=None)
     result = run_experiment(config)

@@ -2,11 +2,11 @@
 
 A config plus its master seed replays bit-exactly: per-trial seeds derive
 from (master seed, trial index), permutation seeds from (trial seed, perm
-index), and CSV rows carry no wall-clock data (timings live only on the
-in-memory records).  Every row ends with ``config_fp``, a fingerprint of
-the canonical config JSON: it covers every config value except ``out``, so
-result files are self-identifying and one experiment written to two paths
-gives byte-identical files.
+index), each index below ``SEED_STRIDE``, and CSV rows carry no wall-clock
+data (timings live only on the in-memory records).  Every row ends with
+``config_fp``, a fingerprint of the canonical config JSON: it covers every
+config value except ``out``, so result files are self-identifying and one
+experiment written to two paths gives byte-identical files.
 
 Instance files are JSON lines: one object per element with fields id, role
 ("good" | "noise") and payload (a point list for coverage, a [u, v] pair
@@ -54,8 +54,13 @@ from .tree_stream import run_tree_stream  # noqa: F401 - perfbench's tracer wrap
 
 OUT_DIR_ENV = "INJECTSTREAM_OUT_DIR"
 
-#: most permutations of one trial realized and run together in one forest
+#: most permutations of one trial realized and run together in one forest;
+#: this alone bounds a forest's memory
 FOREST_STREAMS = 256
+
+#: seeds step by this per master seed and per trial seed; ``trials`` and
+#: ``perms`` are capped at it, since a larger index would replay another run's seed
+SEED_STRIDE = 1_000_003
 
 SUBMOD_COLUMNS = (
     "seed", "perm_index", "guess_mode", "best_value", "opt_value",
@@ -135,6 +140,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if name != "certify_k" or value is not None:
                 _check(type(value) is int and value >= 1, name, value, "an integer >= 1")
+        for name in ("trials", "perms"):
+            _check(getattr(self, name) <= SEED_STRIDE, name, getattr(self, name),
+                   f"at most {SEED_STRIDE}")
         for name in ("t", "delta", "delta_guess"):     # JSON true must not read as 1
             _check(not isinstance(getattr(self, name), bool), name, getattr(self, name), "a number")
         if "kind" in src and self.problem != "recurrence":
@@ -147,6 +155,9 @@ class ExperimentConfig:
                "delta_guess", self.delta_guess, "a number in (0, 1)")
         if self.bound is not None:
             _bound_as_fraction(self.bound)
+            if self.certify_k is None:
+                raise PreconditionError("bound is read only by the certificate; "
+                                        "set certify_k (--certify K) or drop bound")
 
     def canonical_json(self) -> str:
         """Every value except ``out``: where the rows go does not change them."""
@@ -197,10 +208,9 @@ class TrialRecord:
     """One algorithm run; `columns` mirrors the CSV row for its problem.
 
     A failed run keeps its error text; ``invariant`` marks a failure that
-    raised :class:`InvariantError`.  ``wall_time_s`` is the run's share of
-    its stream's realization time plus 1/P of the run time of the P streams
-    it ran with (P = 1 outside the known-guess submod modes); see
-    ``_run_perms``.
+    raised :class:`InvariantError`.  ``wall_time_s`` is the run's share,
+    1/P, of the time to realize and run the P streams of its batch (P = 1
+    outside the known-guess submod modes); see ``_run_trials``.
     """
 
     columns: dict
@@ -237,11 +247,11 @@ class ExperimentResult:
 
 
 def trial_seed(master: int, index: int) -> int:
-    return master * 1_000_003 + index
+    return master * SEED_STRIDE + index
 
 
 def perm_seed(trial: int, index: int) -> int:
-    return trial * 1_000_003 + index
+    return trial * SEED_STRIDE + index
 
 
 def resolve_out(path: Optional[str]) -> Optional[str]:
@@ -305,19 +315,25 @@ def _write_csv(path: str, columns: tuple, rows) -> None:
 
 
 def _run_trials(config: ExperimentConfig, load, run) -> list[TrialRecord]:
-    """Every (trial, permutation) run of a streaming problem.
+    """Every (trial, permutation) run of a streaming problem, one record each.
 
     ``load(config, t_seed)`` returns one trial's (split, fixed plan or None,
     trial data); without a fixed plan the configured adversary makes one
-    from the trial seed.
+    from the trial seed.  An instance file is loaded once, before the first
+    trial, and every trial gets the same (split, plan, trial data); a bad
+    file raises.  A trial whose load or plan fails gets one failed record.
     ``run(config, streams, trial data)`` runs the algorithm on realized
     streams and returns, per stream, (CSV columns other than seed,
-    perm_index and config_fp; memory counters).  A failure in a trial is
-    recorded, not raised.  An instance file is loaded once, before the
-    first trial, and every trial gets the same (split, plan, trial data); a
-    bad file raises.  The known-guess submod modes run up to
-    ``FOREST_STREAMS`` permutations of a trial together, in one forest;
-    every other run gets its streams one at a time.
+    perm_index and config_fp; memory counters).
+
+    A trial's perms go in batches: up to ``FOREST_STREAMS`` in the
+    known-guess submod modes, which run them as one forest, else one.  A
+    batch's streams are realized in one ``build_streams`` call and run in
+    one ``run`` call.  They permute one element set under one plan and are
+    read by one oracle and keyer, so a failure is the whole batch's: if
+    either call raises, every perm of the batch gets a failed record with
+    that error.  A record's ``wall_time_s`` is 1/len(batch) of the batch's
+    time.
     """
     fp = config.fingerprint()
     loaded = load(config, None) if "file" in config.instance else None
@@ -338,66 +354,28 @@ def _run_trials(config: ExperimentConfig, load, run) -> list[TrialRecord]:
             continue
         for lo in range(0, config.perms, batch):
             perms = range(lo, min(lo + batch, config.perms))
-            records += _run_perms(config, run, (split, plan, trial), t_seed, perms, fp)
+            started = time.perf_counter()
+            try:
+                streams = build_streams(split, plan, [perm_seed(t_seed, p) for p in perms])
+                done = [
+                    TrialRecord(
+                        columns={"seed": t_seed, "perm_index": p_idx, **columns, "config_fp": fp},
+                        memory=memory,
+                    )
+                    for p_idx, (columns, memory) in zip(perms, run(config, streams, trial))
+                ]
+            except Exception as exc:  # noqa: BLE001 - record and move on
+                done = [_failed(exc) for _ in perms]
+            share = (time.perf_counter() - started) / len(perms)
+            for rec in done:
+                rec.wall_time_s = share
+            records += done
     return records
 
 
-def _run_perms(
-    config: ExperimentConfig, run, loaded: tuple, t_seed: int, perms: range, fp: str
-) -> list[TrialRecord]:
-    """Realize the streams of ``perms`` in one call, run them together, and
-    return their records in perm order.
-
-    The realization can fail only for reasons shared by every perm (the
-    plan, an empty good set), so if it raises, every perm gets a failed
-    record.  If the run raises, each stream runs alone, so only a stream
-    that fails on its own gets a failed record.  A record's
-    ``wall_time_s`` is 1/len(perms) of the realization time plus its share,
-    1/P, of the run time of the P streams it ran with.
-    """
-    split, plan, trial = loaded
-    done: dict = {}
-    seeds = [perm_seed(t_seed, p_idx) for p_idx in perms]
-    streams = []  # (perm index, stream, realization seconds)
-    started = time.perf_counter()
-    try:
-        built = build_streams(split, plan, seeds)
-    except Exception as exc:  # noqa: BLE001 - record and move on
-        share = (time.perf_counter() - started) / len(perms)
-        done.update((p_idx, _failed(exc, share)) for p_idx in perms)
-    else:
-        share = (time.perf_counter() - started) / len(perms)
-        streams = [(p_idx, stream, share) for p_idx, stream in zip(perms, built)]
-
-    def attempt(part: list) -> None:
-        started = time.perf_counter()
-        try:
-            results = run(config, [stream for _, stream, _ in part], trial)
-        except Exception as exc:  # noqa: BLE001
-            if len(part) > 1:
-                raise
-            done[part[0][0]] = _failed(exc, part[0][2] + time.perf_counter() - started)
-            return
-        share = (time.perf_counter() - started) / len(part)
-        for (p_idx, _, realize_s), (columns, memory) in zip(part, results):
-            done[p_idx] = TrialRecord(
-                columns={"seed": t_seed, "perm_index": p_idx, **columns, "config_fp": fp},
-                wall_time_s=realize_s + share,
-                memory=memory,
-            )
-
-    if streams:
-        try:
-            attempt(streams)
-        except Exception:  # noqa: BLE001 - the batch failed: run each stream alone
-            for one in streams:
-                attempt([one])
-    return [done[p_idx] for p_idx in perms]
-
-
-def _failed(exc: Exception, wall_time_s: float = 0.0) -> TrialRecord:
+def _failed(exc: Exception) -> TrialRecord:
     return TrialRecord(
-        columns={}, wall_time_s=wall_time_s,
+        columns={},
         error=f"{type(exc).__name__}: {exc}",
         invariant=isinstance(exc, InvariantError),
     )

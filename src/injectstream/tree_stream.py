@@ -120,7 +120,7 @@ class IncreaseBuckets:
         if not 0 < d <= 1:
             raise PreconditionError(f"delta must lie in (0, 1], got {delta!r}")
         if g <= 0:
-            raise InvariantError("bucketing needs a positive guess g")
+            raise PreconditionError(f"bucketing needs a positive guess g; got g={g!r}")
         self.bucket_count = math.ceil(k / d)
         self.key_count = self.bucket_count + 1
         if isinstance(g, (int, Fraction)):

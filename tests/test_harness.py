@@ -70,6 +70,9 @@ BAD_CONFIG_VALUES = {
     "strategy": ("adversary", {"adversary": {"strategy": "frnt"}}),
     "adversary-key": ("adversary", {"adversary": {"strategy": "front", "sede": 3}}),
     "trials": ("trials", {"trials": 0}),
+    "trials-stride": ("trials", {"trials": harness.SEED_STRIDE + 1}),
+    "perms-stride": ("perms", {"perms": harness.SEED_STRIDE + 1}),
+    "bound-without-certify": ("bound", {"bound": "0.55"}),
     "bound": ("bound", {"bound": "abc"}),
     "k": ("k", {"k": 0}),
     "delta": ("delta", {"delta": 0}),
@@ -328,18 +331,17 @@ def test_failed_trials_recorded_not_raised(tmp_path, monkeypatch):
 
 #: failing run -> (the harness name patched to fail it, CLI argv)
 RUN_ARGV = {
-    "run_tree_stream": ("run_tree_streams", [
-        "submod", "run", "--kind", "random",
-        "--params", '{"n": 8, "universe": 12}', "--k", "2", "--mode", "exact"]),
     "match_run": ("match_run", [
         "matching", "run", "--kind", "greedy_trap", "--params", '{"s": 3}', "--mode", "match"]),
 }
 
-
-@pytest.mark.parametrize("exc, code", [
+PLANTED = pytest.mark.parametrize("exc, code", [
     (InvariantError("planted"), 3),
     (ValueError("InvariantError: only in the message"), 1),
 ], ids=["invariant", "other"])
+
+
+@PLANTED
 @pytest.mark.parametrize("algo", RUN_ARGV)
 def test_failed_run_exit_code_from_exception_type(
     tmp_path, monkeypatch, capsys, algo, exc, code
@@ -347,7 +349,6 @@ def test_failed_run_exit_code_from_exception_type(
     name, argv = RUN_ARGV[algo]
     real = getattr(harness, name)
     calls = []
-    second_seed = harness.perm_seed(harness.trial_seed(2, 0), 1)
 
     def second_run_fails(*args, **kwargs):
         calls.append(None)
@@ -355,19 +356,89 @@ def test_failed_run_exit_code_from_exception_type(
             raise exc
         return real(*args, **kwargs)
 
-    def second_stream_fails(streams, *args, **kwargs):
-        """The forest of a trial's perms raises whenever it holds perm 1."""
-        if any(s.seed == second_seed for s in streams):
-            raise exc
-        return real(streams, *args, **kwargs)
-
-    monkeypatch.setattr(harness, name,
-                        second_stream_fails if name == "run_tree_streams" else second_run_fails)
+    monkeypatch.setattr(harness, name, second_run_fails)
     out = str(tmp_path / "runs.csv")
     assert main(argv + ["--trials", "1", "--perms", "3", "--seed", "2", "--out", out]) == code
     rows = list(csv.DictReader(open(out)))
     assert [row["perm_index"] for row in rows] == ["0", "2"]
     assert f"{type(exc).__name__}: {exc}" in capsys.readouterr().err
+
+
+@PLANTED
+def test_failed_forest_fails_every_perm_it_holds(tmp_path, monkeypatch, exc, code):
+    """A forest that raises gives each perm it holds a failed record with the
+    error; the other forests of the trial keep their rows."""
+    real, second_seed = harness.run_tree_streams, perm_seed(trial_seed(2, 0), 1)
+
+    def second_stream_fails(streams, *args, **kwargs):
+        if any(s.seed == second_seed for s in streams):
+            raise exc
+        return real(streams, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "FOREST_STREAMS", 2)
+    monkeypatch.setattr(harness, "run_tree_streams", second_stream_fails)
+    out = str(tmp_path / "runs.csv")
+    r = run_experiment(submod_config(tmp_path, k=2, mode="exact", trials=1, perms=5,
+                                     seed=2, out=out))
+    assert r.exit_code == code
+    error = f"{type(exc).__name__}: {exc}"
+    assert [rec.error for rec in r.records] == [error] * 2 + [None] * 3
+    assert [rec.invariant for rec in r.records] == [code == 3] * 2 + [False] * 3
+    assert [row["perm_index"] for row in csv.DictReader(open(out))] == ["2", "3", "4"]
+
+
+@pytest.mark.parametrize("problem, knobs, forest", [
+    ("submod", {"mode": "exact"}, True),
+    ("submod", {"mode": "bucketed"}, True),
+    ("submod", {"mode": "bucketed", "guess": "auto"}, False),
+    ("matching", {"match_mode": "greedy"}, False),
+    ("matching", {"match_mode": "match"}, False),
+    ("matching", {"match_mode": "guessed"}, False),
+], ids=["exact", "bucketed", "auto", "greedy", "match", "guessed"])
+def test_every_perm_gets_one_record(tmp_path, monkeypatch, problem, knobs, forest):
+    """trials x perms records in run order, whichever batch fails: a failing
+    batch is the whole trial in a forest mode and one perm otherwise."""
+    columns, load, real = harness.PROBLEMS[problem]
+    bad_seed = perm_seed(trial_seed(5, 1), 1)
+
+    def fails_on_bad_seed(config, streams, trial):
+        if any(s.seed == bad_seed for s in streams):
+            raise ValueError("planted")
+        return real(config, streams, trial)
+
+    monkeypatch.setitem(harness.PROBLEMS, problem, (columns, load, fails_on_bad_seed))
+    instance = ({"kind": "random", "params": {"n": 8, "universe": 12}} if problem == "submod"
+                else {"kind": "greedy_trap", "params": {"s": 3}})
+    out = str(tmp_path / "runs.csv")
+    r = run_experiment(config_from_dict(dict(
+        problem=problem, instance=instance, k=2, trials=2, perms=3, seed=5, out=out, **knobs,
+    )))
+    assert r.exit_code == 1 and len(r.records) == 2 * 3
+    failed = [3, 4, 5] if forest else [4]
+    assert [i for i, rec in enumerate(r.records) if rec.error] == failed
+    assert all(rec.error == "ValueError: planted" for i, rec in enumerate(r.records) if i in failed)
+    rows = [(row["seed"], row["perm_index"]) for row in csv.DictReader(open(out))]
+    assert rows == [(str(trial_seed(5, i // 3)), str(i % 3)) for i in range(6) if i not in failed]
+
+
+def test_bucketed_run_with_zero_optimum_fails_every_perm(tmp_path, capsys):
+    """OPT = 0 leaves bucketing no positive guess g: a precondition, so exit 1,
+    and every perm of every batch gets a failed record naming it."""
+    path = tmp_path / "empty.jsonl"
+    path.write_text("".join(
+        json.dumps({"id": i, "role": "good" if i < 3 else "noise", "payload": []}) + "\n"
+        for i in range(5)
+    ))
+    out = tmp_path / "runs.csv"
+    argv = ["submod", "run", "--instance", str(path), "--k", "2", "--mode", "bucketed",
+            "--trials", "2", "--perms", "3", "--out", str(out)]
+    assert main(argv) == 1
+    assert out.read_text().splitlines() == [",".join(SUBMOD_COLUMNS)]
+    failures = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("trial failed: ")]
+    assert len(failures) == 2 * 3
+    assert all(line.startswith("trial failed: PreconditionError: bucketing needs a positive "
+                               "guess g") for line in failures)
 
 
 def test_forest_chunks_leave_the_csv_unchanged(tmp_path, monkeypatch):
@@ -710,7 +781,7 @@ ERROR_CASES = [
     (["gen", "--problem", "submod", "--kind", "random", "--out", "nodir/x.jsonl"],
      "output directory nodir does not exist"),
     (["recurrence", "--certify", "50", "--emit", "x.csv"], "writes no CSV; drop --emit"),
-    (["recurrence", "--kmax", "5", "--bound", "0.9"], "--bound is read only by --certify"),
+    (["recurrence", "--kmax", "5", "--bound", "0.9"], "bound is read only by the certificate"),
     (["submod", "run", "--kind", "random", "--seed", "-1"], "seed must be an integer in"),
     (["gen", "--problem", "matching", "--kind", "random", "--seed", "-1", "--out", "x.jsonl"],
      "seed must be an integer in [0, 2**64); got -1"),

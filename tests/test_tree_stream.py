@@ -13,11 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from injectstream import geomgrid
-from injectstream.errors import (
-    InvalidInstanceError,
-    InvariantError,
-    PreconditionError,
-)
+from injectstream.errors import InvalidInstanceError, PreconditionError
 from injectstream.matching import EPS
 from injectstream.stream_model import (
     Element,
@@ -175,7 +171,7 @@ def test_bucket_guards():
         IncreaseBuckets(g=1, k=2, delta="0")
     with pytest.raises(PreconditionError):
         IncreaseBuckets(g=1, k=2, delta="1.5")
-    with pytest.raises(InvariantError):
+    with pytest.raises(PreconditionError, match="positive guess g"):
         IncreaseBuckets(g=0, k=2, delta="0.5")
     IncreaseBuckets(g=1, k=2, delta="1")  # delta = 1 is legal
 
