@@ -150,7 +150,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"ratio: {result.summary}")
     for rec in result.records:
         if rec.error:
-            print(f"trial failed: {rec.error}", file=sys.stderr)
+            where = f"seed {rec.columns['seed']}, perm {rec.columns['perm_index']}"
+            print(f"trial failed: {rec.error} ({where})", file=sys.stderr)
     return result.exit_code
 
 

@@ -207,8 +207,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 class TrialRecord:
     """One algorithm run; `columns` mirrors the CSV row for its problem.
 
-    A failed run keeps its error text; ``invariant`` marks a failure that
-    raised :class:`InvariantError`.  ``wall_time_s`` is the run's share,
+    A failed run keeps its error text and only the ``seed`` and
+    ``perm_index`` columns (``perm_index`` None when the trial's load or
+    plan failed); ``invariant`` marks a failure that raised
+    :class:`InvariantError`.  ``wall_time_s`` is the run's share,
     1/P, of the time to realize and run the P streams of its batch (P = 1
     outside the known-guess submod modes); see ``_run_trials``.
     """
@@ -350,7 +352,7 @@ def _run_trials(config: ExperimentConfig, load, run) -> list[TrialRecord]:
                     seed=config.adversary.get("seed", t_seed),
                 )
         except Exception as exc:  # noqa: BLE001 - record and move on
-            records.append(_failed(exc))
+            records.append(_failed(exc, t_seed, None))
             continue
         for lo in range(0, config.perms, batch):
             perms = range(lo, min(lo + batch, config.perms))
@@ -365,7 +367,7 @@ def _run_trials(config: ExperimentConfig, load, run) -> list[TrialRecord]:
                     for p_idx, (columns, memory) in zip(perms, run(config, streams, trial))
                 ]
             except Exception as exc:  # noqa: BLE001 - record and move on
-                done = [_failed(exc) for _ in perms]
+                done = [_failed(exc, t_seed, p_idx) for p_idx in perms]
             share = (time.perf_counter() - started) / len(perms)
             for rec in done:
                 rec.wall_time_s = share
@@ -373,9 +375,9 @@ def _run_trials(config: ExperimentConfig, load, run) -> list[TrialRecord]:
     return records
 
 
-def _failed(exc: Exception) -> TrialRecord:
+def _failed(exc: Exception, seed: int, perm_index: Optional[int]) -> TrialRecord:
     return TrialRecord(
-        columns={},
+        columns={"seed": seed, "perm_index": perm_index},
         error=f"{type(exc).__name__}: {exc}",
         invariant=isinstance(exc, InvariantError),
     )

@@ -12,15 +12,19 @@ run reports the difference of two readings (``RunStats.oracle_calls``), so
 one oracle can serve every run of a trial.
 
 Besides ``evaluate`` on a set, every oracle offers the batched extension the
-prefix tree runs on: ``empty_states(n)`` gives n rows of per-set state for
-the empty set, and ``extend_states(states, values, e)`` maps rows (S, f(S))
-to (S + e, f(S + e)), counting one call per row.  Coverage keeps its rows as
-bit-packed point masks; the other oracles use the base class, which keeps
-frozensets and calls ``_eval``, so any subclass works.
+prefix tree and the exact optimum ``brute_force_opt`` run on:
+``empty_states(n)`` gives n rows of per-set state for the empty set, and
+``extend_states(states, values, e)`` maps rows (S, f(S)) to (S + e,
+f(S + e)), counting one call per row.  Coverage keeps its rows as bit-packed
+point masks; the other oracles use the base class, which keeps frozensets
+and calls ``_eval``, so any subclass works.  ``brute_force_opt`` builds the
+subsets one size at a time on these rows; ``evaluate`` on an arbitrary set
+is left to the axiom checks (and the optimum's one f(empty)).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -227,28 +231,98 @@ class AdditiveOracle(SubmodularOracle):
 
 
 def brute_force_opt(oracle: SubmodularOracle, ground: GroundSet, k: int) -> Solution:
-    """Exhaustive optimum over subsets of size <= k.
+    """Exhaustive optimum over subsets of size <= k, one size at a time.
 
-    Deterministic tie-break: among maximum-value sets, the smallest size wins,
-    then the lexicographically smallest tuple of sorted ids (so the empty set
-    beats any equal-valued nonempty set).  Guarded by C(n, k) <= 10^6.
+    Members are sorted by repr.  Level j, the j-subsets, is a block of the
+    oracle's batched rows (``empty_states``/``extend_states``) in
+    ``itertools.combinations`` order, so it is grouped by least member and
+    the rows whose least member is above i are a suffix.  Member i extends
+    that suffix of level j with one ``extend_states`` call, which gives
+    group i of level j + 1.  A row's parent sits at the same offset in that
+    suffix, so rows carry no member lists: the winner is read back from the
+    offsets where each level's groups start.  Rows of least member 0 are
+    never extended and are not kept, and level k is reduced group by group
+    and not kept, so at most C(n-1, k-2) + C(n-1, k-1) = C(n, k-1) rows are
+    held at once, besides the group being extended.
+
+    Deterministic tie-break, as a scan of the sizes in order and of the
+    combinations within a size that keeps a set only when it is strictly
+    better: among maximum-value sets the smallest size wins, then the
+    lexicographically smallest tuple of sorted ids (so the empty set beats
+    any equal-valued nonempty set); a NaN value never wins.  Values are
+    Python scalars.  Counts 1 + sum over 1 <= j <= k of C(n, j) oracle
+    calls.  Guarded by C(n, k) <= 10^6; ``k`` must be an int.
     """
-    k = min(k, ground.n)
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise PreconditionError(f"k must be an int; got k={k!r}")
+    n = ground.n
+    k = min(int(k), n)
     if k < 0:
         raise PreconditionError("k must be >= 0")
-    if math.comb(ground.n, k) > BRUTE_FORCE_GUARD:
-        raise SizeLimitError(
-            f"C({ground.n}, {k}) exceeds the brute-force guard {BRUTE_FORCE_GUARD}"
-        )
+    if math.comb(n, k) > BRUTE_FORCE_GUARD:
+        raise SizeLimitError(f"C({n}, {k}) exceeds the brute-force guard {BRUTE_FORCE_GUARD}")
     members = sorted(ground.members, key=repr)
-    best_ids: tuple = ()
     best_val = oracle.evaluate(())
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(members, size):
-            val = oracle.evaluate(combo)
+    best = None  # (level, least member, offset in its group)
+    states, values = oracle.empty_states(1)
+    starts = [[0] * (n + 1)]  # level 0: the empty row lies past every member
+    base = 0  # row number of states[0]; rows of least member 0 are never extended
+    for j in range(1, k + 1):
+        prev = starts[-1]
+        total = base + len(values)
+        here = list(itertools.accumulate((total - prev[i + 1] for i in range(n)), initial=0))
+        keep = j < k
+        for i in range(n - j + 1):
+            lo = prev[i + 1] - base
+            new_states, new_values = oracle.extend_states(states[lo:], values[lo:], members[i])
+            at, val = _first_max(new_values)
             if val > best_val:
-                best_ids, best_val = combo, val
-    return Solution(elements=frozenset(best_ids), value=best_val)
+                best_val, best = val, (j, i, at)
+            if keep and i == 0:
+                level_states = _like(new_states, here[n] - here[1])
+                level_values = _like(new_values, here[n] - here[1])
+            elif keep:
+                level_states[here[i] - here[1] : here[i + 1] - here[1]] = new_states
+                level_values[here[i] - here[1] : here[i + 1] - here[1]] = new_values
+            del new_states, new_values  # before the next group's extension
+        if keep:
+            states, values, base = level_states, level_values, here[1]
+            starts.append(here)
+    if isinstance(best_val, np.generic):
+        best_val = best_val.item()
+    return Solution(elements=frozenset(_rebuild(best, starts, members)), value=best_val)
+
+
+def _first_max(values):
+    """(index, value) of the first maximum of a row array; NaN rows never win."""
+    if values.dtype.kind in "fO":
+        nan = values != values
+        if nan.any():
+            values = np.where(nan, -math.inf, values)
+    at = int(values.argmax())
+    return at, values[at]
+
+
+def _like(rows: np.ndarray, n: int) -> np.ndarray:
+    """An empty array of n rows shaped and typed like ``rows``."""
+    return np.empty((n,) + rows.shape[1:], dtype=rows.dtype)
+
+
+def _rebuild(best, starts: list, members: list) -> list:
+    """The members of the row ``best`` = (level, least member, offset in its
+    group), read back through the levels' group ``starts``."""
+    ids: list = []
+    if best is None:
+        return ids
+    j, i, at = best
+    while True:
+        ids.append(members[i])
+        row = starts[j - 1][i + 1] + at
+        j -= 1
+        if j == 0:
+            return ids
+        i = bisect.bisect_right(starts[j], row) - 1
+        at = row - starts[j][i]
 
 
 @dataclass

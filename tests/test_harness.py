@@ -387,6 +387,35 @@ def test_failed_forest_fails_every_perm_it_holds(tmp_path, monkeypatch, exc, cod
     assert [row["perm_index"] for row in csv.DictReader(open(out))] == ["2", "3", "4"]
 
 
+def test_failed_load_is_one_record_naming_its_seed(tmp_path, monkeypatch, capsys):
+    """A trial whose instance cannot be made gets one failed record with its
+    seed and perm_index None; the CLI line says so after the error."""
+    columns, load, run = harness.PROBLEMS["submod"]
+    bad_seed = trial_seed(3, 1)
+
+    def fails_on_bad_seed(config, t_seed):
+        if t_seed == bad_seed:
+            raise ValueError("planted")
+        return load(config, t_seed)
+
+    monkeypatch.setitem(harness.PROBLEMS, "submod", (columns, fails_on_bad_seed, run))
+    argv = ["submod", "run", "--kind", "random", "--params", '{"n": 6, "universe": 10}',
+            "--k", "2", "--trials", "2", "--perms", "2", "--seed", "3",
+            "--out", str(tmp_path / "runs.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"trial failed: ValueError: planted (seed {bad_seed}, perm None)"
+    ]
+    r = run_experiment(config_from_dict(dict(
+        problem="submod", instance={"kind": "random", "params": {"n": 6, "universe": 10}},
+        k=2, trials=2, perms=2, seed=3, out=None,
+    )))
+    assert [(rec.columns["seed"], rec.columns.get("perm_index"), rec.error) for rec in r.records] == [
+        (trial_seed(3, 0), 0, None), (trial_seed(3, 0), 1, None),
+        (bad_seed, None, "ValueError: planted"),
+    ]
+
+
 @pytest.mark.parametrize("problem, knobs, forest", [
     ("submod", {"mode": "exact"}, True),
     ("submod", {"mode": "bucketed"}, True),
@@ -417,6 +446,9 @@ def test_every_perm_gets_one_record(tmp_path, monkeypatch, problem, knobs, fores
     failed = [3, 4, 5] if forest else [4]
     assert [i for i, rec in enumerate(r.records) if rec.error] == failed
     assert all(rec.error == "ValueError: planted" for i, rec in enumerate(r.records) if i in failed)
+    assert [(rec.columns["seed"], rec.columns["perm_index"]) for rec in r.records] == [
+        (trial_seed(5, i // 3), i % 3) for i in range(6)
+    ]
     rows = [(row["seed"], row["perm_index"]) for row in csv.DictReader(open(out))]
     assert rows == [(str(trial_seed(5, i // 3)), str(i % 3)) for i in range(6) if i not in failed]
 
@@ -439,6 +471,10 @@ def test_bucketed_run_with_zero_optimum_fails_every_perm(tmp_path, capsys):
     assert len(failures) == 2 * 3
     assert all(line.startswith("trial failed: PreconditionError: bucketing needs a positive "
                                "guess g") for line in failures)
+    seeds = [harness.trial_seed(0, t) for t in range(2)]
+    assert [line[line.rindex(" (seed "):] for line in failures] == [
+        f" (seed {s}, perm {p})" for s in seeds for p in range(3)
+    ]
 
 
 def test_forest_chunks_leave_the_csv_unchanged(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from injectstream.errors import (
     SizeLimitError,
 )
 from injectstream.submodular import (
+    FLOAT_TOL,
     AdditiveOracle,
     CoverageInstance,
     CoverageOracle,
@@ -25,6 +26,8 @@ from injectstream.submodular import (
     marginal,
     verify_axioms,
 )
+
+from reference_submodular import ref_brute_force_opt
 
 
 class DictOracle(SubmodularOracle):
@@ -92,6 +95,12 @@ def test_brute_force_opt_guard_and_edge_cases(fig2):
     big = CoverageInstance({i: frozenset({i}) for i in range(30)})
     with pytest.raises(SizeLimitError):
         brute_force_opt(CoverageOracle(big), big.ground_set(), 15)
+    small = CoverageInstance({i: frozenset({i}) for i in range(3)})
+    for bad in (1.5, 2.0, "2", None, True, False):
+        counted = CoverageOracle(small)
+        with pytest.raises(PreconditionError, match="k must be an int; got k="):
+            brute_force_opt(counted, small.ground_set(), bad)
+        assert counted.call_counter == 0
 
 
 def test_ground_set_rejects_duplicates():
@@ -194,3 +203,87 @@ def test_brute_force_dominates_greedy(inst, k):
         best = max(sorted(rest, key=repr), key=lambda e: gains[e])
         chosen.add(best)
     assert opt.value >= oracle.evaluate(chosen)
+
+
+
+@st.composite
+def oracle_makers(draw, weight_kind):
+    """(ground set, factory of fresh equal oracles) over up to 7 elements:
+    coverage, weighted coverage or additive, with point sets drawn from a
+    pool of at most 3 so that optima tie.  ``weight_kind`` is "int",
+    "fraction" or "float"."""
+    pool = draw(st.lists(st.frozensets(st.integers(0, 6), max_size=3), min_size=1, max_size=3))
+    rects = draw(st.lists(st.sampled_from(pool), max_size=7))
+    inst = CoverageInstance({f"e{i}": pts for i, pts in enumerate(rects)})
+    weight = {
+        "int": st.integers(0, 3),
+        "fraction": st.fractions(0, 2, max_denominator=3),
+        "float": st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 1e-3]),
+    }[weight_kind]
+    kind = draw(st.sampled_from(["coverage", "weighted", "additive"]))
+    if kind == "coverage":
+        return inst.ground_set(), lambda: CoverageOracle(inst)
+    if kind == "weighted":
+        w = {p: draw(weight) for p in range(7)}
+        return inst.ground_set(), lambda: WeightedCoverageOracle(inst, w)
+    w = {e: draw(weight) for e in inst.rect_of}
+    return inst.ground_set(), lambda: AdditiveOracle(w)
+
+
+def assert_matches_scan(ground, make, k, exact=True):
+    oracle, ref_oracle = make(), make()
+    got = brute_force_opt(oracle, ground, k)
+    want = ref_brute_force_opt(ref_oracle, ground, k)
+    assert oracle.call_counter == ref_oracle.call_counter
+    assert type(got.value) is type(want.value)
+    if exact:
+        assert got == want
+    else:
+        assert abs(got.value - want.value) <= FLOAT_TOL
+
+
+@given(st.sampled_from(["int", "fraction"]).flatmap(oracle_makers))
+@settings(max_examples=150, deadline=None)
+def test_brute_force_opt_matches_the_scan(ground_and_make):
+    """The level-wise optimum equals the one-evaluate-per-subset scan: same
+    set, value and value type (ties included) and the same call count, for
+    every k from 0 to n + 1."""
+    ground, make = ground_and_make
+    for k in range(ground.n + 2):
+        assert_matches_scan(ground, make, k)
+
+
+@given(oracle_makers("float"))
+@settings(max_examples=60, deadline=None)
+def test_brute_force_opt_matches_the_scan_on_float_weights(ground_and_make):
+    """Frozensets built in another order may sum floats in another order,
+    so float values agree within FLOAT_TOL; the call count is exact."""
+    ground, make = ground_and_make
+    for k in range(ground.n + 2):
+        assert_matches_scan(ground, make, k, exact=False)
+
+
+def test_brute_force_opt_matches_the_scan_near_the_guard():
+    """n=16, k=8: C(16, 8) = 12870 rows in the last level, 39203 calls."""
+    rects = {i: frozenset(range(i % 5, i % 5 + 1 + i % 3)) | {10 + i % 4} for i in range(16)}
+    inst = CoverageInstance(rects)
+    assert_matches_scan(inst.ground_set(), lambda: CoverageOracle(inst), 8)
+    weights = {i: Fraction(1 + i % 3, 1 + i % 2) for i in range(16)}
+    assert_matches_scan(inst.ground_set(), lambda: AdditiveOracle(weights), 8)
+
+
+class NaNOracle(SubmodularOracle):
+    """f = |S|, except that sets holding "nan" are worth NaN."""
+
+    exact = False
+
+    def _eval(self, ids: frozenset):
+        return math.nan if "nan" in ids else float(len(ids))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_brute_force_opt_never_picks_nan(k):
+    ground = GroundSet(("a", "nan", "z"))
+    assert_matches_scan(ground, NaNOracle, k)
+    sol = brute_force_opt(NaNOracle(), ground, k)
+    assert "nan" not in sol.elements and sol.value == min(k, 2)
