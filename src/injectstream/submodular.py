@@ -239,19 +239,30 @@ def brute_force_opt(oracle: SubmodularOracle, ground: GroundSet, k: int) -> Solu
     the rows whose least member is above i are a suffix.  Member i extends
     that suffix of level j with one ``extend_states`` call, which gives
     group i of level j + 1.  A row's parent sits at the same offset in that
-    suffix, so rows carry no member lists: the winner is read back from the
+    suffix, so rows carry no member lists: a winner is read back from the
     offsets where each level's groups start.  Rows of least member 0 are
     never extended and are not kept, and level k is reduced group by group
-    and not kept, so at most C(n-1, k-2) + C(n-1, k-1) = C(n, k-1) rows are
-    held at once, besides the group being extended.
+    and not kept, so a pass over m members holds at most
+    R = max_{j < k} C(m, j) rows at once, besides the group being extended
+    (at most R more).
+
+    Peak memory does not grow with the row width (a coverage row is one
+    uint64 word per 64 points): when R rows would take more than
+    ``8 * BRUTE_FORCE_GUARD`` bytes (8 MB, one word per subset the guard
+    admits), the search splits on the least member instead: it extends the
+    prefix's row by each member in turn and searches the members above it,
+    splitting again while they are too many, so the rows held stay under
+    about 16 MB however wide they are.
 
     Deterministic tie-break, as a scan of the sizes in order and of the
     combinations within a size that keeps a set only when it is strictly
     better: among maximum-value sets the smallest size wins, then the
     lexicographically smallest tuple of sorted ids (so the empty set beats
-    any equal-valued nonempty set); a NaN value never wins.  Values are
-    Python scalars.  Counts 1 + sum over 1 <= j <= k of C(n, j) oracle
-    calls.  Guarded by C(n, k) <= 10^6; ``k`` must be an int.
+    any equal-valued nonempty set); a NaN value never wins.  Float values
+    match the scan's within ``FLOAT_TOL`` but may come from a different
+    near-tied set, since a set's floats may be summed in another order.
+    Values are Python scalars.  Counts 1 + sum over 1 <= j <= k of C(n, j)
+    oracle calls.  Guarded by C(n, k) <= 10^6; ``k`` must be an int.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise PreconditionError(f"k must be an int; got k={k!r}")
@@ -261,36 +272,58 @@ def brute_force_opt(oracle: SubmodularOracle, ground: GroundSet, k: int) -> Solu
         raise PreconditionError("k must be >= 0")
     if math.comb(n, k) > BRUTE_FORCE_GUARD:
         raise SizeLimitError(f"C({n}, {k}) exceeds the brute-force guard {BRUTE_FORCE_GUARD}")
-    members = sorted(ground.members, key=repr)
-    best_val = oracle.evaluate(())
-    best = None  # (level, least member, offset in its group)
+    # best[j]: the first maximum among the j-sets, as (value, members)
+    best = [(oracle.evaluate(()), [])] + [(-math.inf, [])] * k
     states, values = oracle.empty_states(1)
-    starts = [[0] * (n + 1)]  # level 0: the empty row lies past every member
+    _search(oracle, states, values, [], sorted(ground.members, key=repr), k, best)
+    best_val, ids = best[0]
+    for val, found in best[1:]:
+        if val > best_val:
+            best_val, ids = val, found
+    if isinstance(best_val, np.generic):
+        best_val = best_val.item()
+    return Solution(elements=frozenset(ids), value=best_val)
+
+
+def _search(oracle, states, values, prefix: list, members: list, k: int, best: list) -> None:
+    """Offer every set ``prefix`` + S to ``best``, S a nonempty subset of
+    ``members`` of size <= k, sizes one at a time and each in combinations
+    order; ``states``/``values`` is the one row of ``prefix``."""
+    n = len(members)
+    k = min(k, n)
+    t = len(prefix)
+    row_bytes = states.nbytes + values.itemsize
+    if k > 1 and math.comb(n, min(k - 1, n // 2)) * row_bytes > 8 * BRUTE_FORCE_GUARD:
+        for i, e in enumerate(members):
+            child_states, child_values = oracle.extend_states(states, values, e)
+            _, val = _first_max(child_values)
+            if val > best[t + 1][0]:
+                best[t + 1] = (val, prefix + [e])
+            _search(oracle, child_states, child_values, prefix + [e], members[i + 1 :], k - 1, best)
+        return
+    starts = [[0] * (n + 1)]  # level 0: the prefix row lies past every member
     base = 0  # row number of states[0]; rows of least member 0 are never extended
     for j in range(1, k + 1):
         prev = starts[-1]
         total = base + len(values)
         here = list(itertools.accumulate((total - prev[i + 1] for i in range(n)), initial=0))
         keep = j < k
+        if keep:
+            level_states = np.empty_like(states, shape=(here[n] - here[1],) + states.shape[1:])
+            level_values = np.empty_like(values, shape=here[n] - here[1])
         for i in range(n - j + 1):
             lo = prev[i + 1] - base
             new_states, new_values = oracle.extend_states(states[lo:], values[lo:], members[i])
             at, val = _first_max(new_values)
-            if val > best_val:
-                best_val, best = val, (j, i, at)
-            if keep and i == 0:
-                level_states = _like(new_states, here[n] - here[1])
-                level_values = _like(new_values, here[n] - here[1])
-            elif keep:
+            if val > best[t + j][0]:
+                best[t + j] = (val, prefix + _rebuild(j, i, at, starts, members))
+            if keep and i:
                 level_states[here[i] - here[1] : here[i + 1] - here[1]] = new_states
                 level_values[here[i] - here[1] : here[i + 1] - here[1]] = new_values
             del new_states, new_values  # before the next group's extension
         if keep:
             states, values, base = level_states, level_values, here[1]
             starts.append(here)
-    if isinstance(best_val, np.generic):
-        best_val = best_val.item()
-    return Solution(elements=frozenset(_rebuild(best, starts, members)), value=best_val)
 
 
 def _first_max(values):
@@ -303,18 +336,10 @@ def _first_max(values):
     return at, values[at]
 
 
-def _like(rows: np.ndarray, n: int) -> np.ndarray:
-    """An empty array of n rows shaped and typed like ``rows``."""
-    return np.empty((n,) + rows.shape[1:], dtype=rows.dtype)
-
-
-def _rebuild(best, starts: list, members: list) -> list:
-    """The members of the row ``best`` = (level, least member, offset in its
-    group), read back through the levels' group ``starts``."""
+def _rebuild(j: int, i: int, at: int, starts: list, members: list) -> list:
+    """The members of row ``at`` of group i (least member i) of level j,
+    read back through the levels' group ``starts``."""
     ids: list = []
-    if best is None:
-        return ids
-    j, i, at = best
     while True:
         ids.append(members[i])
         row = starts[j - 1][i + 1] + at

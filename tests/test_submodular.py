@@ -1,6 +1,7 @@
 """Oracle values, brute-force optimum, and the axiom checker."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from injectstream.errors import (
     SizeLimitError,
 )
 from injectstream.submodular import (
+    BRUTE_FORCE_GUARD,
     FLOAT_TOL,
     AdditiveOracle,
     CoverageInstance,
@@ -270,6 +272,45 @@ def test_brute_force_opt_matches_the_scan_near_the_guard():
     assert_matches_scan(inst.ground_set(), lambda: CoverageOracle(inst), 8)
     weights = {i: Fraction(1 + i % 3, 1 + i % 2) for i in range(16)}
     assert_matches_scan(inst.ground_set(), lambda: AdditiveOracle(weights), 8)
+
+
+def wide_instance(words: int) -> CoverageInstance:
+    """16 point sets over 64 * words points; sets i and i + 8 are equal."""
+    b = 8 * words
+    return CoverageInstance(
+        {i: frozenset(range(i % 8 * b, min(64 * words, (i % 8) * b + b * (2 + i % 3) // 2)))
+         for i in range(16)}
+    )
+
+
+def test_brute_force_opt_matches_the_scan_on_wide_rows():
+    """128-word rows: C(16, 7) rows of 1032 bytes exceed the 8 MB a level
+    pass may hold at k=8, so the search splits on the least member; the
+    answer, ties included, and the call count still match the scan."""
+    inst = wide_instance(128)
+    assert CoverageOracle(inst).words == 128
+    for k in (3, 8):
+        assert_matches_scan(inst.ground_set(), lambda: CoverageOracle(inst), k)
+    # set 15 covers every point: a singleton, offered where the search splits, wins
+    full = CoverageInstance({**inst.rect_of, 15: frozenset(range(64 * 128))})
+    assert_matches_scan(full.ground_set(), lambda: CoverageOracle(full), 8)
+
+
+def test_brute_force_opt_memory_does_not_grow_with_row_width():
+    """512-word rows, n=16, k=8: holding C(16, 7) rows of the last kept
+    level alone would take 47 MB; the search stays under twice the 8 MB a
+    level pass may hold."""
+    inst = wide_instance(512)
+    oracle = CoverageOracle(inst)
+    tracemalloc.start()
+    try:
+        sol = brute_force_opt(oracle, inst.ground_set(), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * BRUTE_FORCE_GUARD
+    assert oracle.call_counter == sum(math.comb(16, j) for j in range(9))
+    assert sol.value == 64 * 512
 
 
 class NaNOracle(SubmodularOracle):
