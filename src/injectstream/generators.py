@@ -20,13 +20,10 @@ is the model's information constraint.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidInstanceError, PreconditionError
-from .matching import BETA, EPS, Edge, Matching, exact_max_matching
+from .errors import PreconditionError
+from .matching import Edge, exact_max_matching
 from .rng import PhiloxRNG, fisher_yates
 from .stream_model import Element, InjectionPlan, InstanceSplit
 from .submodular import CoverageInstance, CoverageOracle, brute_force_opt, figure2_instance
@@ -242,105 +239,6 @@ def _greedy_trap(s: int) -> tuple[InstanceSplit, int]:
 def edges_from_stream(stream) -> list[Edge]:
     """The Edge payloads of a matching element stream, in arrival order."""
     return [el.payload for el in stream]
-
-
-# ---------------------------------------------------------------------------
-# planted instances for the path collector
-
-
-@dataclass(frozen=True)
-class PlantedAugInstance:
-    matching: Matching
-    suffix: tuple[Edge, ...]
-    planted: int  # number of planted vertex-disjoint 3-augmenting paths
-
-
-def generate_planted_3aug(
-    seed: int,
-    size_range: tuple[int, int] = (20, 100),
-) -> PlantedAugInstance:
-    """Frozen matching plus a suffix holding >= ceil(BETA*|M|) disjoint
-    3-augmenting paths (fresh wing vertices), shuffled, with distractor
-    edges (when |M| >= 2) the collector must ignore.
-
-    Center i is (4i, 4i+1); its planted wings go to 4i+2 and 4i+3.
-    """
-    lo, hi = size_range
-    if not 1 <= lo <= hi:
-        raise PreconditionError("need 1 <= lo <= hi")
-    rng = PhiloxRNG(seed)
-    s = lo + rng.randbelow(hi - lo + 1)
-    planted = math.ceil(s * BETA)
-    M = Matching(Edge(4 * i, 4 * i + 1) for i in range(s))
-    suffix = []
-    for i in range(planted):
-        suffix.append(Edge(4 * i + 2, 4 * i))      # x_i - a_i
-        suffix.append(Edge(4 * i + 1, 4 * i + 3))  # b_i - y_i
-    if s >= 2:
-        suffix.append(Edge(0, 5))           # matched-matched: ignored
-        suffix.append(Edge(2, 0))           # repeat of a planted wing: idempotent
-        suffix.append(Edge(4 * s + 1, 0))   # extra wing, fresh free vertex
-        if planted >= 2:
-            suffix.append(Edge(2, 6))       # free-free: ignored
-    return PlantedAugInstance(
-        matching=M,
-        suffix=tuple(fisher_yates(suffix, rng)),
-        planted=planted,
-    )
-
-
-# ---------------------------------------------------------------------------
-# matching-pair sampler for the non-3-augmentable bound
-
-
-def sample_matching_pair(seed: int) -> tuple[Matching, Matching]:
-    """(M, M*) with |M| <= (1/2 + EPS)|M*|, M maximal in the union graph.
-
-    Built from disjoint blocks: T3 (3-augmenting path: M center, two M*
-    wings), TC (an edge in both matchings), P5 (a 5-edge alternating path
-    starting and ending in M*; its 2 M-edges are non-3-augmentable), C4
-    (alternating 4-cycle), ISO (an M-edge off M*'s support).  Block counts
-    obey c3 >= 12*cc + 11*c5 + 24*c4 + 25*ciso, which at EPS = 1/50 is
-    exactly the size hypothesis.
-    """
-    rng = PhiloxRNG(seed)
-    c3 = 20 + rng.randbelow(41)
-    while True:
-        cc = rng.randbelow(4)
-        c5 = rng.randbelow(4)
-        c4 = rng.randbelow(3)
-        ciso = rng.randbelow(2)
-        if 12 * cc + 11 * c5 + 24 * c4 + 25 * ciso <= c3:
-            break
-    m_edges: list[Edge] = []
-    ms_edges: list[Edge] = []
-    fresh = iter(range(10**6))
-
-    def nxt() -> int:
-        return next(fresh)
-
-    for _ in range(c3):
-        x, a, b, y = nxt(), nxt(), nxt(), nxt()
-        m_edges.append(Edge(a, b))
-        ms_edges.extend([Edge(x, a), Edge(b, y)])
-    for _ in range(cc):
-        a, b = nxt(), nxt()
-        m_edges.append(Edge(a, b))
-        ms_edges.append(Edge(a, b))
-    for _ in range(c5):
-        u = [nxt() for _ in range(6)]
-        ms_edges.extend([Edge(u[0], u[1]), Edge(u[2], u[3]), Edge(u[4], u[5])])
-        m_edges.extend([Edge(u[1], u[2]), Edge(u[3], u[4])])
-    for _ in range(c4):
-        u = [nxt() for _ in range(4)]
-        ms_edges.extend([Edge(u[0], u[1]), Edge(u[2], u[3])])
-        m_edges.extend([Edge(u[1], u[2]), Edge(u[3], u[0])])
-    for _ in range(ciso):
-        m_edges.append(Edge(nxt(), nxt()))
-    M, M_star = Matching(m_edges), Matching(ms_edges)
-    if len(M) > (Fraction(1, 2) + EPS) * len(M_star):
-        raise InvalidInstanceError("sampler violated its own size hypothesis")
-    return M, M_star
 
 
 def random_edge_stream(

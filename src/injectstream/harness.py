@@ -637,7 +637,7 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
 
 
 def _slot(slot, noise_id) -> tuple:
-    if not isinstance(slot, int) or isinstance(noise_id, (list, dict)):
+    if type(slot) is not int or isinstance(noise_id, (list, dict)):
         raise ValueError("not a slot entry")
     return slot, noise_id
 

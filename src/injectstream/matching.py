@@ -187,10 +187,6 @@ class AugPath:
         y = self.wing_b.other(self.center.v)
         return x, y
 
-    def vertices(self) -> frozenset:
-        x, y = self.free_endpoints()
-        return frozenset({x, self.center.u, self.center.v, y})
-
 
 class AugPathStore:
     """Bounded-memory collector of vertex-disjoint 3-augmenting paths.
@@ -267,14 +263,6 @@ class AugPathStore:
     def paths(self) -> list[AugPath]:
         """The committed paths in the frozen matching's order."""
         return [self.committed[c] for c in islice(self.M.edges, self.size) if c in self.committed]
-
-
-def three_aug_paths(M: Matching, suffix: Iterable[Edge]) -> list[AugPath]:
-    """Collect vertex-disjoint 3-augmenting paths for frozen M from a stream."""
-    store = AugPathStore(M)
-    for e in suffix:
-        store.offer(e)
-    return store.paths()
 
 
 def apply_augmentations(M: Matching, paths: Sequence[AugPath]) -> Matching:
@@ -528,35 +516,6 @@ def _max_matching_dp(vertices: list, edges: list[Edge]) -> Matching:
         else:
             raise InvariantError("dp reconstruction failed")
     return out
-
-
-# ---------------------------------------------------------------------------
-# analysis oracles
-
-
-def count_3_augmentable(M: Matching, M_star: Matching) -> int:
-    """Number of M-edges that are middles of M*-M-M* 3-augmenting paths.
-
-    An edge (a,b) of M qualifies iff both endpoints have M*-partners and
-    both partners are M-free.  Requires M maximal in the union graph (the
-    Lemma's hypothesis); violations raise.
-    """
-    validate_matching(M)
-    validate_matching(M_star)
-    for e in M_star.edges:
-        if M.is_free(e.u) and M.is_free(e.v):
-            raise PreconditionError(f"M not maximal in the union graph: {e} is free-free")
-    count = 0
-    for e in M.edges:
-        pa = M_star.matched.get(e.u)
-        pb = M_star.matched.get(e.v)
-        if pa is None or pb is None:
-            continue
-        x = pa.other(e.u)
-        y = pb.other(e.v)
-        if M.is_free(x) and M.is_free(y):
-            count += 1
-    return count
 
 
 @dataclass

@@ -321,9 +321,8 @@ def min_diagonal(table: RecurrenceTable, k_lo: int, k_hi: int):
 
 @dataclass
 class DominanceReport:
-    """Cells at or above k_threshold whose minimum is not the first term."""
+    """Cells of the checked rows whose minimum is not the first term."""
 
-    k_threshold: int
     violations: list            # (k, h, tag) triples, truncated to 50
     violation_count: int
     closed_form_max_dev: float  # |R(k,h) - (1-(1-t/k)^h)| where dominance holds from h=1
@@ -367,7 +366,6 @@ def first_term_dominance(
             found = [(k_max + 1 - n + i, h, int(tags[i])) for i in bad[:50].tolist()]
             violations = sorted(violations + found)[:50]
     return DominanceReport(
-        k_threshold=k_threshold,
         violations=violations,
         violation_count=count,
         closed_form_max_dev=max_dev,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidInstanceError, PlanValidationError, SizeLimitError
-from .rng import CounterRNG, MixedRadixRNG, PhiloxRNG, fisher_yates
+from .rng import MixedRadixRNG, PhiloxRNG, fisher_yates
 
 ENUMERATION_LIMIT = 8
 
@@ -93,14 +93,12 @@ class InjectionPlan:
 class InjectedStream:
     """A realized stream.
 
-    ``order`` is what algorithms consume: elements only, no labels.  The
-    realized ``permutation`` of the good elements is recorded for oracles and
-    tests; algorithm code must not read it.  ``seed`` is the RNG seed that
-    produced the permutation (None for enumerated streams).
+    ``order`` is what algorithms consume: elements only, no labels.  ``seed``
+    is the RNG seed that drew the good elements' permutation (the index of
+    the permutation for enumerated streams).
     """
 
     order: tuple[Element, ...]
-    permutation: tuple[Element, ...]
     seed: Optional[int] = None
 
     def __iter__(self) -> Iterator[Element]:
@@ -110,43 +108,13 @@ class InjectedStream:
         return len(self.order)
 
 
-def sample_permutation(
-    good: Sequence[Element],
-    seed: int,
-    rng_factory: type[CounterRNG] = PhiloxRNG,
-) -> tuple[Element, ...]:
-    """Uniformly permute the good elements, deterministically in the seed.
-
-    ``rng_factory`` defaults to the counter-based production generator; tests
-    pass :class:`MixedRadixRNG` to enumerate permutations by seed.
-    """
-    if len(good) == 0:
-        raise InvalidInstanceError("cannot permute an empty good set")
-    return tuple(fisher_yates(good, rng_factory(seed)))
-
-
-def realize_stream(
-    split: InstanceSplit,
-    plan: InjectionPlan,
-    permutation: Sequence[Element],
-    seed: Optional[int] = None,
-) -> InjectedStream:
-    """Interleave a concrete permutation with a validated plan."""
-    per_slot = _noise_by_slot(split, plan)
-    if Counter(e.id for e in permutation) != Counter(e.id for e in split.good):
-        raise InvalidInstanceError("permutation is not a permutation of the good set")
-    return _interleave(per_slot, permutation, seed)
-
-
 def build_streams(
     split: InstanceSplit, plan: InjectionPlan, seeds: Iterable[int]
 ) -> list[InjectedStream]:
     """``[build_stream(split, plan, seed) for seed in seeds]``, in one call.
 
     The plan is validated and its noise grouped by slot once, and one
-    Philox generator is reseeded per seed instead of built anew.  The
-    shuffles are made here, so they skip ``realize_stream``'s permutation
-    check.
+    Philox generator is reseeded per seed instead of built anew.
     """
     if split.n_good == 0:
         raise InvalidInstanceError("cannot permute an empty good set")
@@ -186,7 +154,7 @@ def _interleave(
         order.extend(noise)
         order.append(g)
     order.extend(per_slot[-1])
-    return InjectedStream(order=tuple(order), permutation=tuple(permutation), seed=seed)
+    return InjectedStream(order=tuple(order), seed=seed)
 
 
 def enumerate_streams(split: InstanceSplit, plan: InjectionPlan) -> list[InjectedStream]:

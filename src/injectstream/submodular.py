@@ -69,9 +69,9 @@ class SubmodularOracle:
     """Base oracle: normalized (f(empty)=0), monotone, submodular by contract.
 
     Subclasses implement ``_eval`` on a frozenset of element ids.  ``evaluate``
-    counts calls; ``marginal_from`` lets a caller reuse an already-known f(S)
-    so one new evaluation suffices, which is how the prefix tree keeps its
-    per-element oracle cost at one call per node.
+    counts calls; ``extend_states`` extends rows of known sets and values by
+    one element, one counted call per row, which is how the prefix tree keeps
+    its per-element oracle cost at one call per node.
     """
 
     #: True when values are exact (int / Fraction); enables tolerance-free tests.
@@ -88,12 +88,6 @@ class SubmodularOracle:
         self.call_counter += 1
         return self._eval(s)
 
-    def marginal_from(self, e: Hashable, ids: frozenset, base):
-        """f(e | ids) given base = f(ids); exactly one new evaluation."""
-        if e in ids:
-            raise PreconditionError(f"element {e!r} already in the set")
-        return self.evaluate(ids | {e}) - base
-
     def empty_states(self, n: int):
         """(states, values): n rows holding the empty set and f(empty) = 0.
 
@@ -107,7 +101,7 @@ class SubmodularOracle:
 
         ``states``/``values`` are row arrays in the layout of
         :meth:`empty_states`; e must not be in any row's set.  Counts one
-        oracle call per row, as one ``marginal_from`` per row would.
+        oracle call per row, as one ``evaluate`` per row would.
         """
         self.call_counter += len(values)
         new_states = _frozenset_rows(len(values))
@@ -122,14 +116,6 @@ def _frozenset_rows(n: int) -> np.ndarray:
     rows = np.empty(n, dtype=object)
     rows.fill(frozenset())
     return rows
-
-
-def marginal(oracle: SubmodularOracle, e: Hashable, S: Iterable[Hashable]):
-    """f(e | S) = f(S + e) - f(S).  Two evaluations (one if you cache f(S))."""
-    s = frozenset(S)
-    if e in s:
-        raise PreconditionError(f"element {e!r} already in the set")
-    return oracle.evaluate(s | {e}) - oracle.evaluate(s)
 
 
 @dataclass(frozen=True)

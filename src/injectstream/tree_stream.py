@@ -37,10 +37,6 @@ singleton value m: tree i is the guess j = ``window[i]`` of
 moves up, so dismissed guesses are the first trees, whose rows are
 compacted away, a newly admitted guess joins as a fresh last root at the
 current stream position, and the best surviving tree wins.
-
-The interval-greedy leaf trace is an analysis oracle, not part of the
-algorithm: it reads the recorded permutation to reproduce the half-floor
-selection argument, and its path provably appears in the exact-mode tree.
 """
 
 from __future__ import annotations
@@ -55,8 +51,8 @@ from typing import Hashable, Iterable, Optional, Union
 import numpy as np
 
 from . import geomgrid
-from .errors import InvalidInstanceError, InvariantError, PreconditionError
-from .stream_model import Element, InjectedStream
+from .errors import PreconditionError
+from .stream_model import Element
 from .submodular import SubmodularOracle, Solution
 
 INITIAL_ROWS = 64
@@ -284,10 +280,6 @@ class PrefixTree:
     @property
     def root(self) -> NodeView:
         return NodeView(self, 0)
-
-    @property
-    def live_node_count(self) -> int:
-        return self.size
 
     def node_counts(self) -> np.ndarray:
         """Nodes per tree."""
@@ -639,68 +631,3 @@ def guess_run(
 def live_guess_bound(k: int, delta: float) -> int:
     """The guess-count cap: floor(log base (1+delta) of k(1+delta)/delta) + 1."""
     return geomgrid.live_guess_bound(1.0 + delta, k / delta)
-
-
-@dataclass(frozen=True)
-class LeafTrace:
-    """The interval-greedy selection r_1..r_k and its prefix values."""
-
-    elements: tuple[Element, ...]
-    prefix_values: tuple  # f(R_0)=0 .. f(R_k)
-    positions: tuple[int, ...]  # stream indices of the r_i
-
-    @property
-    def final_value(self):
-        return self.prefix_values[-1]
-
-
-def analysis_leaf_trace(
-    stream: InjectedStream,
-    opt_ids: set,
-    oracle: SubmodularOracle,
-    k: int,
-) -> LeafTrace:
-    """Reproduce the warm-up selection: r_{i+1} maximizes the marginal over
-    the stream interval (r_i, o_{i+1}], ties to the earliest stream position.
-
-    o_1..o_k are the first k optimum elements in arrival order (the recorded
-    permutation makes them well defined; this is a test oracle, algorithms
-    never see those labels).  The selected path exists in the exact-mode tree.
-    """
-    order = list(stream.order)
-    opt_positions = [i for i, e in enumerate(order) if e.id in opt_ids]
-    if len(opt_positions) < k:
-        raise InvalidInstanceError(
-            f"stream holds {len(opt_positions)} optimum elements, need {k}"
-        )
-    chosen: list[Element] = []
-    positions: list[int] = []
-    values = [0]
-    current = frozenset()
-    current_value = 0
-    lo = -1  # window starts strictly after this index
-    for i in range(k):
-        hi = opt_positions[i]
-        best_gain = None
-        best_pos = None
-        for pos in range(lo + 1, hi + 1):
-            e = order[pos]
-            if e.id in current:
-                continue
-            gain = oracle.marginal_from(e.id, current, current_value)
-            if best_gain is None or gain > best_gain:
-                best_gain, best_pos = gain, pos
-        if best_pos is None:
-            raise InvariantError("empty selection window")  # cannot happen: o_i inside
-        e = order[best_pos]
-        chosen.append(e)
-        positions.append(best_pos)
-        current = current | {e.id}
-        current_value = current_value + best_gain
-        values.append(current_value)
-        lo = best_pos
-    return LeafTrace(
-        elements=tuple(chosen),
-        prefix_values=tuple(values),
-        positions=tuple(positions),
-    )

@@ -15,17 +15,14 @@ from fractions import Fraction
 from injectstream.generators import (
     ADVERSARY_STRATEGIES,
     generate_matching_instance,
-    generate_planted_3aug,
     generate_submod_instance,
     make_plan,
-    sample_matching_pair,
 )
 from injectstream.matching import (
     BETA,
     COLLECTOR_SLOTS_PER_EDGE,
     EPS,
     AugPathStore,
-    count_3_augmentable,
     exact_max_matching,
     greedy_matching,
     match_run,
@@ -61,6 +58,7 @@ from injectstream.tree_stream import (
     run_tree_streams,
     tree_process,
 )
+from reference_matching import count_3_augmentable, generate_planted_3aug, sample_matching_pair
 from reference_recurrence import streamed_cells
 
 
@@ -147,7 +145,7 @@ def test_criterion_03_figure2_tree_reproduction():
         assert {c.element.id: c.gain for c in node_b.children.values()} == {"C": 1}
         node_d = next(c for c in tree.root.children.values() if c.element.id == "D")
         assert node_d.children == {}
-        assert tree.live_node_count == 8
+        assert tree.size == 8
         best = best_solution(tree)
         assert best.elements == frozenset({"A", "B"}) and best.value == 5
 

@@ -12,11 +12,9 @@ from injectstream.generators import (
     SUBMOD_KINDS,
     edges_from_stream,
     generate_matching_instance,
-    generate_planted_3aug,
     generate_submod_instance,
     make_plan,
     random_edge_stream,
-    sample_matching_pair,
 )
 from injectstream.matching import (
     BETA,
@@ -24,13 +22,14 @@ from injectstream.matching import (
     EPS,
     AugPathStore,
     Edge,
-    count_3_augmentable,
     exact_max_matching,
     greedy_matching,
     validate_matching,
 )
 from injectstream.stream_model import Element, InstanceSplit, build_stream, enumerate_streams
 from injectstream.submodular import CoverageOracle, brute_force_opt, verify_axioms
+
+from reference_matching import count_3_augmentable, generate_planted_3aug, sample_matching_pair
 
 
 # -------------------------------------------------------------------- plans

@@ -1,5 +1,6 @@
 """Experiment harness: configs, determinism, CSV output, and the CLI."""
 
+import ast
 import csv
 import dataclasses
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -635,6 +637,19 @@ def test_second_slots_record_is_rejected(tmp_path, read):
 
 
 @pytest.mark.parametrize("read", [read_submod_instance_file, read_matching_instance_file])
+def test_bool_slot_is_rejected(tmp_path, read):
+    """JSON true is no slot, though Python's bool is an int subclass."""
+    path = tmp_path / "inst.jsonl"
+    records = ('{"id": 1, "role": "good", "payload": [1, 2]}\n'
+               '{"id": 2, "role": "noise", "payload": [3, 4]}\n')
+    path.write_text(records + '{"slots": [[1, 2]]}\n')
+    assert read(str(path))[-1] == InjectionPlan(((1, 2),))
+    path.write_text(records + '{"slots": [[true, 2]]}\n')
+    with pytest.raises(InvalidInstanceError, match="^" + re.escape(f"{path}:3: slots must be")):
+        read(str(path))
+
+
+@pytest.mark.parametrize("read", [read_submod_instance_file, read_matching_instance_file])
 def test_instance_file_without_elements_is_rejected(tmp_path, read):
     path = tmp_path / "empty.jsonl"
     path.write_text('{"slots": []}\n')
@@ -875,8 +890,33 @@ def test_cli_flag_prefixes_are_not_abbreviations(tmp_path, monkeypatch, capsys, 
     assert os.listdir(tmp_path) == []
 
 
+def _names_outside_the_tests() -> set:
+    """Names read by the package's modules (not ``__init__.py``), the demos
+    and perfbench, as ast names, attributes and import aliases, plus every
+    word the README puts in backticks."""
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in (root / "src" / "injectstream").glob("*.py") if p.name != "__init__.py"]
+    files += [*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update((node.name, node.asname))
+    for span in re.findall(r"`+([^`]+)`+", (root / "README.md").read_text()):
+        names.update(re.findall(r"\w+", span))
+    return names
+
+
 def test_every_exported_name_resolves():
+    """Every export exists, and a run, the CLI, a demo, perfbench or the
+    README reaches it; what only tests read belongs in ``tests/``."""
     import injectstream
 
     missing = [name for name in injectstream.__all__ if not hasattr(injectstream, name)]
     assert missing == []
+    reached = _names_outside_the_tests()
+    assert [name for name in injectstream.__all__ if name not in reached] == []

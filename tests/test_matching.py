@@ -26,7 +26,6 @@ from injectstream.matching import (
     GuessRunStats,
     Matching,
     apply_augmentations,
-    count_3_augmentable,
     exact_max_matching,
     geometric_guess_run,
     greedy_matching,
@@ -35,11 +34,12 @@ from injectstream.matching import (
     match_run,
     phase1_threshold,
     robust_greedy_check,
-    three_aug_paths,
     validate_matching,
 )
 from injectstream import matching
 from injectstream.rng import PhiloxRNG
+
+from reference_matching import count_3_augmentable
 
 
 def path_edges(*vertices):
@@ -128,12 +128,15 @@ def test_greedy_step_and_maximality():
 
 def test_three_aug_paths_minimal():
     m = Matching([Edge("a", "b")])
-    paths = three_aug_paths(m, [Edge("x", "a"), Edge("b", "y")])
+    store = AugPathStore(m)
+    for e in (Edge("x", "a"), Edge("b", "y")):
+        store.offer(e)
+    paths = store.paths()
     assert len(paths) == 1
     p = paths[0]
     assert p.center == Edge("a", "b")
     assert set(p.free_endpoints()) == {"x", "y"}
-    assert p.vertices() == frozenset({"x", "a", "b", "y"})
+    assert (p.wing_a, p.wing_b) == (Edge("x", "a"), Edge("b", "y"))
 
 
 def test_collector_rejects_non_wings():
@@ -197,7 +200,10 @@ def test_collector_commits_when_the_second_side_arrives():
 
 def test_apply_augmentations():
     m = Matching([Edge("a", "b")])
-    [p] = three_aug_paths(m, [Edge("x", "a"), Edge("b", "y")])
+    store = AugPathStore(m)
+    for e in (Edge("x", "a"), Edge("b", "y")):
+        store.offer(e)
+    [p] = store.paths()
     out = apply_augmentations(m, [p])
     assert len(out) == 2
     assert Edge("x", "a") in out and Edge("b", "y") in out

@@ -37,7 +37,6 @@ from injectstream.tree_stream import (
     IncreaseBuckets,
     PrefixTree,
     RunStats,
-    analysis_leaf_trace,
     best_solution,
     delta_fraction,
     guess_run,
@@ -47,6 +46,8 @@ from injectstream.tree_stream import (
     run_tree_streams,
     tree_process,
 )
+
+from reference_tree import analysis_leaf_trace
 
 
 def stream_of(*ids):
@@ -86,7 +87,7 @@ def test_figure2_full_tree(fig2_oracle):
     node_d = next(c for c in root.children.values() if c.element.id == "D")
     assert node_d.children == {}
 
-    assert tree.live_node_count == 8
+    assert tree.size == 8
     best = best_solution(tree)
     assert best.value == 5
     # {B,C} also scores 5 but {A,B} was created earlier
