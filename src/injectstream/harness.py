@@ -609,9 +609,10 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
             missing = [name for name in ("id", "role", "payload") if name not in rec]
             if missing:
                 raise InvalidInstanceError(f"{where}: missing {', '.join(missing)}")
-            if isinstance(rec["id"], (list, dict)):
-                raise InvalidInstanceError(f"{where}: id must be a number or a string, "
-                                           f"got {rec['id']!r}")
+            try:
+                _scalar(rec["id"], "id")
+            except ValueError as exc:
+                raise InvalidInstanceError(f"{where}: {exc}") from None
             if rec["id"] in id_lines:
                 raise InvalidInstanceError(f"{where}: element id {rec['id']!r} repeats "
                                            f"the record on line {id_lines[rec['id']]}")
@@ -636,24 +637,32 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
     return split, plan
 
 
+def _scalar(x, what: str):
+    """``x`` if it is a JSON number or string; ValueError naming ``what``
+    for true, false, null, an array or an object."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        raise ValueError(f"{what} must be a number or a string, got {json.dumps(x)}")
+    return x
+
+
 def _slot(slot, noise_id) -> tuple:
-    if type(slot) is not int or isinstance(noise_id, (list, dict)):
+    if type(slot) is not int:
         raise ValueError("not a slot entry")
-    return slot, noise_id
+    return slot, _scalar(noise_id, "noise id")
 
 
 def _point_set(payload) -> frozenset:
     if not isinstance(payload, list):
         raise ValueError(f"payload must be a list of points, got {payload!r}")
-    return frozenset(payload)
+    return frozenset(_scalar(p, "point") for p in payload)
 
 
 def _edge(payload) -> Edge:
     """A [u, v] pair as an undirected Edge; list vertices become tuples."""
     if not isinstance(payload, list) or len(payload) != 2:
         raise ValueError(f"payload must be a [u, v] pair, got {payload!r}")
-    u, v = (tuple(x) if isinstance(x, list) else x for x in payload)
-    hash((u, v))  # a JSON object vertex (a dict) raises TypeError here, not in a run
+    u, v = (tuple(x) if isinstance(x, list) else _scalar(x, "vertex") for x in payload)
+    hash((u, v))  # a JSON object inside a list vertex raises TypeError here, not in a run
     return Edge(u, v)
 
 

@@ -30,17 +30,23 @@ built from the arrays.
 Three runs share the one forest.  ``run_tree_streams`` advances several
 streams together, one tree per stream and one keyer for all of them (the
 harness runs a trial's permutations this way), and ``run_tree_stream`` is
-its one-stream case.  When OPT is unknown, a guess manager keeps one tree
-per active geometric guess g = (1+delta)^j, keyed to the running maximum
-singleton value m: tree i is the guess j = ``window[i]`` of
-``geomgrid.window``, which holds g in [m/(1+delta), (k/delta)*m] and only
-moves up, so dismissed guesses are the first trees, whose rows are
-compacted away, a newly admitted guess joins as a fresh last root at the
-current stream position, and the best surviving tree wins.
+its one-stream case.  When OPT is unknown, a guess manager runs the active
+geometric guesses g = (1+delta)^j, the exponents j of ``geomgrid.window``
+around the running maximum singleton value m, which holds g in
+[m/(1+delta), (k/delta)*m] and only moves up.  Each tree serves a class of
+guesses, a contiguous range of exponents keyed as its representative, the
+highest one.  With integer value rows every gain at a pass lies in 0..m,
+so the guesses whose keys split 0..m alike share a class; other rows keep
+one guess per class.  When m grows, the classes emptied by dismissals are
+the first trees, whose rows are compacted away; the admitted guesses join
+as one class on a fresh last root at the current stream position; and a
+class whose members now split 0..m differently is split, each lower part
+getting a copy of the tree.  The best surviving tree wins.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -152,7 +158,7 @@ class IncreaseBuckets:
 
 
 class GuessBuckets:
-    """Row-wise keying for the guess forest: tree i is the guess (1+delta)**window[i].
+    """Row-wise keying for the guess forest: tree i is the guess (1+delta)**exponents[i].
 
     Every guess is a float power, so a row keys to min(max(gain //
     widths[tree], 0), bucket_count), as that guess's ``IncreaseBuckets``
@@ -163,17 +169,38 @@ class GuessBuckets:
         self.k, self.delta = k, delta_fraction(delta)
         self.bucket_count = math.ceil(k / self.delta)
         self.key_count = self.bucket_count + 1
-        self.use(range(0))
+        self.use(())
 
-    def use(self, window: range) -> None:
-        """Key tree i as the guess of exponent ``window[i]`` from now on."""
+    def _widths(self, exponents: Sequence[int]) -> np.ndarray:
         base = 1.0 + float(self.delta)
-        self.widths = np.array([_float_width(base**j, self.k, self.delta) for j in window],
-                               dtype=np.float64)
+        return np.array([_float_width(base**j, self.k, self.delta) for j in exponents],
+                        dtype=np.float64)
+
+    def use(self, exponents: Sequence[int]) -> None:
+        """Key tree i as the guess of exponent ``exponents[i]`` from now on."""
+        self.widths = self._widths(exponents)
 
     def keys(self, gains: np.ndarray, trees: np.ndarray) -> np.ndarray:
         raw = gains.astype(np.float64, copy=False) // self.widths[trees]
         return np.minimum(np.maximum(raw, 0), self.bucket_count).astype(np.int64)
+
+    def splits(self, exponents: Sequence[int], m: int) -> list[frozenset]:
+        """How ``keys`` splits the integers 0..m under each guess of
+        ``exponents``: the x in 1..m whose key differs from x - 1's.
+
+        Guesses with equal splits make the same child decisions on integer
+        gains in 0..m.  The least x with key >= b, for b = 1..bucket_count,
+        is found by bisection on the float floor division that ``keys`` makes.
+        """
+        w = self._widths(exponents)[:, None]
+        b = np.arange(1, self.bucket_count + 1)
+        lo = np.zeros((len(w), len(b)), dtype=np.int64)  # key(lo) < b
+        hi = np.full_like(lo, m + 1)                      # key(hi) >= b, or hi = m + 1
+        while (hi - lo > 1).any():
+            mid = lo + (hi - lo) // 2
+            up = mid.astype(np.float64) // w >= b
+            hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+        return [frozenset(row).difference((m + 1,)) for row in hi.tolist()]
 
 
 class NodeView:
@@ -334,6 +361,40 @@ class PrefixTree:
         self.element_index = {eid: x for x, eid in enumerate(self.ids)}
         path[path >= 0] = np.searchsorted(used, path[path >= 0])
 
+    def copy_trees(self, copies: Sequence[int]) -> None:
+        """Insert ``copies[t]`` copies of each tree t just before it, and
+        renumber the trees in that order.  A copy's rows are appended in its
+        source's row order, and its presence bits are rebuilt from their
+        children's stored gains by ``keyer``, which must key the new numbering."""
+        copies = np.asarray(copies, dtype=np.int64)
+        if not copies.any():
+            return
+        n = self.size
+        owner, shift = self.tree[:n].copy(), np.cumsum(copies)
+        self.tree[:n] += shift[owner].astype(np.int32)  # tree t becomes t + shift[t]
+        self.calls = np.repeat(self.calls, copies + 1)
+        moved = np.full(n, -1, dtype=np.int32)
+        for t in copies.nonzero()[0].tolist():
+            rows = (owner == t).nonzero()[0]
+            for new_t in range(t + shift[t] - copies[t], t + shift[t]):
+                m = self.size
+                self._reserve(m + rows.size, self.keyer.key_count)
+                for name in _ROWS:
+                    a = getattr(self, name)
+                    if a is not None:
+                        a[m : m + rows.size] = a[rows]
+                moved[rows] = np.arange(m, m + rows.size)
+                parent = self.parent[m : m + rows.size]
+                parent[parent >= 0] = moved[parent[parent >= 0]]
+                self.tree[m : m + rows.size] = new_t
+                self.size = m + rows.size
+        self.trees += int(shift[-1])
+        self.presence[n : self.size] = 0
+        kids = n + (self.parent[n : self.size] >= 0).nonzero()[0]
+        if kids.size:
+            keys = self.keyer.keys(self.gains[kids], self.tree[kids])
+            np.bitwise_or.at(self.presence, (self.parent[kids], keys >> 3), _BIT[keys & 7])
+
     def _bind(self, oracle: SubmodularOracle) -> None:
         self._empty_states = oracle.empty_states
         self.states, self.values = oracle.empty_states(len(self.depth))
@@ -490,6 +551,15 @@ def node_count_bound(k: int, delta: Union[float, str, Fraction]) -> int:
 
 @dataclass
 class RunStats:
+    """Counts of one run, per guess for ``guess_run``.
+
+    ``nodes_live_max`` is the most nodes held after a stream position, and
+    ``oracle_calls`` counts the singleton evaluations and the extensions.  In
+    ``guess_run`` a tree serves a class of guesses, and both count each
+    guess as if it had its own tree: a class's rows and each pass's
+    extensions count once per member, as one tree per guess would make them.
+    """
+
     nodes_live_max: int = 0
     guesses_live_max: int = 0
     oracle_calls: int = 0
@@ -500,48 +570,88 @@ class GuessManager:
 
     Active guesses are the exact powers (1+delta)^j for j in ``window``:
     (1+delta)^j in [m/(1+delta), (k/delta)*m], where m is the running
-    maximum singleton value, and tree i of ``forest`` is the guess j =
-    ``window[i]``.  A guess that stays in the window keeps its tree across
-    m updates.  m only grows, so the guesses that fall out are the first
-    trees, which are compacted away, and a newly admitted guess joins at the
-    end as a fresh root at the current stream position.
+    maximum singleton value.  Each tree of ``forest`` serves a class of
+    guesses, a contiguous range of exponents keyed as its representative,
+    its highest exponent: tree i serves the exponents of ``window`` in
+    (tops[i-1], tops[i]], ``members[i]`` of them, in exponent order.
+
+    A class shares one tree only when the forest's value rows, bound to
+    ``oracle`` here, are integers.  A monotone submodular oracle's gains at
+    a pass then lie in 0..m, and guesses whose keys split the integers 0..m
+    alike (``GuessBuckets.splits``) make the same child decisions.  Object,
+    ``Fraction`` and float rows keep one guess per class.
+
+    When m grows, ``observe`` drops the classes left without members (m only
+    grows, so dismissals take the lowest exponents: a representative stays
+    until its class is empty, and the empty classes are the first trees),
+    appends the admitted guesses as one class on a fresh root, and splits
+    every class whose members now split 0..m differently into runs of equal
+    splits.  The top run keeps the tree; each lower run gets a copy of it,
+    just before it, with its presence bits rekeyed under its own
+    representative from the stored gains.
     """
 
-    def __init__(self, k: int, delta: float) -> None:
+    def __init__(self, k: int, delta: float, oracle: SubmodularOracle) -> None:
         if k < 1:
             raise PreconditionError(f"guessing needs k >= 1; got k={k!r}")
         if not 0 < delta < 1:
             raise PreconditionError("guessing delta must lie in (0, 1)")
         self.k = k
         self.delta = delta
+        self.oracle = oracle
         self.m = 0
         self.window = range(0)
+        self.tops: list[int] = []
+        self.members = np.zeros(0, dtype=np.int64)
         self.forest = PrefixTree(k, GuessBuckets(k, delta), trees=0)
+        self.forest._bind(oracle)
+        self.shared = self.forest.values.dtype.kind == "i"
         self.guesses_live_max = 0
-        self.nodes_live_max = 0
+        self.nodes_live = self.nodes_live_max = 0
+        self.calls_shared = 0  # extensions made once for a class, beyond the first member
 
     def observe(self, singleton_value) -> None:
-        """Update m and the active guess set for an arriving element.
+        """Update m, the active guesses and their classes for an arriving element.
 
         The window depends on m alone, so it moves only when m grows.
         """
         if not singleton_value > self.m:
             return
         self.m = singleton_value
-        old, window = self.window, geomgrid.window(self.m, 1.0 + self.delta, self.k / self.delta)
-        kept = len(range(max(old.start, window.start), old.stop))
-        self.forest.keyer.use(window)
-        self.forest.drop_trees(len(old) - kept)
-        self.forest.add_trees(len(window) - kept)
+        window = geomgrid.window(self.m, 1.0 + self.delta, self.k / self.delta)
+        forest = self.forest
+        empty = bisect.bisect_left(self.tops, window.start)
+        forest.drop_trees(empty)
+        tops = self.tops[empty:]
+        if window.stop - 1 > (tops[-1] if tops else window.start - 1):
+            forest.add_trees(1)
+            tops.append(window.stop - 1)
+        # without sharing, a guess's own exponent stands for its split: no two agree
+        splits = forest.keyer.splits(window, self.m) if self.shared else list(window)
+        self.tops, copies, low = [], [], window.start
+        for top in tops:
+            parts = [j for j in range(low, top)
+                     if splits[j - window.start] != splits[j + 1 - window.start]]
+            self.tops += parts + [top]
+            copies.append(len(parts))
+            low = top + 1
+        forest.keyer.use(self.tops)
+        forest.copy_trees(copies)
         self.window = window
+        self.members = np.diff([window.start - 1] + self.tops)
+        self.nodes_live = int(forest.node_counts() @ self.members)
         self.guesses_live_max = max(self.guesses_live_max, len(window))
 
-    def process(self, e: Element, oracle: SubmodularOracle) -> None:
-        tree_process(self.forest, e, oracle)
-        self.nodes_live_max = max(self.nodes_live_max, self.forest.size)
+    def process(self, e: Element) -> None:
+        forest = self.forest
+        n, calls = forest.size, forest.calls.copy()
+        tree_process(forest, e, self.oracle)
+        self.calls_shared += int((forest.calls - calls) @ (self.members - 1))
+        self.nodes_live += int(self.members[forest.tree[n : forest.size]].sum())
+        self.nodes_live_max = max(self.nodes_live_max, self.nodes_live)
 
     def best(self) -> Solution:
-        """The best surviving tree's solution; ties go to the smallest guess."""
+        """The best surviving class's solution; ties go to the smallest guess."""
         best = Solution(elements=frozenset(), value=0)
         for sol in best_solutions(self.forest):
             if sol.value > best.value:
@@ -615,16 +725,16 @@ def guess_run(
 
     Returns the best solution over the runs surviving at stream end.
     """
-    manager = GuessManager(k, float(delta_fraction(delta)))
+    manager = GuessManager(k, float(delta_fraction(delta)), oracle)
     calls0 = oracle.call_counter
     for e in stream:
         singleton = oracle.evaluate((e.id,))
         manager.observe(singleton)
-        manager.process(e, oracle)
+        manager.process(e)
     if stats is not None:
         stats.nodes_live_max = manager.nodes_live_max
         stats.guesses_live_max = manager.guesses_live_max
-        stats.oracle_calls = oracle.call_counter - calls0
+        stats.oracle_calls = oracle.call_counter - calls0 + manager.calls_shared
     return manager.best()
 
 

@@ -608,6 +608,11 @@ BAD_RECORDS = {
     "list id": '{"id": [9], "role": "good", "payload": [7, 8]}',
     "object id": '{"id": {"a": 9}, "role": "good", "payload": [7, 8]}',
     "object vertex": '{"id": 9, "role": "good", "payload": [{"a": 7}, 8]}',
+    "bool id": '{"id": true, "role": "good", "payload": [7, 8]}',
+    "null id": '{"id": null, "role": "good", "payload": [7, 8]}',
+    "bool point or vertex": '{"id": 9, "role": "good", "payload": [7, true]}',
+    "null point or vertex": '{"id": 9, "role": "good", "payload": [null, 8]}',
+    "bool slot id": '{"slots": [[0, true]]}',
     "list slot id": '{"slots": [[0, [9]]]}',
     "text slot": '{"slots": [["a", 9]]}',
     "slot out of range": '{"slots": [[5, 9]]}',

@@ -1,11 +1,15 @@
 """The array-backed prefix tree against the object reference in reference_tree.py."""
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import zip_longest
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from injectstream import generators, stream_model
 from injectstream.stream_model import Element
 from injectstream.submodular import (
     AdditiveOracle,
@@ -42,12 +46,13 @@ WEIGHTS = {
 
 
 @st.composite
-def oracle_and_stream(draw, count=None):
+def oracle_and_stream(draw, count=None, kinds=ORACLE_KINDS):
     """(oracle factory, stream), or with ``count`` (oracle factory, that
-    many streams of independent lengths); streams may repeat element ids,
-    and each arrival carries its stream position as payload, paired with
-    its stream's index when there are several."""
-    kind = draw(st.sampled_from(ORACLE_KINDS))
+    many streams of independent lengths), for an oracle of one of
+    ``kinds``; streams may repeat element ids, and each arrival carries its
+    stream position as payload, paired with its stream's index when there
+    are several."""
+    kind = draw(st.sampled_from(kinds))
     members = draw(st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True))
     weight = WEIGHTS[kind.partition("-")[2] or "int"]
     if kind.startswith("additive"):
@@ -158,18 +163,34 @@ def test_forest_matches_reference_per_tree(case, k, g, delta):
 
 def guess_forest(stream, k, delta, oracle):
     """The guess manager after the stream, driven as guess_run drives it."""
-    manager = GuessManager(k, delta)
+    manager = GuessManager(k, delta, oracle)
     for e in stream:
         manager.observe(oracle.evaluate((e.id,)))
-        manager.process(e, oracle)
+        manager.process(e)
     return manager
 
 
+def presence_keys(forest, row):
+    """The child keys that row's presence bits hold."""
+    return np.unpackbits(forest.presence[row], bitorder="little").nonzero()[0].tolist()
+
+
 def assert_guess_trees_match(manager, ref_trees):
-    assert list(manager.window) == sorted(ref_trees)
-    assert manager.forest.trees == len(manager.window)
-    for t, j in enumerate(manager.window):
-        assert node_rows(tree_nodes(manager.forest, t)) == node_rows(ref_trees[j].nodes)
+    """Each live guess's nodes, read from the tree of its class, against its
+    reference tree; a class's representative also has the reference's
+    child keys, and its presence bits hold them."""
+    window, tops, forest = manager.window, manager.tops, manager.forest
+    assert list(window) == sorted(ref_trees)
+    assert forest.trees == len(tops) == len(manager.members)
+    assert manager.members.sum() == len(window) and tops[-1:] == list(window)[-1:]
+    for j in window:
+        t = bisect_left(tops, j)
+        nodes = tree_nodes(forest, t)
+        assert node_rows(nodes) == node_rows(ref_trees[j].nodes)
+        if j == tops[t]:
+            ref_nodes = ref_trees[j].nodes
+            assert [list(n.children) for n in nodes] == [list(r.children) for r in ref_nodes]
+            assert [presence_keys(forest, n.index) for n in nodes] == [sorted(r.children) for r in ref_nodes]
 
 
 @given(oracle_and_stream(), st.integers(1, 3), st.sampled_from([0.1, 0.2, 0.5]))
@@ -179,6 +200,84 @@ def test_guess_forest_matches_reference_per_guess(case, k, delta):
     make, stream = case
     _, _, ref_trees = ref_guess_run(stream, k, delta, make())
     assert_guess_trees_match(guess_forest(stream, k, delta, make()), ref_trees)
+
+
+@given(oracle_and_stream(kinds=("coverage",)), st.integers(1, 3), st.sampled_from([0.1, 0.2, 0.5]))
+@settings(max_examples=300, deadline=None)
+def test_shared_coverage_trees_match_reference_per_guess(case, k, delta):
+    """Integer rows: each guess read through the tree its class shares, with
+    one and three mask words, against the reference's tree for that guess;
+    guess_run's per-guess stats against the reference's."""
+    make, stream = case
+    ref_sol, ref_stats, ref_trees = ref_guess_run(stream, k, delta, make())
+    assert_guess_trees_match(guess_forest(stream, k, delta, make()), ref_trees)
+    stats = RunStats()
+    assert guess_run(iter(stream), k, delta, make(), stats=stats) == ref_sol
+    assert stats == ref_stats
+
+
+def test_growing_m_splits_shared_trees():
+    """m = 2 puts guesses 1..6 in two classes, 1..4 and 5..6, and each
+    class's tree gets a child.  m = 5 then dismisses guesses 1 and 2 and
+    splits both classes into one guess each: guesses 3 and 5 get copies
+    of the trees, with presence bits rekeyed under their own keys."""
+    rects = {0: frozenset({3, 9}), 1: frozenset({2, 6, 7, 8, 9})}
+    stream = [Element(i, payload=pos) for pos, i in enumerate([0, 1, 0])]
+    k, delta = 3, 0.5
+    oracle = CoverageOracle(CoverageInstance(rects))
+    manager = GuessManager(k, delta, oracle)
+    splits = []
+    for e in stream:
+        tops, rows = list(manager.tops), manager.forest.node_counts().tolist()
+        manager.observe(oracle.evaluate((e.id,)))
+        for t, top in enumerate(tops):
+            low = tops[t - 1] if t else manager.window.start - 1
+            parts = [j for j in manager.tops if low < j <= top]
+            if rows[t] > 1 and len(parts) > 1:
+                splits.append((e.payload, top, parts))
+        manager.process(e)
+    assert splits == [(1, 4, [3, 4]), (1, 6, [5, 6])]
+    ref_sol, ref_stats, ref_trees = ref_guess_run(stream, k, delta, CoverageOracle(CoverageInstance(rects)))
+    assert_guess_trees_match(manager, ref_trees)
+    assert manager.best() == ref_sol
+    stats = RunStats()
+    assert guess_run(iter(stream), k, delta, CoverageOracle(CoverageInstance(rects)), stats=stats) == ref_sol
+    assert stats == ref_stats
+
+
+@pytest.mark.parametrize("weights", [
+    {6: 0.7, 1: 0.1, 3: 0.0},
+    {6: Fraction(7, 10), 1: Fraction(1, 10), 3: Fraction(0)},
+], ids=["float", "fraction"])
+def test_rows_that_are_not_integers_never_share(weights):
+    """Float and Fraction gains need not be integers in 0..m, so each guess
+    keeps its own tree, and each matches its reference tree."""
+    stream = [Element(i, payload=pos) for pos, i in enumerate([6, 1, 3])]
+    k, delta = 3, 0.1
+    ref_sol, ref_stats, ref_trees = ref_guess_run(stream, k, delta, AdditiveOracle(weights))
+    manager = guess_forest(stream, k, delta, AdditiveOracle(weights))
+    assert manager.forest.trees == len(manager.window)
+    assert_guess_trees_match(manager, ref_trees)
+    assert manager.best() == ref_sol
+    stats = RunStats()
+    assert guess_run(iter(stream), k, delta, AdditiveOracle(weights), stats=stats) == ref_sol
+    assert stats == ref_stats
+
+
+def test_shared_counts_on_a_benchmark_instance():
+    """The first submod-tree instance at seed 1: guess_run's stats count
+    per guess, as the reference's do, while the oracle's own counter
+    counts only the extensions made, once per class."""
+    seed, k, delta = 4, 4, 0.1
+    params = {"n": 30, "k": 4, "universe": 200, "max_points": 20}
+    inst, split = generators.generate_submod_instance("random", params, seed)
+    plan = generators.make_plan(split, "random", seed)
+    stream = list(stream_model.build_stream(split, plan, seed))
+    ref_sol, ref_stats, _ = ref_guess_run(stream, k, delta, CoverageOracle(inst))
+    oracle, stats = CoverageOracle(inst), RunStats()
+    assert guess_run(iter(stream), k, delta, oracle, stats=stats) == ref_sol
+    assert stats == ref_stats
+    assert oracle.call_counter < stats.oracle_calls
 
 
 def test_guess_forest_compacts_dismissed_guesses():
@@ -191,12 +290,12 @@ def test_guess_forest_compacts_dismissed_guesses():
     k, delta = 2, 0.5
     ref_sol, ref_stats, ref_trees = ref_guess_run(stream, k, delta, AdditiveOracle(weights))
     oracle = AdditiveOracle(weights)
-    manager = GuessManager(k, delta)
+    manager = GuessManager(k, delta, oracle)
     windows = []
     for e in stream:
         manager.observe(oracle.evaluate((e.id,)))
         windows.append(manager.window)
-        manager.process(e, oracle)
+        manager.process(e)
     assert windows[0][0] < windows[3][0] < windows[6][0]       # dismissed twice
     assert windows[0][-1] < windows[3][-1] < windows[6][-1]    # admitted twice
     assert_guess_trees_match(manager, ref_trees)

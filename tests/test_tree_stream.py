@@ -332,7 +332,7 @@ def test_live_guess_bound_counts_both_ends_on_the_grid(x, base, coef, size):
 
 def test_guess_window_hits_bound_exactly():
     """A singleton of value 1 makes the window [1/(1+d), k/d] with 40 guesses."""
-    mgr = GuessManager(4, 0.1)
+    mgr = GuessManager(4, 0.1, AdditiveOracle({0: 1}))  # object rows: one tree per guess
     mgr.observe(1)
     assert len(mgr.window) == mgr.forest.trees == live_guess_bound(4, 0.1)
     base = 1.1
@@ -341,7 +341,7 @@ def test_guess_window_hits_bound_exactly():
 
 
 def test_guess_manager_dismisses_low_guesses():
-    mgr = GuessManager(2, 0.5)
+    mgr = GuessManager(2, 0.5, AdditiveOracle({0: 1}))
     mgr.observe(1)
     low = mgr.window[0]
     mgr.observe(1000)
@@ -381,9 +381,9 @@ def test_guess_run_matches_exact_on_figure2(fig2_oracle):
 
 def test_guess_manager_rejects_bad_delta():
     with pytest.raises(PreconditionError):
-        GuessManager(2, 0.0)
+        GuessManager(2, 0.0, AdditiveOracle({0: 1}))
     with pytest.raises(PreconditionError):
-        GuessManager(2, 1.0)
+        GuessManager(2, 1.0, AdditiveOracle({0: 1}))
 
 
 def test_guess_run_rejects_k_zero_before_the_window():
