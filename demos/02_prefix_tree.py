@@ -20,9 +20,9 @@ from injectstream import (
 instance, k = figure2_instance()
 oracle = CoverageOracle(instance)
 
-tree = PrefixTree(k)
+tree = PrefixTree(k, oracle)
 for eid in ("A", "B", "C", "D"):
-    tree_process(tree, Element(eid), oracle)
+    tree_process(tree, Element(eid))
 
 
 def show(node, indent=0):

@@ -36,11 +36,13 @@ from .generators import (
     make_plan,
 )
 from .matching import (
+    GUESS_LIMIT,
     Edge,
     GuessRunStats,
     exact_max_matching,
     geometric_guess_run,
     greedy_matching,
+    live_guess_bound,
     match_run,
 )
 from .recurrence import (
@@ -153,6 +155,8 @@ class ExperimentConfig:
         _check(self.guess != "auto" or delta < 1, "delta", self.delta, "below 1 with guess auto")
         _check(isinstance(self.delta_guess, (int, float)) and 0 < self.delta_guess < 1,
                "delta_guess", self.delta_guess, "a number in (0, 1)")
+        _check(live_guess_bound(self.delta_guess) <= GUESS_LIMIT, "delta_guess", self.delta_guess,
+               f"large enough for at most {GUESS_LIMIT} live guesses")
         if self.bound is not None:
             _bound_as_fraction(self.bound)
             if self.certify_k is None:

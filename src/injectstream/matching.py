@@ -45,6 +45,8 @@ from .errors import (
 
 GENERAL_EXACT_LIMIT = 20
 BIPARTITE_EXACT_LIMIT = 10**4
+#: most live guesses, ``live_guess_bound(delta_guess)``, a guessed run may hold
+GUESS_LIMIT = 10_000
 #: wing slots per matched edge (2 per endpoint) plus the edge itself
 COLLECTOR_SLOTS_PER_EDGE = 5
 
@@ -355,9 +357,15 @@ def geometric_guess_run(
     when the guess is admitted.  A guess leaving the window is dismissed.
     Returns the best final matching over greedy and all surviving guesses:
     the lowest guess of the largest size, or M1 if no guess beats it.
+    Time and memory grow as 1/delta_guess, so a delta_guess allowing more
+    than ``GUESS_LIMIT`` live guesses is rejected.
     """
     if not 0 < delta_guess < 1:
         raise PreconditionError("delta_guess must lie in (0, 1)")
+    guesses = live_guess_bound(delta_guess)
+    if guesses > GUESS_LIMIT:
+        raise SizeLimitError(f"delta_guess={delta_guess!r} allows {guesses} live guesses; "
+                             f"guessed matching is guarded to {GUESS_LIMIT}")
     base = 1.0 + delta_guess
     upper_coef = 4.0 / float(1 - 2 * EPS)
     m1 = Matching()

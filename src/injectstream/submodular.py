@@ -7,9 +7,10 @@ algorithm's dedup-by-gain rule relies on in tests; a float-valued oracle works
 too but comparisons then use a 1e-9 tolerance where the library compares
 values.
 
-Every oracle counts its evaluations, one counter per oracle instance.  A
-run reports the difference of two readings (``RunStats.oracle_calls``), so
-one oracle can serve every run of a trial.
+Every oracle counts its evaluations in ``call_counter``, one counter per
+oracle instance.  A run counts its own calls (``RunStats.oracle_calls``,
+from the counts each prefix-tree pass returns), so one oracle can serve
+every run of a trial.
 
 Besides ``evaluate`` on a set, every oracle offers the batched extension the
 prefix tree and the exact optimum ``brute_force_opt`` run on:

@@ -15,33 +15,34 @@ Trees live in a forest of node arrays: one row per node in creation order,
 with a ``tree`` column naming the tree the row belongs to.  A row holds the
 oracle state of the node's set, its value and gain, depth, parent row, the
 arrival that created it, the interned element ids of its path, and a bitset
-of the child keys already present.  One stream position is one vectorized
-pass over the rows of every tree, each tree reading its own element (or all
-of them the same one): the live rows (depth < k, element not on the path)
-are grouped by element and extended through the oracle's ``extend_states``
-once per distinct element (one counted call per row), their gains are keyed
-row-wise by the keyer's vectorized ``keys``, rows that already hold that key
-are dropped, and the rest get a child whose value is its parent's value plus
-its gain.  Each tree's oracle calls and node count come from a ``bincount``
-over the ``tree`` column, and its best node is its earliest row of maximum
+of the child keys already present.  The forest is bound to one oracle.  One
+stream position is one vectorized pass over the rows of every tree, each tree
+reading its own element (or all of them the same one): the live rows (depth <
+k, element not on the path) are grouped by element and extended through the
+oracle's ``extend_states`` once per distinct element (one call per row),
+their gains are keyed row-wise by the keyer's vectorized ``keys``, rows that
+already hold that key are dropped, and the rest get a child whose value is
+its parent's value plus its gain.  The pass returns each tree's calls, a
+``bincount`` over the ``tree`` column of the live rows; a tree's node count
+is such a ``bincount`` too, and its best node is its earliest row of maximum
 value.  ``tree.root``, ``tree.nodes`` and ``node.children`` are lazy views
 built from the arrays.
 
 Three runs share the one forest.  ``run_tree_streams`` advances several
 streams together, one tree per stream and one keyer for all of them (the
-harness runs a trial's permutations this way), and ``run_tree_stream`` is
-its one-stream case.  When OPT is unknown, a guess manager runs the active
+harness runs a trial's permutations this way), and ``run_tree_stream`` is its
+one-stream case.  When OPT is unknown, a guess manager runs the active
 geometric guesses g = (1+delta)^j, the exponents j of ``geomgrid.window``
-around the running maximum singleton value m, which holds g in
-[m/(1+delta), (k/delta)*m] and only moves up.  Each tree serves a class of
-guesses, a contiguous range of exponents keyed as its representative, the
-highest one.  With integer value rows every gain at a pass lies in 0..m,
-so the guesses whose keys split 0..m alike share a class; other rows keep
-one guess per class.  When m grows, the classes emptied by dismissals are
-the first trees, whose rows are compacted away; the admitted guesses join
-as one class on a fresh last root at the current stream position; and a
-class whose members now split 0..m differently is split, each lower part
-getting a copy of the tree.  The best surviving tree wins.
+around the running maximum singleton value m, which holds g in [m/(1+delta),
+(k/delta)*m] and only moves up.  Each tree serves a class of guesses, a
+contiguous range of exponents keyed as its representative, the highest one.
+With integer value rows every gain at a pass lies in 0..m, so the guesses
+whose keys of the integers 0..m cut them alike share a class; other rows keep
+one guess per class.  When m grows, the classes emptied by dismissals are the
+first trees, whose rows are compacted away; the admitted guesses join as one
+class on a fresh last root at the current stream position; and a class whose
+members now split 0..m differently is split, each lower part getting a copy
+of the tree.  The best surviving tree wins.
 """
 
 from __future__ import annotations
@@ -180,27 +181,24 @@ class GuessBuckets:
         """Key tree i as the guess of exponent ``exponents[i]`` from now on."""
         self.widths = self._widths(exponents)
 
-    def keys(self, gains: np.ndarray, trees: np.ndarray) -> np.ndarray:
-        raw = gains.astype(np.float64, copy=False) // self.widths[trees]
+    def _keys(self, gains: np.ndarray, widths: np.ndarray) -> np.ndarray:
+        raw = gains.astype(np.float64, copy=False) // widths
         return np.minimum(np.maximum(raw, 0), self.bucket_count).astype(np.int64)
 
-    def splits(self, exponents: Sequence[int], m: int) -> list[frozenset]:
-        """How ``keys`` splits the integers 0..m under each guess of
-        ``exponents``: the x in 1..m whose key differs from x - 1's.
+    def keys(self, gains: np.ndarray, trees: np.ndarray) -> np.ndarray:
+        return self._keys(gains, self.widths[trees])
 
-        Guesses with equal splits make the same child decisions on integer
-        gains in 0..m.  The least x with key >= b, for b = 1..bucket_count,
-        is found by bisection on the float floor division that ``keys`` makes.
+    def splits(self, exponents: Sequence[int], m: int) -> np.ndarray:
+        """Whether guesses ``exponents[i]`` and ``exponents[i + 1]`` split the
+        integers 0..m differently, for each adjacent pair.
+
+        A guess splits 0..m at the x in 1..m whose key differs from x - 1's,
+        as ``keys`` keys them.  Guesses with equal splits make the same child
+        decisions on integer gains in 0..m.
         """
-        w = self._widths(exponents)[:, None]
-        b = np.arange(1, self.bucket_count + 1)
-        lo = np.zeros((len(w), len(b)), dtype=np.int64)  # key(lo) < b
-        hi = np.full_like(lo, m + 1)                      # key(hi) >= b, or hi = m + 1
-        while (hi - lo > 1).any():
-            mid = lo + (hi - lo) // 2
-            up = mid.astype(np.float64) // w >= b
-            hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
-        return [frozenset(row).difference((m + 1,)) for row in hi.tolist()]
+        keys = self._keys(np.arange(m + 1), self._widths(exponents)[:, None])
+        cuts = keys[:, 1:] != keys[:, :-1]
+        return (cuts[1:] != cuts[:-1]).any(axis=1)
 
 
 class NodeView:
@@ -222,7 +220,7 @@ class NodeView:
 
     @property
     def gain(self):
-        return 0 if self.tree.gains is None else self.tree.gains.item(self.index)
+        return self.tree.gains.item(self.index)
 
     @property
     def element(self) -> Optional[Element]:
@@ -263,36 +261,35 @@ class PrefixTree:
 
     It starts with ``trees`` trees, each a root row (the empty set);
     ``add_trees`` appends roots and ``drop_trees`` compacts the first trees
-    away.  With one tree, row 0 is its root.  Row arrays, one row per node in creation
-    order: ``tree`` (the index of the node's tree, 0 .. trees-1),
-    ``states``/``values`` in the layout of the oracle's ``empty_states``
-    (allocated on the first ``tree_process``, which binds the forest to that
-    oracle), ``gains`` (the marginal each node's element had on arrival),
-    ``depth``, ``parent`` (-1 for a root), ``origin`` (index into
-    ``arrivals`` of the element that created the node, -1 for a root),
-    ``path`` (interned element ids of the path in ``path[i, :depth[i]]``, -1
-    after it), and ``presence`` (bit ``key`` of row i is set when row i has a
-    child with that gain key; rows at or past ``size`` have none).
-    ``calls[i]`` counts tree i's oracle calls, and ``keyer.keys(gains,
-    trees)`` keys gains of rows of any trees.
+    away.  With one tree, row 0 is its root.  Every pass extends rows
+    through ``oracle``.  Row arrays, one row per node in creation order:
+    ``tree`` (the index of the node's tree, 0 .. trees-1), ``states`` and
+    ``values`` in the layout of the oracle's ``empty_states``, ``gains``
+    (the marginal each node's element had on arrival), ``depth``,
+    ``parent`` (-1 for a root), ``origin`` (index into ``arrivals`` of the
+    element that created the node, -1 for a root), ``path`` (interned
+    element ids of the path in ``path[i, :depth[i]]``, -1 after it), and
+    ``presence`` (bit ``key`` of row i is set when row i has a child with
+    that gain key; rows at or past ``size`` have none).
+    ``keyer.keys(gains, trees)`` keys gains of rows of any trees.
     """
 
-    def __init__(self, k: int, keyer=None, trees: int = 1) -> None:
+    def __init__(self, k: int, oracle: SubmodularOracle, keyer=None, trees: int = 1) -> None:
         if k < 0:
             raise PreconditionError("k must be >= 0")
         self.k = k
+        self.oracle = oracle
         self.keyer = keyer if keyer is not None else ExactKeys()
         self.size = self.trees = 0
-        self.states = self.values = self.gains = None
-        self._empty_states = None          # the bound oracle's empty_states
         rows = max(INITIAL_ROWS, trees)
+        self.states, self.values = oracle.empty_states(rows)
+        self.gains = np.zeros_like(self.values)
         self.tree = np.zeros(rows, dtype=np.int32)
         self.depth = np.zeros(rows, dtype=np.int32)
         self.parent = np.full(rows, -1, dtype=np.int32)
         self.origin = np.full(rows, -1, dtype=np.int32)
         self.path = np.full((rows, k), -1, dtype=np.int32)
         self.presence = np.zeros((rows, 1), dtype=np.uint8)
-        self.calls = np.zeros(0, dtype=np.int64)
         self.arrivals: list[Element] = []  # arrivals that made children, one per tree if trees differ
         self.ids: list = []                # interned id -> element id
         self.element_index: dict = {}      # element id -> interned id
@@ -313,7 +310,7 @@ class PrefixTree:
         return np.bincount(self.tree[: self.size], minlength=self.trees)
 
     def value(self, i: int):
-        return 0 if self.values is None else self.values.item(i)
+        return self.values.item(i)
 
     def path_ids(self, i: int) -> frozenset:
         return frozenset(self.ids[x] for x in self.path[i, : self.depth[i]].tolist())
@@ -326,10 +323,8 @@ class PrefixTree:
         self.tree[roots] = np.arange(t, t + count)
         self.depth[roots] = 0
         self.parent[roots] = self.origin[roots] = self.path[roots] = -1
-        if self.values is not None:
-            self.states[roots], self.values[roots] = self._empty_states(count)
-            self.gains[roots] = 0
-        self.calls = np.concatenate([self.calls, np.zeros(count, dtype=np.int64)])
+        self.states[roots], self.values[roots] = self.oracle.empty_states(count)
+        self.gains[roots] = 0
         self.size, self.trees = n + count, t + count
 
     def drop_trees(self, count: int) -> None:
@@ -344,14 +339,11 @@ class PrefixTree:
         moved = np.full(n, -1, dtype=np.int32)
         moved[rows] = np.arange(m)
         for name in _ROWS:
-            a = getattr(self, name)
-            if a is not None:
-                a[:m] = a[rows]
+            getattr(self, name)[:m] = getattr(self, name)[rows]
         self.presence[m:n] = 0
         parent, origin, path = self.parent[:m], self.origin[:m], self.path[:m]
         parent[parent >= 0] = moved[parent[parent >= 0]]
         self.tree[:m] -= count
-        self.calls = self.calls[count:]
         self.size, self.trees = m, self.trees - count
         used = np.unique(origin[origin >= 0])
         self.arrivals = [self.arrivals[a] for a in used.tolist()]
@@ -372,7 +364,6 @@ class PrefixTree:
         n = self.size
         owner, shift = self.tree[:n].copy(), np.cumsum(copies)
         self.tree[:n] += shift[owner].astype(np.int32)  # tree t becomes t + shift[t]
-        self.calls = np.repeat(self.calls, copies + 1)
         moved = np.full(n, -1, dtype=np.int32)
         for t in copies.nonzero()[0].tolist():
             rows = (owner == t).nonzero()[0]
@@ -380,9 +371,7 @@ class PrefixTree:
                 m = self.size
                 self._reserve(m + rows.size, self.keyer.key_count)
                 for name in _ROWS:
-                    a = getattr(self, name)
-                    if a is not None:
-                        a[m : m + rows.size] = a[rows]
+                    getattr(self, name)[m : m + rows.size] = getattr(self, name)[rows]
                 moved[rows] = np.arange(m, m + rows.size)
                 parent = self.parent[m : m + rows.size]
                 parent[parent >= 0] = moved[parent[parent >= 0]]
@@ -395,11 +384,6 @@ class PrefixTree:
             keys = self.keyer.keys(self.gains[kids], self.tree[kids])
             np.bitwise_or.at(self.presence, (self.parent[kids], keys >> 3), _BIT[keys & 7])
 
-    def _bind(self, oracle: SubmodularOracle) -> None:
-        self._empty_states = oracle.empty_states
-        self.states, self.values = oracle.empty_states(len(self.depth))
-        self.gains = np.zeros_like(self.values)
-
     def _reserve(self, rows: int, keys: int) -> None:
         """Room for ``rows`` nodes and ``keys`` presence bits per node."""
         cap = len(self.depth)
@@ -407,8 +391,6 @@ class PrefixTree:
             extra = max(rows, 2 * cap) - cap
             for name in _ROWS:
                 a = getattr(self, name)
-                if a is None:
-                    continue
                 # zeroed pages stay untouched, and so out of RSS, until rows
                 # reach them; a row past ``size`` is written in full before use
                 grown = np.zeros((cap + extra,) + a.shape[1:], dtype=a.dtype)
@@ -437,8 +419,9 @@ class PrefixTree:
         self.size = n + m
 
 
-def tree_process(tree: PrefixTree, e, oracle: SubmodularOracle) -> PrefixTree:
-    """Feed one stream position to every tree of the forest.
+def tree_process(tree: PrefixTree, e) -> np.ndarray:
+    """Feed one stream position to every tree of the forest; returns each
+    tree's oracle calls in this pass (int64).
 
     ``e`` is one Element, which every tree reads, or a sequence with one
     entry per tree: that tree's Element, or None when its stream has ended.
@@ -450,8 +433,6 @@ def tree_process(tree: PrefixTree, e, oracle: SubmodularOracle) -> PrefixTree:
     and a duplicate id cannot enlarge the solution).  The live rows are
     grouped by element, one ``extend_states`` call per distinct element.
     """
-    if tree.values is None:
-        tree._bind(oracle)
     n = tree.size
     live = (tree.depth[:n] < tree.k).nonzero()[0]
     index = tree.element_index
@@ -472,12 +453,13 @@ def tree_process(tree: PrefixTree, e, oracle: SubmodularOracle) -> PrefixTree:
         else:
             off = (tree.path[live] != np.array(xs)[group][:, None]).all(axis=1)
             live, group = live[off], group[off]
+    calls = np.bincount(tree.tree[live], minlength=tree.trees)
     if not live.size:
-        return tree
+        return calls
     if len(ids) > 1:  # contiguous rows per element; each tree keeps its row order
         order = np.argsort(group, kind="stable")
         live, group = live[order], group[order]
-    states, base = tree.states[live], tree.values[live]
+    oracle, states, base = tree.oracle, tree.states[live], tree.values[live]
     if len(ids) == 1:
         states, values = oracle.extend_states(states, base, ids[0])
     else:
@@ -487,14 +469,13 @@ def tree_process(tree: PrefixTree, e, oracle: SubmodularOracle) -> PrefixTree:
         states = np.concatenate([s for s, _ in parts])
         values = np.concatenate([v for _, v in parts])
     owner = tree.tree[live]
-    tree.calls += np.bincount(owner, minlength=tree.trees)
     gains = values - base
     keys = tree.keyer.keys(gains, owner)
     tree._reserve(n + live.size, tree.keyer.key_count)
     word, bit = keys >> 3, _BIT[keys & 7]
     new = ((tree.presence[live, word] & bit) == 0).nonzero()[0]
     if not new.size:
-        return tree
+        return calls
     parents = live[new]
     tree.presence[parents, word[new]] |= bit[new]
     for g in [0] if group is None else np.bincount(group[new]).nonzero()[0].tolist():
@@ -513,7 +494,7 @@ def tree_process(tree: PrefixTree, e, oracle: SubmodularOracle) -> PrefixTree:
     # that can differ in the last bits from f(S + e) summed in another order
     gains = gains[new]
     tree._append(parents, states[new], base[new] + gains, gains, x, origin)
-    return tree
+    return calls
 
 
 def best_solutions(tree: PrefixTree) -> list[Solution]:
@@ -527,13 +508,12 @@ def best_solutions(tree: PrefixTree) -> list[Solution]:
     n, owner = tree.size, tree.tree[: tree.size]
     best = np.full(tree.trees, n)
     np.minimum.at(best, owner, np.arange(n))  # each tree's root
-    if tree.values is not None:
-        values = tree.values[:n]
-        top = values[best]
-        np.maximum.at(top, owner, values)
-        hit = (values == top[owner]).nonzero()[0]
-        best[:] = n
-        np.minimum.at(best, owner[hit], hit)
+    values = tree.values[:n]
+    top = values[best]
+    np.maximum.at(top, owner, values)
+    hit = (values == top[owner]).nonzero()[0]
+    best[:] = n
+    np.minimum.at(best, owner[hit], hit)
     return [Solution(elements=tree.path_ids(r), value=tree.value(r)) for r in best.tolist()]
 
 
@@ -554,7 +534,8 @@ class RunStats:
     """Counts of one run, per guess for ``guess_run``.
 
     ``nodes_live_max`` is the most nodes held after a stream position, and
-    ``oracle_calls`` counts the singleton evaluations and the extensions.  In
+    ``oracle_calls`` counts the singleton evaluations and the extensions,
+    the latter as the passes of ``tree_process`` return them.  In
     ``guess_run`` a tree serves a class of guesses, and both count each
     guess as if it had its own tree: a class's rows and each pass's
     extensions count once per member, as one tree per guess would make them.
@@ -575,20 +556,22 @@ class GuessManager:
     its highest exponent: tree i serves the exponents of ``window`` in
     (tops[i-1], tops[i]], ``members[i]`` of them, in exponent order.
 
-    A class shares one tree only when the forest's value rows, bound to
-    ``oracle`` here, are integers.  A monotone submodular oracle's gains at
-    a pass then lie in 0..m, and guesses whose keys split the integers 0..m
-    alike (``GuessBuckets.splits``) make the same child decisions.  Object,
+    A class shares one tree only when the value rows of ``oracle`` are
+    integers.  A monotone submodular oracle's gains at a pass then lie in
+    0..m, and guesses whose keys split the integers 0..m alike
+    (``GuessBuckets.splits``) make the same child decisions.  Object,
     ``Fraction`` and float rows keep one guess per class.
 
     When m grows, ``observe`` drops the classes left without members (m only
     grows, so dismissals take the lowest exponents: a representative stays
     until its class is empty, and the empty classes are the first trees),
     appends the admitted guesses as one class on a fresh root, and splits
-    every class whose members now split 0..m differently into runs of equal
-    splits.  The top run keeps the tree; each lower run gets a copy of it,
-    just before it, with its presence bits rekeyed under its own
-    representative from the stored gains.
+    every class of two or more guesses whose members now split 0..m
+    differently into runs of equal splits (classes never merge, so a lone
+    guess stays as it is).  The top run keeps the tree; each lower run gets
+    a copy of it, just before it, with its presence bits rekeyed under its
+    own representative from the stored gains.  ``calls`` counts each pass's
+    extensions once per member of the class that made them.
     """
 
     def __init__(self, k: int, delta: float, oracle: SubmodularOracle) -> None:
@@ -598,17 +581,15 @@ class GuessManager:
             raise PreconditionError("guessing delta must lie in (0, 1)")
         self.k = k
         self.delta = delta
-        self.oracle = oracle
         self.m = 0
         self.window = range(0)
         self.tops: list[int] = []
         self.members = np.zeros(0, dtype=np.int64)
-        self.forest = PrefixTree(k, GuessBuckets(k, delta), trees=0)
-        self.forest._bind(oracle)
+        self.forest = PrefixTree(k, oracle, GuessBuckets(k, delta), trees=0)
         self.shared = self.forest.values.dtype.kind == "i"
         self.guesses_live_max = 0
         self.nodes_live = self.nodes_live_max = 0
-        self.calls_shared = 0  # extensions made once for a class, beyond the first member
+        self.calls = 0
 
     def observe(self, singleton_value) -> None:
         """Update m, the active guesses and their classes for an arriving element.
@@ -626,14 +607,13 @@ class GuessManager:
         if window.stop - 1 > (tops[-1] if tops else window.start - 1):
             forest.add_trees(1)
             tops.append(window.stop - 1)
-        # without sharing, a guess's own exponent stands for its split: no two agree
-        splits = forest.keyer.splits(window, self.m) if self.shared else list(window)
         self.tops, copies, low = [], [], window.start
         for top in tops:
-            parts = [j for j in range(low, top)
-                     if splits[j - window.start] != splits[j + 1 - window.start]]
-            self.tops += parts + [top]
-            copies.append(len(parts))
+            parts = np.arange(low, top)  # without sharing, every guess splits off
+            if self.shared and parts.size:
+                parts = parts[forest.keyer.splits(range(low, top + 1), self.m)]
+            self.tops += parts.tolist() + [top]
+            copies.append(parts.size)
             low = top + 1
         forest.keyer.use(self.tops)
         forest.copy_trees(copies)
@@ -644,9 +624,8 @@ class GuessManager:
 
     def process(self, e: Element) -> None:
         forest = self.forest
-        n, calls = forest.size, forest.calls.copy()
-        tree_process(forest, e, self.oracle)
-        self.calls_shared += int((forest.calls - calls) @ (self.members - 1))
+        n = forest.size
+        self.calls += int(tree_process(forest, e) @ self.members)
         self.nodes_live += int(self.members[forest.tree[n : forest.size]].sum())
         self.nodes_live_max = max(self.nodes_live_max, self.nodes_live)
 
@@ -687,15 +666,13 @@ def run_tree_streams(
     position i has been processed; streams may differ in length.  For
     unknown OPT use :func:`guess_run`.
     """
-    tree = PrefixTree(k, _keyer(mode, k, delta, g), trees=len(streams))
+    tree = PrefixTree(k, oracle, _keyer(mode, k, delta, g), trees=len(streams))
+    calls = np.zeros(len(streams), dtype=np.int64)
     for elements in zip_longest(*streams):
-        tree_process(tree, elements if len(elements) > 1 else elements[0], oracle)
-    return [
-        (sol, RunStats(nodes_live_max=nodes, guesses_live_max=1, oracle_calls=calls))
-        for sol, nodes, calls in zip(
-            best_solutions(tree), tree.node_counts().tolist(), tree.calls.tolist()
-        )
-    ]
+        calls += tree_process(tree, elements if len(elements) > 1 else elements[0])
+    nodes = tree.node_counts().tolist()
+    return [(sol, RunStats(nodes_live_max=n, guesses_live_max=1, oracle_calls=c))
+            for sol, n, c in zip(best_solutions(tree), nodes, calls.tolist())]
 
 
 def run_tree_stream(
@@ -726,15 +703,15 @@ def guess_run(
     Returns the best solution over the runs surviving at stream end.
     """
     manager = GuessManager(k, float(delta_fraction(delta)), oracle)
-    calls0 = oracle.call_counter
+    singletons = 0
     for e in stream:
-        singleton = oracle.evaluate((e.id,))
-        manager.observe(singleton)
+        manager.observe(oracle.evaluate((e.id,)))
+        singletons += 1
         manager.process(e)
     if stats is not None:
         stats.nodes_live_max = manager.nodes_live_max
         stats.guesses_live_max = manager.guesses_live_max
-        stats.oracle_calls = oracle.call_counter - calls0 + manager.calls_shared
+        stats.oracle_calls = singletons + manager.calls
     return manager.best()
 
 

@@ -132,9 +132,9 @@ def test_criterion_03_figure2_tree_reproduction():
     with criterion(3, "worked example: tree on (A,B,C,D), k=2, exact node set and best value 5"):
         instance, k = figure2_instance()
         oracle = CoverageOracle(instance)
-        tree = PrefixTree(k)
+        tree = PrefixTree(k, oracle)
         for eid in ("A", "B", "C", "D"):
-            tree_process(tree, Element(eid), oracle)
+            tree_process(tree, Element(eid))
         root_gains = {c.element.id: c.gain for c in tree.root.children.values()}
         assert root_gains == {"A": 2, "B": 4, "D": 1}
         node_a = next(c for c in tree.root.children.values() if c.element.id == "A")

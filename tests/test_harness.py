@@ -81,6 +81,7 @@ BAD_CONFIG_VALUES = {
     "delta-text": ("delta", {"delta": "abc"}),
     "delta-auto": ("delta", {"guess": "auto", "delta": 1}),
     "delta_guess": ("delta_guess", {"delta_guess": 0}),
+    "delta_guess-tiny": ("delta_guess", {"delta_guess": 1e-5}),
     "kind": ("submod kind", {"instance": {"kind": "mystery"}}),
     "seed-text": ("seed", {"seed": "abc"}),
     "seed-negative": ("seed", {"seed": -1}),
@@ -828,6 +829,8 @@ ERROR_CASES = [
     (["submod", "run", "--kind", "random", "--guess", "auto", "--delta", "1"],
      "delta must be below 1 with guess auto"),
     (["matching", "run", "--mode", "guessed", "--delta-guess", "0"], "delta_guess must be"),
+    (["matching", "run", "--mode", "guessed", "--delta-guess", "1e-5"],
+     "delta_guess must be large enough for at most 10000 live guesses; got 1e-05"),
     (["submod", "run", "--kind", "mystery", "--trials", "3"], "submod kind must be"),
     (["matching", "run", "--kind", "mystery"], "matching kind must be"),
     (["submod", "run", "--kind", "random", "--out", "nodir/s.csv"],

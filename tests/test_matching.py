@@ -309,6 +309,19 @@ def test_guess_run_rejects_bad_delta():
         geometric_guess_run([], 0.0)
 
 
+def test_guess_run_rejects_a_delta_with_too_many_guesses_before_reading():
+    """delta_guess 1e-5 allows 142,714 live guesses, past GUESS_LIMIT; 1e-3
+    allows 1,429 and runs."""
+    def stream():
+        raise AssertionError("the stream was read")
+        yield
+
+    assert live_guess_bound(1e-5) > matching.GUESS_LIMIT >= live_guess_bound(1e-3)
+    with pytest.raises(SizeLimitError, match="142714 live guesses; guessed matching is guarded to 10000"):
+        geometric_guess_run(stream(), 1e-5)
+    assert len(geometric_guess_run([Edge(1, 2)], 1e-3)) == 1
+
+
 def test_guess_run_tracks_known_run():
     """Paired runs on a fixed battery: the guessed output never trails the
     known-m* output by more than the ceil(2*delta*m*) envelope (measured

@@ -1,5 +1,6 @@
 """The array-backed prefix tree against the object reference in reference_tree.py."""
 
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import zip_longest
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from injectstream import generators, stream_model
+from injectstream import generators, stream_model, submodular
 from injectstream.stream_model import Element
 from injectstream.submodular import (
     AdditiveOracle,
@@ -119,9 +120,9 @@ def test_array_tree_matches_reference(case, k, g, delta):
     ref_sol, ref_stats, ref_tree = ref_run(stream, k, keyer(), make())
 
     oracle = make()
-    tree = PrefixTree(k, keyer())
+    tree = PrefixTree(k, oracle, keyer())
     for e in stream:
-        tree_process(tree, e, oracle)
+        tree_process(tree, e)
     assert node_rows(tree.nodes) == node_rows(ref_tree.nodes)
     assert best_solution(tree) == ref_sol
 
@@ -150,9 +151,9 @@ def test_forest_matches_reference_per_tree(case, k, g, delta):
     refs = [ref_run(stream, k, keyer(), make()) for stream in streams]
 
     oracle = make()
-    forest = PrefixTree(k, keyer(), trees=len(streams))
+    forest = PrefixTree(k, oracle, keyer(), trees=len(streams))
     for elements in zip_longest(*streams):
-        tree_process(forest, elements, oracle)
+        tree_process(forest, elements)
     for t, (_, _, ref_tree) in enumerate(refs):
         assert node_rows(tree_nodes(forest, t)) == node_rows(ref_tree.nodes)
     assert best_solutions(forest) == [sol for sol, _, _ in refs]
@@ -280,6 +281,25 @@ def test_shared_counts_on_a_benchmark_instance():
     assert oracle.call_counter < stats.oracle_calls
 
 
+def test_small_delta_shares_trees_in_small_memory():
+    """delta = 0.001 gives 2,000 buckets per guess and up to 7,606 live
+    guesses: deciding which of them share a tree must stay small in memory,
+    and the run must equal the reference."""
+    instance, k = submodular.figure2_instance()
+    stream = [Element(i) for i in "BADC"]
+    ref_sol, ref_stats, _ = ref_guess_run(stream, k, 0.001, CoverageOracle(instance))
+    assert ref_stats == RunStats(58769, 7606, 75371)
+    stats = RunStats()
+    tracemalloc.start()
+    try:
+        sol = guess_run(iter(stream), k, 0.001, CoverageOracle(instance), stats=stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol == ref_sol and stats == ref_stats
+    assert peak < 32 * 2**20
+
+
 def test_guess_forest_compacts_dismissed_guesses():
     """Singletons 1, then 50, then 2000 move the window up twice: each move
     dismisses the lowest guesses, whose rows, arrivals and interned ids are
@@ -327,10 +347,10 @@ def test_float_values_add_up_along_the_path():
     stream = [Element(0), Element(2), Element(1)]
     ref_sol, ref_stats, ref_tree = ref_run(stream, 3, ExactKeys(), AdditiveOracle(weights))
     assert AdditiveOracle(weights).evaluate({0, 1, 2}) != ref_sol.value == 1.5
-    tree = PrefixTree(3, ExactKeys())
     oracle = AdditiveOracle(weights)
+    tree = PrefixTree(3, oracle, ExactKeys())
     for e in stream:
-        tree_process(tree, e, oracle)
+        tree_process(tree, e)
     assert node_rows(tree.nodes) == node_rows(ref_tree.nodes)
     assert best_solution(tree) == ref_sol
 
@@ -342,10 +362,10 @@ def test_array_tree_grows_past_its_first_allocation():
     stream = [Element(i) for i in (5, 0, 13, 2, 9, 7, 11, 1, 12, 4, 8, 3, 10, 6, 9, 2)]
     for keyer in (ExactKeys, lambda: IncreaseBuckets(40, 3, "0.05")):
         ref_sol, ref_stats, ref_tree = ref_run(stream, 3, keyer(), CoverageOracle(CoverageInstance(rects)))
-        tree = PrefixTree(3, keyer())
         oracle = CoverageOracle(CoverageInstance(rects))
+        tree = PrefixTree(3, oracle, keyer())
         for e in stream:
-            tree_process(tree, e, oracle)
+            tree_process(tree, e)
         assert len(tree.nodes) == ref_stats.nodes_live_max > 200
         assert node_rows(tree.nodes) == node_rows(ref_tree.nodes)
         assert best_solution(tree) == ref_sol

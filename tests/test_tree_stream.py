@@ -4,6 +4,7 @@ import math
 import re
 import runpy
 import tempfile
+from itertools import zip_longest
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,9 +67,9 @@ def fig2_oracle():
 def test_figure2_full_tree(fig2_oracle):
     """The worked four-rectangle example, node by node."""
     oracle, k = fig2_oracle
-    tree = PrefixTree(k)
+    tree = PrefixTree(k, oracle)
     for e in stream_of("A", "B", "C", "D"):
-        tree_process(tree, e, oracle)
+        tree_process(tree, e)
 
     root = tree.root
     gains = {eid: child.gain for eid, child in (
@@ -97,8 +98,8 @@ def test_figure2_full_tree(fig2_oracle):
 def test_snapshot_no_same_element_chains(fig2_oracle):
     """A child created for e is never extended by the same arrival of e."""
     oracle, _ = fig2_oracle
-    tree = PrefixTree(2)
-    tree_process(tree, Element("A"), oracle)
+    tree = PrefixTree(2, oracle)
+    tree_process(tree, Element("A"))
     assert [c.element.id for c in tree.root.children.values()] == ["A"]
     a = next(iter(tree.root.children.values()))
     assert a.children == {}
@@ -110,17 +111,49 @@ def test_tree_process_rejects_a_sequence_not_one_per_tree(fig2_oracle, trees, el
     elements, and a shorter one would index past its end: both are rejected
     before any tree changes."""
     oracle, _ = fig2_oracle
-    tree = PrefixTree(2, trees=trees)
+    tree = PrefixTree(2, oracle, trees=trees)
     with pytest.raises(PreconditionError, match=f"got {len(elements)} elements for {trees} trees"):
-        tree_process(tree, [Element(i) for i in elements], oracle)
-    assert tree.size == trees and tree.calls.tolist() == [0] * trees
+        tree_process(tree, [Element(i) for i in elements])
+    assert tree.size == trees and oracle.call_counter == 0
+
+
+def test_tree_process_returns_each_trees_calls(fig2_oracle):
+    """A pass returns, per tree, the oracle calls it made: in sum what the
+    forest's oracle counted, and per tree what a one-tree forest on that
+    tree's stream counts.  A tree whose stream has ended makes none, and so
+    does a pass with every stream ended, or any pass at k = 0."""
+    oracle, k = fig2_oracle
+    instance, _ = figure2_instance()
+    streams = [stream_of("A", "B", "C", "D"), stream_of("B", "A"), stream_of("D", "C", "C", "A")]
+    forest = PrefixTree(k, oracle, trees=len(streams))
+    twins = PrefixTree(k, CoverageOracle(instance), trees=2)  # both read one Element
+    alone = [PrefixTree(k, CoverageOracle(instance)) for _ in streams]
+    for elements in zip_longest(*streams):
+        before, twins_before = oracle.call_counter, twins.oracle.call_counter
+        calls, twin_calls = tree_process(forest, list(elements)), tree_process(twins, elements[0])
+        assert calls.dtype == twin_calls.dtype == np.int64
+        assert calls.sum() == oracle.call_counter - before
+        assert twin_calls.sum() == twins.oracle.call_counter - twins_before
+        own = []
+        for tree, e in zip(alone, elements):
+            own_before = tree.oracle.call_counter
+            if e is not None:
+                tree_process(tree, e)
+            own.append(tree.oracle.call_counter - own_before)
+        assert calls.tolist() == own and twin_calls.tolist() == [own[0]] * 2
+    assert elements[1] is None and calls[1] == 0 < calls[0]  # the ended stream's tree
+    before = oracle.call_counter
+    assert tree_process(forest, [None] * len(streams)).tolist() == [0] * len(streams)
+    flat = PrefixTree(0, oracle)
+    assert tree_process(flat, Element("A")).tolist() == [0]
+    assert oracle.call_counter == before
 
 
 def test_duplicate_arrival_skipped_on_own_path(fig2_oracle):
     oracle, _ = fig2_oracle
-    tree = PrefixTree(2)
+    tree = PrefixTree(2, oracle)
     for e in stream_of("A", "B", "A"):
-        tree_process(tree, e, oracle)
+        tree_process(tree, e)
     node_a = next(c for c in tree.root.children.values() if c.element.id == "A")
     assert all(c.element.id != "A" for c in node_a.children.values())
     # but A still extends B's branch, where it is not on the path
@@ -130,17 +163,17 @@ def test_duplicate_arrival_skipped_on_own_path(fig2_oracle):
 
 def test_depth_never_exceeds_k(fig2_oracle):
     oracle, _ = fig2_oracle
-    tree = PrefixTree(1)
+    tree = PrefixTree(1, oracle)
     for e in stream_of("A", "B", "C", "D"):
-        tree_process(tree, e, oracle)
+        tree_process(tree, e)
     assert all(n.depth <= 1 for n in tree.nodes)
 
 
 def test_node_values_match_oracle(fig2_oracle):
     oracle, k = fig2_oracle
-    tree = PrefixTree(k)
+    tree = PrefixTree(k, oracle)
     for e in stream_of("A", "B", "C", "D"):
-        tree_process(tree, e, oracle)
+        tree_process(tree, e)
     for n in tree.nodes:
         assert n.value == oracle.evaluate(n.path_ids)
         assert len(n.path_ids) == n.depth
@@ -148,7 +181,7 @@ def test_node_values_match_oracle(fig2_oracle):
 
 def test_empty_stream_best_is_empty(fig2_oracle):
     oracle, k = fig2_oracle
-    tree = PrefixTree(k)
+    tree = PrefixTree(k, oracle)
     sol = best_solution(tree)
     assert sol.elements == frozenset() and sol.value == 0
 
@@ -503,9 +536,9 @@ def test_trace_path_exists_in_exact_tree(fig2_oracle):
     plan = InjectionPlan(((0, "C"), (1, "D")))
     for s in enumerate_streams(split, plan):
         trace = analysis_leaf_trace(s, {"A", "B"}, oracle, k)
-        tree = PrefixTree(k)
+        tree = PrefixTree(k, oracle)
         for e in s:
-            tree_process(tree, e, oracle)
+            tree_process(tree, e)
         node = tree.root
         for e in trace.elements:
             node = next(c for c in node.children.values() if c.element.id == e.id)
@@ -554,12 +587,12 @@ def test_bucketed_paths_are_exact_paths(inst, k, seed):
     opt = brute_force_opt(oracle, inst.ground_set(), k)
     if opt.value == 0:
         return
-    exact_tree = PrefixTree(k, ExactKeys())
-    bucket_tree = PrefixTree(k, IncreaseBuckets(opt.value, k, "0.25"))
+    exact_tree = PrefixTree(k, oracle, ExactKeys())
+    bucket_tree = PrefixTree(k, oracle, IncreaseBuckets(opt.value, k, "0.25"))
     exact_paths = {frozenset()}
     for e in s:
-        tree_process(exact_tree, e, oracle)
-        tree_process(bucket_tree, e, oracle)
+        tree_process(exact_tree, e)
+        tree_process(bucket_tree, e)
     exact_paths = {n.path_ids for n in exact_tree.nodes}
     assert {n.path_ids for n in bucket_tree.nodes} <= exact_paths
     assert best_solution(exact_tree).value >= best_solution(bucket_tree).value
