@@ -93,11 +93,13 @@ class ExperimentConfig:
     adversary: {"strategy": one of ADVERSARY_STRATEGIES, "seed": int} (the
     seed defaults to the trial seed; irrelevant for non-random strategies).
     Both seeds are integers in [0, 2**64).  Submod knobs: k, delta, mode,
-    guess.  Matching knobs: match_mode, delta_guess.  Recurrence knobs: t,
-    kmax, table_mode, certify_k, bound.  ``CHOICES`` lists the allowed
-    values of the named fields; construction raises PreconditionError for
-    any value the experiment could not run.  ``out`` is where the CSV goes;
-    it is the one field the fingerprint leaves out.
+    guess; guess "auto" always runs bucketed guess trees, so it ignores mode
+    (which still enters the fingerprint), and a generated instance's params
+    k, if given, must equal k.  Matching knobs: match_mode, delta_guess.
+    Recurrence knobs: t, kmax, table_mode, certify_k, bound.  ``CHOICES``
+    lists the allowed values of the named fields; construction raises
+    PreconditionError for any value the experiment could not run.  ``out``
+    is where the CSV goes; it is the one field the fingerprint leaves out.
     """
 
     problem: str = "submod"
@@ -174,10 +176,13 @@ class ExperimentConfig:
 
 
 def _generator_params(config: ExperimentConfig) -> dict:
-    """The params a generated instance gets: a submod instance takes the config's k."""
+    """The params a generated instance gets: a submod instance takes the
+    config's k, and a params k that differs from it is rejected."""
     params = dict(config.instance.get("params", {}))
     if config.problem == "submod":
-        params.setdefault("k", config.k)
+        if params.setdefault("k", config.k) != config.k:
+            raise PreconditionError(f"k must equal the instance params' k; "
+                                    f"got k={config.k!r}, params k={params['k']!r}")
     return params
 
 

@@ -38,21 +38,20 @@ around the running maximum singleton value m, which holds g in [m/(1+delta),
 contiguous range of exponents keyed as its representative, the highest one.
 With integer value rows every gain at a pass lies in 0..m, so the guesses
 whose keys of the integers 0..m cut them alike share a class; other rows keep
-one guess per class.  When m grows, the classes emptied by dismissals are the
-first trees, whose rows are compacted away; the admitted guesses join as one
-class on a fresh last root at the current stream position; and a class whose
-members now split 0..m differently is split, each lower part getting a copy
-of the tree.  The best surviving tree wins.
+one guess per class.  When m grows, one ``take_trees`` call reshapes the
+forest: a class emptied by dismissals loses its tree, a class whose members
+now split 0..m differently is split, each lower part getting a copy of the
+tree, and the admitted guesses get fresh roots at the current stream
+position.  The best surviving tree wins.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import pairwise, zip_longest
 from typing import Hashable, Iterable, Optional, Union
 
 import numpy as np
@@ -194,11 +193,12 @@ class GuessBuckets:
 
         A guess splits 0..m at the x in 1..m whose key differs from x - 1's,
         as ``keys`` keys them.  Guesses with equal splits make the same child
-        decisions on integer gains in 0..m.
+        decisions on integer gains in 0..m.  One guess is keyed at a time, so
+        at most two rows of m cuts are held.
         """
-        keys = self._keys(np.arange(m + 1), self._widths(exponents)[:, None])
-        cuts = keys[:, 1:] != keys[:, :-1]
-        return (cuts[1:] != cuts[:-1]).any(axis=1)
+        gains = np.arange(m + 1, dtype=np.float64)
+        cuts = (np.diff(self._keys(gains, width)) != 0 for width in self._widths(exponents))
+        return np.array([not np.array_equal(a, b) for a, b in pairwise(cuts)], dtype=bool)
 
 
 class NodeView:
@@ -259,18 +259,17 @@ class NodeList(Sequence):
 class PrefixTree:
     """A forest of bounded-height solution trees, one per (guess, stream) run.
 
-    It starts with ``trees`` trees, each a root row (the empty set);
-    ``add_trees`` appends roots and ``drop_trees`` compacts the first trees
-    away.  With one tree, row 0 is its root.  Every pass extends rows
-    through ``oracle``.  Row arrays, one row per node in creation order:
-    ``tree`` (the index of the node's tree, 0 .. trees-1), ``states`` and
-    ``values`` in the layout of the oracle's ``empty_states``, ``gains``
-    (the marginal each node's element had on arrival), ``depth``,
-    ``parent`` (-1 for a root), ``origin`` (index into ``arrivals`` of the
-    element that created the node, -1 for a root), ``path`` (interned
-    element ids of the path in ``path[i, :depth[i]]``, -1 after it), and
-    ``presence`` (bit ``key`` of row i is set when row i has a child with
-    that gain key; rows at or past ``size`` have none).
+    It starts with ``trees`` trees, each a root row (the empty set), and
+    ``take_trees`` reshapes it.  With one tree, row 0 is its root.  Every
+    pass extends rows through ``oracle``.  Row arrays, one row per node in
+    creation order: ``tree`` (the index of the node's tree, 0 .. trees-1),
+    ``states`` and ``values`` in the layout of the oracle's
+    ``empty_states``, ``gains`` (the marginal each node's element had on
+    arrival), ``depth``, ``parent`` (-1 for a root), ``origin`` (index into
+    ``arrivals`` of the element that created the node, -1 for a root),
+    ``path`` (interned element ids of the path in ``path[i, :depth[i]]``,
+    -1 after it), and ``presence`` (bit ``key`` of row i is set when row i
+    has a child with that gain key; rows at or past ``size`` have none).
     ``keyer.keys(gains, trees)`` keys gains of rows of any trees.
     """
 
@@ -293,7 +292,7 @@ class PrefixTree:
         self.arrivals: list[Element] = []  # arrivals that made children, one per tree if trees differ
         self.ids: list = []                # interned id -> element id
         self.element_index: dict = {}      # element id -> interned id
-        self.add_trees(trees)
+        self.take_trees([-1] * trees)
 
     @property
     def nodes(self) -> NodeList:
@@ -315,74 +314,60 @@ class PrefixTree:
     def path_ids(self, i: int) -> frozenset:
         return frozenset(self.ids[x] for x in self.path[i, : self.depth[i]].tolist())
 
-    def add_trees(self, count: int) -> None:
-        """Append ``count`` trees, each a fresh root row."""
-        n, t = self.size, self.trees
-        self._reserve(n + count, 0)
-        roots = slice(n, n + count)
-        self.tree[roots] = np.arange(t, t + count)
-        self.depth[roots] = 0
-        self.parent[roots] = self.origin[roots] = self.path[roots] = -1
-        self.states[roots], self.values[roots] = self.oracle.empty_states(count)
-        self.gains[roots] = 0
-        self.size, self.trees = n + count, t + count
+    def take_trees(self, sources: Sequence[int]) -> None:
+        """Reshape the forest: new tree i holds the rows of old tree
+        ``sources[i]``, or a fresh root row where ``sources[i]`` is -1.
 
-    def drop_trees(self, count: int) -> None:
-        """Compact away the first ``count`` trees, with their rows and with
-        the arrivals and interned ids only their rows used.  The other trees
-        and rows keep their order, and tree t becomes tree t - count."""
-        if not count:
-            return
-        n = self.size
-        rows = (self.tree[:n] >= count).nonzero()[0]
-        m = rows.size
-        moved = np.full(n, -1, dtype=np.int32)
-        moved[rows] = np.arange(m)
+        The last new tree naming an old tree keeps that tree's rows, compacted
+        in row order.  Each earlier one gets a copy, appended in its source's
+        row order, whose presence bits are rebuilt from its children's stored
+        gains by ``keyer``, which must already key the new numbering.  An old
+        tree no entry names is compacted away, with the arrivals and interned
+        ids only its rows used.  Every tree keeps its rows in creation order.
+        """
+        n, owner = self.size, self.tree[: self.size]
+        keeper = np.full(self.trees, -1, dtype=np.int32)  # old tree -> new tree keeping its rows
+        for i, t in enumerate(sources):
+            if t >= 0:
+                keeper[t] = i
+        blocks = [(keeper[owner] >= 0).nonzero()[0]]
+        trees = [keeper[owner[blocks[0]]]]
+        for i, t in enumerate(sources):
+            if t >= 0 and keeper[t] != i:
+                blocks.append((owner == t).nonzero()[0])
+                trees.append(np.full(blocks[-1].size, i, dtype=np.int32))
+        take = np.concatenate(blocks)
+        kept, m = blocks[0].size, take.size
+        roots = [i for i, t in enumerate(sources) if t < 0]
+        size = m + len(roots)
+        self._reserve(size, self.keyer.key_count)
         for name in _ROWS:
-            getattr(self, name)[:m] = getattr(self, name)[rows]
-        self.presence[m:n] = 0
-        parent, origin, path = self.parent[:m], self.origin[:m], self.path[:m]
-        parent[parent >= 0] = moved[parent[parent >= 0]]
-        self.tree[:m] -= count
-        self.size, self.trees = m, self.trees - count
-        used = np.unique(origin[origin >= 0])
-        self.arrivals = [self.arrivals[a] for a in used.tolist()]
-        origin[origin >= 0] = np.searchsorted(used, origin[origin >= 0])
-        used = np.unique(path[path >= 0])
-        self.ids = [self.ids[x] for x in used.tolist()]
-        self.element_index = {eid: x for x, eid in enumerate(self.ids)}
-        path[path >= 0] = np.searchsorted(used, path[path >= 0])
-
-    def copy_trees(self, copies: Sequence[int]) -> None:
-        """Insert ``copies[t]`` copies of each tree t just before it, and
-        renumber the trees in that order.  A copy's rows are appended in its
-        source's row order, and its presence bits are rebuilt from their
-        children's stored gains by ``keyer``, which must key the new numbering."""
-        copies = np.asarray(copies, dtype=np.int64)
-        if not copies.any():
-            return
-        n = self.size
-        owner, shift = self.tree[:n].copy(), np.cumsum(copies)
-        self.tree[:n] += shift[owner].astype(np.int32)  # tree t becomes t + shift[t]
-        moved = np.full(n, -1, dtype=np.int32)
-        for t in copies.nonzero()[0].tolist():
-            rows = (owner == t).nonzero()[0]
-            for new_t in range(t + shift[t] - copies[t], t + shift[t]):
-                m = self.size
-                self._reserve(m + rows.size, self.keyer.key_count)
-                for name in _ROWS:
-                    getattr(self, name)[m : m + rows.size] = getattr(self, name)[rows]
-                moved[rows] = np.arange(m, m + rows.size)
-                parent = self.parent[m : m + rows.size]
-                parent[parent >= 0] = moved[parent[parent >= 0]]
-                self.tree[m : m + rows.size] = new_t
-                self.size = m + rows.size
-        self.trees += int(shift[-1])
-        self.presence[n : self.size] = 0
-        kids = n + (self.parent[n : self.size] >= 0).nonzero()[0]
+            getattr(self, name)[:m] = getattr(self, name)[take]
+        self.tree[:m] = np.concatenate(trees)
+        moved, start = np.full(n, -1, dtype=np.int32), 0
+        for rows in blocks:  # a parent lies in its child's block
+            moved[rows] = np.arange(start, start + rows.size)
+            parent = self.parent[start : start + rows.size]
+            parent[parent >= 0] = moved[parent[parent >= 0]]
+            start += rows.size
+        new = slice(m, size)
+        self.tree[new] = roots
+        self.depth[new] = 0
+        self.parent[new] = self.origin[new] = self.path[new] = -1
+        self.states[new], self.values[new] = self.oracle.empty_states(len(roots))
+        self.gains[new] = 0
+        self.presence[kept : max(n, size)] = 0
+        self.size, self.trees = size, len(sources)
+        kids = kept + (self.parent[kept:m] >= 0).nonzero()[0]
         if kids.size:
             keys = self.keyer.keys(self.gains[kids], self.tree[kids])
             np.bitwise_or.at(self.presence, (self.parent[kids], keys >> 3), _BIT[keys & 7])
+        for name, refs in (("arrivals", self.origin[:size]), ("ids", self.path[:size])):
+            used = np.zeros(len(getattr(self, name)), dtype=bool)
+            used[refs[refs >= 0]] = True
+            refs[refs >= 0] = (np.cumsum(used) - 1)[refs[refs >= 0]]
+            setattr(self, name, [getattr(self, name)[x] for x in used.nonzero()[0].tolist()])
+        self.element_index = {eid: x for x, eid in enumerate(self.ids)}
 
     def _reserve(self, rows: int, keys: int) -> None:
         """Room for ``rows`` nodes and ``keys`` presence bits per node."""
@@ -562,16 +547,16 @@ class GuessManager:
     (``GuessBuckets.splits``) make the same child decisions.  Object,
     ``Fraction`` and float rows keep one guess per class.
 
-    When m grows, ``observe`` drops the classes left without members (m only
-    grows, so dismissals take the lowest exponents: a representative stays
-    until its class is empty, and the empty classes are the first trees),
-    appends the admitted guesses as one class on a fresh root, and splits
-    every class of two or more guesses whose members now split 0..m
-    differently into runs of equal splits (classes never merge, so a lone
-    guess stays as it is).  The top run keeps the tree; each lower run gets
-    a copy of it, just before it, with its presence bits rekeyed under its
-    own representative from the stored gains.  ``calls`` counts each pass's
-    extensions once per member of the class that made them.
+    When m grows, ``observe`` walks the old classes and then the admitted
+    guesses, as one more class on a fresh root.  It skips a class left
+    without members (m only grows, so dismissals take the lowest exponents
+    and a representative stays until its class is empty), and splits a
+    class of two or more guesses whose members now split 0..m differently
+    into runs of equal splits (classes never merge).  Each run names its
+    class's tree in the ``sources`` of one ``PrefixTree.take_trees`` call:
+    the top run keeps the tree, and each lower run gets a copy, rekeyed
+    under its own representative.  ``calls`` counts each pass's extensions
+    once per member of the class that made them.
     """
 
     def __init__(self, k: int, delta: float, oracle: SubmodularOracle) -> None:
@@ -600,23 +585,19 @@ class GuessManager:
             return
         self.m = singleton_value
         window = geomgrid.window(self.m, 1.0 + self.delta, self.k / self.delta)
-        forest = self.forest
-        empty = bisect.bisect_left(self.tops, window.start)
-        forest.drop_trees(empty)
-        tops = self.tops[empty:]
-        if window.stop - 1 > (tops[-1] if tops else window.start - 1):
-            forest.add_trees(1)
-            tops.append(window.stop - 1)
-        self.tops, copies, low = [], [], window.start
-        for top in tops:
+        forest, tops, sources, low = self.forest, self.tops, [], window.start
+        self.tops = []
+        for i, top in enumerate(tops + [window.stop - 1]):  # old classes, then the admitted one
+            if top < low:  # every member dismissed, or nothing new to admit
+                continue
             parts = np.arange(low, top)  # without sharing, every guess splits off
             if self.shared and parts.size:
                 parts = parts[forest.keyer.splits(range(low, top + 1), self.m)]
             self.tops += parts.tolist() + [top]
-            copies.append(parts.size)
+            sources += [i if i < len(tops) else -1] * (parts.size + 1)
             low = top + 1
         forest.keyer.use(self.tops)
-        forest.copy_trees(copies)
+        forest.take_trees(sources)
         self.window = window
         self.members = np.diff([window.start - 1] + self.tops)
         self.nodes_live = int(forest.node_counts() @ self.members)

@@ -94,6 +94,7 @@ BAD_CONFIG_VALUES = {
                                                       "params": {"blocks": 9}}}),
     "param-value": ("random param", {"instance": {"kind": "random", "params": {"n": 2.7}}}),
     "param-n-below-k": ("need", {"instance": {"kind": "random", "params": {"n": 2}}}),
+    "param-k-differs": ("k", {"k": 4, "instance": {"kind": "random", "params": {"k": 2, "n": 8}}}),
     "param-block": ("need", {"instance": {"kind": "decoy_front", "params": {"block": 1}}}),
     "param-s": ("need", {"problem": "matching",
                          "instance": {"kind": "greedy_trap", "params": {"s": 0}}}),
@@ -858,6 +859,8 @@ ERROR_CASES = [
      "decoy_front param 'blocks' is unknown"),
     (["matching", "run", "--kind", "random", "--params", '{"p": "0.3"}'],
      "random_bipartite param p must be a number; got '0.3'"),
+    (["submod", "run", "--kind", "random", "--params", '{"k": 2, "n": 8}', "--k", "4"],
+     "k must equal the instance params' k; got k=4, params k=2"),
 ]
 
 

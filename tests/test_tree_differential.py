@@ -20,6 +20,7 @@ from injectstream.submodular import (
 )
 from injectstream.tree_stream import (
     ExactKeys,
+    GuessBuckets,
     GuessManager,
     IncreaseBuckets,
     PrefixTree,
@@ -328,6 +329,84 @@ def test_guess_forest_compacts_dismissed_guesses():
     stats = RunStats()
     assert guess_run(iter(stream), k, delta, AdditiveOracle(weights), stats=stats) == ref_sol
     assert stats == ref_stats
+
+
+def test_splits_keys_one_guess_at_a_time():
+    """40 guesses over 0..10**5: the split of each adjacent pair equals the
+    one read off the whole guesses x (m+1) key matrix, which would take
+    tens of MiB, while at most two rows of cuts are held."""
+    exponents, m = range(30, 70), 10**5
+    tracemalloc.start()
+    try:
+        split = GuessBuckets(4, 0.1).splits(exponents, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    widths = np.array([0.1 * 1.1**j / 4 for j in exponents])[:, None]
+    keys = np.minimum(np.maximum(np.arange(m + 1) // widths, 0), 40)
+    cuts = keys[:, 1:] != keys[:, :-1]
+    assert split.tolist() == (cuts[1:] != cuts[:-1]).any(axis=1).tolist()
+    assert split.size == len(exponents) - 1
+    assert peak < 16 * 2**20
+
+
+def test_take_trees_keeps_drops_copies_and_adds():
+    """Four trees, each fed its own stream, become five: a copy of tree 2,
+    tree 1 kept, another copy of tree 2, a fresh root, and tree 2 kept.
+    Trees 0 and 3 go, with the arrivals and interned ids only they used."""
+    rects = {i: frozenset(range(i, 2 * i + 3)) for i in range(8)}
+    streams = [[0, 6, 1], [1, 2, 3, 1], [2, 4, 5, 0, 3], [7, 6]]
+    keyer = GuessBuckets(3, 0.5)
+    keyer.use([2, 4, 6, 8])
+    forest = PrefixTree(3, CoverageOracle(CoverageInstance(rects)), keyer, trees=4)
+    for elements in zip_longest(*streams):
+        tree_process(forest, [None if i is None else Element(i, payload=t)
+                              for t, i in enumerate(elements)])
+    sources = [2, 1, 2, -1, 2]
+    before = [node_rows(tree_nodes(forest, t)) for t in range(forest.trees)]
+    assert {6, 7} <= set(forest.ids)  # only trees 0 and 3 read 6 and 7
+    keyer.use([1, 4, 3, 5, 6])  # the kept trees keep their guesses
+    forest.take_trees(sources)
+    n = forest.size
+    assert forest.trees == len(sources)
+    root = [(None, 0, 0, 0, frozenset())]
+    for t, source in enumerate(sources):
+        assert node_rows(tree_nodes(forest, t)) == (root if source < 0 else before[source])
+    assert forest.node_counts().tolist() == [len(before[2]), len(before[1]), len(before[2]), 1,
+                                             len(before[2])]
+    kids = (forest.parent[:n] >= 0).nonzero()[0]
+    assert (forest.tree[forest.parent[kids]] == forest.tree[kids]).all()
+    assert (forest.parent[kids] < kids).all()
+    assert [presence_keys(forest, node.index) for node in forest.nodes] == \
+        [sorted(node.children) for node in forest.nodes]
+    assert not forest.presence[n:].any()
+    origin = forest.origin[:n]
+    assert sorted(set(origin[origin >= 0].tolist())) == list(range(len(forest.arrivals)))
+    assert {a.payload for a in forest.arrivals} == {1, 2}
+    assert set(forest.ids) == set().union(*(node.path_ids for node in forest.nodes))
+    assert {6, 7}.isdisjoint(forest.ids)
+    assert forest.element_index == {eid: x for x, eid in enumerate(forest.ids)}
+
+
+def test_take_no_trees_empties_the_forest():
+    forest = PrefixTree(2, CoverageOracle(CoverageInstance({0: frozenset({1}), 1: frozenset({2})})),
+                        trees=2)
+    tree_process(forest, [Element(0), Element(1)])
+    assert forest.size == 4
+    forest.take_trees([])
+    assert forest.trees == forest.size == 0
+    assert forest.node_counts().tolist() == []
+    assert forest.arrivals == forest.ids == [] and forest.element_index == {}
+    assert not forest.presence.any()
+
+
+@pytest.mark.parametrize("trees", [0, 3])
+def test_forest_starts_with_one_root_per_tree(trees):
+    forest = PrefixTree(2, CoverageOracle(CoverageInstance({0: frozenset({1})})), trees=trees)
+    assert forest.trees == forest.size == trees
+    assert forest.tree[:trees].tolist() == list(range(trees))
+    assert forest.node_counts().tolist() == [1] * trees
+    assert node_rows(forest.nodes) == [(None, 0, 0, 0, frozenset())] * trees
 
 
 @given(oracle_and_stream(), st.integers(1, 3), st.sampled_from([0.1, 0.2, 0.5]))
