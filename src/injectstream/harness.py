@@ -525,9 +525,10 @@ def _run_recurrence(config: ExperimentConfig) -> ExperimentResult:
         path = resolve_out(config.out)
         table = compute_table(t=config.t, k_max=config.kmax, mode=config.table_mode)
         if path is not None:
+            rows = zip(range(1, config.kmax + 1), table.diagonal[1:].tolist(),
+                       table.diag_tags[1:].tolist())
             _write_csv(path, RECURRENCE_COLUMNS, (
-                [k, repr(float(table.diagonal[k])), TAG_NAMES[table.diag_tags[k]], fp]
-                for k in range(1, config.kmax + 1)
+                [k, repr(value), TAG_NAMES[tag], fp] for k, value, tag in rows
             ))
         records.append(
             TrialRecord(
@@ -577,10 +578,11 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
     """The split of a JSON-lines instance file, in file order, and its plan.
 
     ``parse_payload`` turns a record's JSON payload into the element payload
-    and raises TypeError or ValueError on a malformed one.  A malformed line,
-    a repeated id, a second slots record, or a slots record that does not fit
-    the elements raises InvalidInstanceError naming ``path:line``; a file
-    that cannot be opened raises it naming ``path``.
+    and raises TypeError or ValueError on a malformed one.  A malformed line
+    (NaN, Infinity and numbers out of float range included), a repeated id,
+    a second slots record, or a slots record that does not fit the elements
+    raises InvalidInstanceError naming ``path:line``; a file that cannot be
+    opened, or that has no good element, raises it naming ``path``.
     """
     elements: dict = {"good": [], "noise": []}
     id_lines: dict = {}              # element id -> line of its record
@@ -599,9 +601,11 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
             if not line or line.startswith("#"):
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line, parse_constant=_no_constant, parse_float=_finite_float)
             except json.JSONDecodeError as exc:
                 raise InvalidInstanceError(f"{where}: not JSON ({exc.msg})") from None
+            except ValueError as exc:
+                raise InvalidInstanceError(f"{where}: {exc}") from None
             if not isinstance(rec, dict):
                 raise InvalidInstanceError(f"{where}: expected a JSON object")
             if "slots" in rec:
@@ -637,6 +641,8 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
             elements[rec["role"]].append(Element(id=rec["id"], payload=payload))
     if not elements["good"] and not elements["noise"]:
         raise InvalidInstanceError(f"no element records in {path}")
+    if not elements["good"]:
+        raise InvalidInstanceError(f"{path}: no good element; a stream needs at least one")
     split = InstanceSplit(good=tuple(elements["good"]), noise=tuple(elements["noise"]))
     if plan is not None:
         try:
@@ -644,6 +650,20 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
         except PlanValidationError as exc:
             raise InvalidInstanceError(f"{path}:{plan_line}: {exc}") from None
     return split, plan
+
+
+def _no_constant(name: str):
+    """``json.loads`` hook for NaN, Infinity and -Infinity, which JSON lacks."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    """``json.loads`` hook for a JSON number with a fraction or exponent;
+    ValueError for one out of float range, such as 1e400."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"number {text} is out of float range")
+    return x
 
 
 def _scalar(x, what: str):

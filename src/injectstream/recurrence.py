@@ -10,9 +10,12 @@ Definition (threshold parameter t in (0,1]):
 One builder streams the table column by column in 64-bit floats, with
 O(k_max) working memory, in both modes.  Column h covers only the rows
 k = h..k_max that are ever read: its first term reads rows h..k_max of
-column h-1, its second rows h-1..k_max-1.  Only the diagonal R(k,k) and
-its argmin tags are kept, whatever k_max; ``first_term_dominance`` walks
-the same columns with one flag per row.  Exact mode is a filter over the
+column h-1, its second rows h-1..k_max-1.  The columns live in a fixed
+set of buffers, two row buffers swapped after each column plus one per
+term, and every operation writes into them, so a streamed column is a view
+that the next column overwrites.  Only the diagonal R(k,k) and its argmin
+tags are kept, whatever k_max; ``first_term_dominance`` walks the same
+columns with one flag per row.  Exact mode is a filter over the
 float columns: it streams each column again as unnormalized integer pairs
 (num, den).  Where the float margin between candidate terms exceeds
 FILTER_MARGIN the float argmin is trusted (the accumulated float error is
@@ -36,16 +39,33 @@ same triangular columns with each cell held as a float interval
 * Each rounded operation (t/k, 1-t/k, 1/k, 1+t, (1+t)/k, 1-(1+t)/k,
   1/(1+t), and every product and sum) errs by at most half an ulp: the
   exact result is nearer the rounded one than any other float.  So moving
-  the lower end one float down and the upper end one float up with
-  ``np.nextafter`` encloses it.  ``min`` is exact and monotone, so the
-  interval minimum of the three terms encloses the exact one.
+  the lower end one float down and the upper end one float up encloses it.
+  ``min`` is exact and monotone, so the interval minimum of the three terms
+  encloses the exact one.
 * A product of intervals is [lo*lo, hi*hi] only when both factors are
   non-negative.  Every coefficient is >= 0 for k >= 2 (1 - (1+t)/k >= 0
-  because t <= 1), so a lower end rounded below 0 is clipped to 0; and R
-  itself is >= 0, so a cell's lower end is clipped the same way.  At k = 1
-  the second term's coefficient is -t, but it multiplies R(0,0) = 0, held
-  as the exact interval [0, 0], so the exact product is 0 whatever the
+  because t <= 1), so a lower end rounded below 0 is clipped to 0.  At
+  k = 1 the second term's coefficient is -t, but it multiplies R(0,0) = 0,
+  held as the exact interval [0, 0], so the exact product is 0 whatever the
   coefficient, and clipping it to 0 like the others keeps the enclosure.
+  t/k > 0 too, so its lower end is clipped the same way should it underflow.
+* The one-time vectors (t/k, 1/k, the coefficients and 1/(1+t)) move
+  outward with ``np.nextafter``, since some are negative before clipping.
+  Inside the column loop every product and sum is of non-negative ends, so
+  it is non-negative itself.  Positive finite floats sort as their bit
+  patterns do, so there one float down or up is one step of the int64 view:
+  subtract 1 from a lower end, add 1 to an upper end.  The one exception is
+  a lower end of exactly 0 (a product with a zero factor: all of column 1,
+  which multiplies R(., 0) = 0, and the rows whose coefficient's lower end
+  is clipped to 0), which a step would turn into a NaN pattern; it is
+  clamped back to 0, still no more than the exact value, where
+  ``nextafter`` gives -5e-324.  Such a 0 is then added to t/k or 1/k, and
+  the sum rounds to the same float as with -5e-324 whenever that addend is
+  at least 2^-1020, that is for every t >= 1e-300 at k <= CERTIFY_LIMIT.
+  So the intervals equal the ``nextafter`` ones bit for bit there; for a
+  smaller t they may be narrower in the last bits, and still enclose.  The
+  cells, minima of non-negative ends, are non-negative too, so every factor
+  of the next column is.
 
 The verdict is "holds" when every lower end is >= bound and "VIOLATED"
 when some upper end is below it.  Otherwise the bound lies between the
@@ -141,14 +161,16 @@ def compute_table(
         raise PreconditionError(f"unknown mode {mode!r}")
     if k_max > limits[mode]:
         raise SizeLimitError(f"{mode} mode is guarded to k_max <= {limits[mode]}")
-    table = RecurrenceTable(t=t_exact, k_max=k_max, diagonal=np.zeros(k_max + 1),
-                            diag_tags=np.full(k_max + 1, TAG_NONE, dtype=np.int8))
+    table = RecurrenceTable(t=t_exact, k_max=k_max, diagonal=None, diag_tags=None)
     columns = _float_columns(float(t_exact), k_max, mode == "exact")
     if mode == "exact":
         columns = _settle_exactly(columns, table)
-    for h, _fa, _fb, cur, col_tags in columns:
-        table.diagonal[h] = cur[0]
-        table.diag_tags[h] = col_tags[0]
+    diagonal, tags = [0.0], [TAG_NONE]
+    for _h, _fa, _fb, cur, col_tags in columns:
+        diagonal.append(cur.item(0))
+        tags.append(col_tags.item(0))
+    table.diagonal = np.array(diagonal)
+    table.diag_tags = np.array(tags, dtype=np.int8)
     return table
 
 
@@ -159,7 +181,8 @@ def _float_columns(tf: float, k_max: int, all_tags: bool):
     are never read.  ``fa``/``fb`` are the first and second terms, ``cur``
     the column R(., h) and ``tags`` its argmin tags, ties going to the
     lowest-numbered term; without ``all_tags`` only row h gets its tag.
-    Each yielded array is fresh, so a caller may keep or edit it.
+    Each yielded array is a view of a buffer the next column overwrites, so
+    a caller reads a column before it asks for the next one.
     """
     third = 1.0 / (1.0 + tf)
     ks = np.arange(k_max + 1, dtype=np.float64)
@@ -168,17 +191,32 @@ def _float_columns(tf: float, k_max: int, all_tags: bool):
     tk = tf * invk
     coef_a = 1.0 - tk
     coef_b = 1.0 - (1.0 + tf) * invk
-    n = None if all_tags else 1
     prev = np.zeros(k_max + 1)       # R(., 0) over rows 0..k_max
+    spare = np.empty(k_max + 1)      # the other row buffer, swapped with prev
+    fa_buf, fb_buf = np.empty(k_max), np.empty(k_max)
+    tag_buf, mask_buf = np.empty(k_max, dtype=np.int8), np.empty(k_max, dtype=bool)
+    second = np.int8(TAG_SECOND)
     for h in range(1, k_max + 1):
-        fa = tk[h:] + coef_a[h:] * prev[1:]
-        fb = invk[h:] + coef_b[h:] * prev[:-1]
-        fab = np.minimum(fa, fb)
-        cur = np.minimum(fab, third)
-        tags = np.where(fab[:n] <= third,
-                        np.where(fa[:n] <= fb[:n], TAG_FIRST, TAG_SECOND), TAG_THIRD)
-        yield h, fa, fb, cur, tags.astype(np.int8)
-        prev = cur
+        n = k_max + 1 - h
+        fa, fb, cur = fa_buf[:n], fb_buf[:n], spare[:n]
+        np.multiply(coef_a[h:], prev[1:], out=fa)
+        np.add(tk[h:], fa, out=fa)
+        np.multiply(coef_b[h:], prev[:-1], out=fb)
+        np.add(invk[h:], fb, out=fb)
+        np.minimum(fa, fb, out=cur)
+        if all_tags:
+            tags, mask = tag_buf[:n], mask_buf[:n]
+            np.less_equal(fa, fb, out=mask)
+            np.subtract(second, mask.view(np.int8), out=tags)    # fa <= fb: TAG_FIRST
+            np.greater(cur, third, out=mask)
+            np.copyto(tags, TAG_THIRD, where=mask)
+        else:                        # row h alone: tag it from two scalars
+            tags = tag_buf[:1]
+            a, b = fa.item(0), fb.item(0)
+            tags[0] = TAG_THIRD if min(a, b) > third else TAG_FIRST if a <= b else TAG_SECOND
+        np.minimum(cur, third, out=cur)
+        yield h, fa, fb, cur, tags
+        spare, prev = prev, cur
 
 
 def _settle_exactly(columns, table: RecurrenceTable):
@@ -243,6 +281,17 @@ def _outward(x: np.ndarray) -> np.ndarray:
     return np.nextafter(x, _OUTWARD)
 
 
+_STEP = np.array([[-1], [1]], dtype=np.int64)
+
+
+def _step_outward(bits: np.ndarray) -> None:
+    """Move a (2, n) interval array of non-negative floats, given as its int64
+    view, outward in place: lower ends one float down, but not below 0, and
+    upper ends one float up (see the module docstring)."""
+    np.add(bits, _STEP, out=bits)
+    np.maximum(bits[0], 0, out=bits[0])
+
+
 def _bracket(t: Fraction) -> np.ndarray:
     """The nearest floats below and above ``t`` as a (2, 1) interval."""
     near = float(t)
@@ -254,9 +303,9 @@ def _bracket(t: Fraction) -> np.ndarray:
 def diagonal_intervals(t: Union[float, int, str, Fraction], k_max: int) -> np.ndarray:
     """Float intervals enclosing R(k,k): a (2, k_max+1) array, lower ends in row 0.
 
-    Streams the triangular columns as (2, n) arrays of lower and upper
-    ends, rounding every operation outward (see the module docstring), and
-    keeps only the diagonal.  Column 0 holds R(0,0) = 0 exactly.
+    Streams the triangular columns as (2, n) views of reused buffers, lower
+    and upper ends, rounding every operation outward (see the module
+    docstring), and keeps only the diagonal.  Column 0 holds R(0,0) = 0 exactly.
     """
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
@@ -265,21 +314,33 @@ def diagonal_intervals(t: Union[float, int, str, Fraction], k_max: int) -> np.nd
     ts = _bracket(_t_as_fraction(t))
     ks = np.arange(k_max + 1, dtype=np.float64)
     ks[0] = 1.0                      # row 0 is never a valid cell
-    tk = _outward(ts / ks)
+    tk = np.maximum(_outward(ts / ks), 0.0)   # t/k > 0: only an underflow reaches 0
     invk = _outward(1.0 / ks)
     # exact coefficients are >= 0 but at k = 1, where -t multiplies R(0, 0) = 0
     coef_a = np.maximum(_outward(1.0 - tk[::-1]), 0.0)
     coef_b = np.maximum(_outward(1.0 - _outward(_outward(1.0 + ts) / ks)[::-1]), 0.0)
     third = _outward(1.0 / _outward(1.0 + ts)[::-1])
     prev = np.zeros((2, k_max + 1))  # R(., 0) = 0 exactly, rows 0..k_max
+    spare = np.empty((2, k_max + 1))
+    fa_buf, fb_buf = np.empty((2, k_max)), np.empty((2, k_max))
+    fa_bits, fb_bits = fa_buf.view(np.int64), fb_buf.view(np.int64)
     diag = np.zeros((2, k_max + 1))
     for h in range(1, k_max + 1):
-        fa = _outward(tk[:, h:] + _outward(coef_a[:, h:] * prev[:, 1:]))
-        fb = _outward(invk[:, h:] + _outward(coef_b[:, h:] * prev[:, :-1]))
-        cur = np.minimum(np.minimum(fa, fb), third)
-        np.maximum(cur[0], 0.0, out=cur[0])   # R >= 0: keeps every factor non-negative
+        n = k_max + 1 - h
+        fa, fb, cur = fa_buf[:, :n], fb_buf[:, :n], spare[:, :n]
+        fa_b, fb_b = fa_bits[:, :n], fb_bits[:, :n]
+        np.multiply(coef_a[:, h:], prev[:, 1:], out=fa)
+        _step_outward(fa_b)
+        np.add(tk[:, h:], fa, out=fa)
+        _step_outward(fa_b)
+        np.multiply(coef_b[:, h:], prev[:, :-1], out=fb)
+        _step_outward(fb_b)
+        np.add(invk[:, h:], fb, out=fb)
+        _step_outward(fb_b)
+        np.minimum(fa, fb, out=cur)
+        np.minimum(cur, third, out=cur)
         diag[:, h] = cur[:, 0]
-        prev = cur
+        spare, prev = prev, cur
     return diag
 
 

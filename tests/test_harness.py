@@ -619,6 +619,11 @@ BAD_RECORDS = {
     "text slot": '{"slots": [["a", 9]]}',
     "slot out of range": '{"slots": [[5, 9]]}',
     "repeated id": '{"id": 1, "role": "noise", "payload": [3, 4]}',
+    "NaN point or vertex": '{"id": 9, "role": "good", "payload": [NaN, 8]}',
+    "Infinity id": '{"id": Infinity, "role": "good", "payload": [7, 8]}',
+    "-Infinity slot id": '{"slots": [[0, -Infinity]]}',
+    "out-of-range point or vertex": '{"id": 9, "role": "good", "payload": [1e400, 8]}',
+    "out-of-range number in a list vertex": '{"id": 9, "role": "good", "payload": [[7, -1e400], 8]}',
 }
 
 
@@ -861,6 +866,8 @@ ERROR_CASES = [
      "random_bipartite param p must be a number; got '0.3'"),
     (["submod", "run", "--kind", "random", "--params", '{"k": 2, "n": 8}', "--k", "4"],
      "k must equal the instance params' k; got k=4, params k=2"),
+    (["matching", "run", "--instance", "NOGOOD", "--trials", "1", "--perms", "2"],
+     "NOGOOD: no good element"),
 ]
 
 
@@ -874,7 +881,10 @@ def test_cli_invalid_json_flag_is_one_line_and_exit_2(
     monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("{bad")
-    paths = {"CFG": str(cfg_path), "MISSING": str(tmp_path / "nope.json")}
+    nogood_path = tmp_path / "nogood.jsonl"
+    nogood_path.write_text('{"id": 1, "role": "noise", "payload": [1, 2]}\n')
+    paths = {"CFG": str(cfg_path), "MISSING": str(tmp_path / "nope.json"),
+             "NOGOOD": str(nogood_path)}
     argv = [paths.get(a, a) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -883,7 +893,7 @@ def test_cli_invalid_json_flag_is_one_line_and_exit_2(
     for name, path in paths.items():
         needle = needle.replace(name, path)
     assert needle in err
-    assert os.listdir(tmp_path) == ["cfg.json"]  # no CSV, no instance file
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "nogood.jsonl"]  # no CSV, no instance file
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -23,7 +23,14 @@ from injectstream.recurrence import (
     first_term_dominance,
     min_diagonal,
 )
-from reference_recurrence import reference_dominance, reference_table, streamed_cells
+from reference_recurrence import (
+    reference_diagonal,
+    reference_diagonal_intervals,
+    reference_dominance,
+    reference_float_columns,
+    reference_table,
+    streamed_cells,
+)
 
 
 def test_hand_computed_small_values():
@@ -290,3 +297,70 @@ def test_diagonal_bounded_by_first_term_chain(k):
     table = compute_table(t=0.8, k_max=k, mode="float")
     closed = -math.expm1(k * math.log1p(-0.8 / k))
     assert table.diagonal[k] <= closed + 1e-12
+
+
+def _bits(x: np.ndarray) -> list:
+    """The bit patterns of a float array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64).tolist()
+
+
+#: t in (0, 1]: floats down to 1e-300, where the bit step equals nextafter
+#: (module docstring), and small fractions
+T_VALUES = st.one_of(
+    st.floats(1e-300, 1.0),
+    st.integers(1, 40).flatmap(lambda den: st.integers(1, den).map(lambda num: Fraction(num, den))),
+)
+
+
+@given(T_VALUES, st.integers(1, 300))
+@example(1.0, 1)
+@example(1.0, 2)
+@example(0.8, 2)
+@example(1e-300, 40)
+@settings(max_examples=40, deadline=None)
+def test_intervals_equal_the_nextafter_reference_bitwise(t, k_max):
+    """The in-place bit steps round exactly as ``np.nextafter`` does."""
+    assert _bits(diagonal_intervals(t, k_max)) == _bits(reference_diagonal_intervals(t, k_max))
+
+
+@pytest.mark.parametrize("t", [5e-324, 1e-310, Fraction(1, 10**400)])
+def test_intervals_below_1e_300_lie_inside_the_nextafter_ones(t):
+    """Where t/k is subnormal a 0 lower end may round up, never out of the exact cell."""
+    intervals, ref = diagonal_intervals(t, 6), reference_diagonal_intervals(t, 6)
+    assert (intervals[0] >= ref[0]).all() and _bits(intervals[1]) == _bits(ref[1])
+    exact = reference_table(recurrence._t_as_fraction(t), 6)
+    assert _encloses(intervals, [exact[k, k][0] for k in range(7)])
+
+
+@given(T_VALUES, st.integers(1, 300))
+@example(1.0, 1)
+@example(1.0, 2)
+@settings(max_examples=30, deadline=None)
+def test_buffered_float_columns_equal_the_fresh_array_reference(t, k_max):
+    """Every streamed column, read before the next one overwrites it, and every
+    tag equal the reference's bit for bit."""
+    tf = float(recurrence._t_as_fraction(t))
+    columns = recurrence._float_columns(tf, k_max, True)
+    for got, want in zip(columns, reference_float_columns(tf, k_max, True), strict=True):
+        assert got[0] == want[0]
+        for a, b in zip(got[1:4], want[1:4]):
+            assert _bits(a) == _bits(b)
+        assert got[4].dtype == want[4].dtype and got[4].tolist() == want[4].tolist()
+
+
+@given(T_VALUES, st.integers(1, 300), st.sampled_from(["float", "exact"]))
+@example(1.0, 1, "float")
+@example(1.0, 2, "exact")
+@settings(max_examples=30, deadline=None)
+def test_table_diagonal_and_tags_equal_the_reference(t, k_max, mode):
+    table = compute_table(t, k_max, mode)
+    diagonal, tags = reference_diagonal(t, k_max, mode)
+    assert _bits(table.diagonal) == _bits(diagonal)
+    assert table.diag_tags.dtype == tags.dtype and table.diag_tags.tolist() == tags.tolist()
+
+
+def test_fast_loops_equal_the_references_at_k_1500():
+    assert _bits(diagonal_intervals("0.8", 1500)) == _bits(reference_diagonal_intervals("0.8", 1500))
+    table = compute_table(0.8, 1500)
+    diagonal, tags = reference_diagonal(0.8, 1500)
+    assert _bits(table.diagonal) == _bits(diagonal) and table.diag_tags.tolist() == tags.tolist()
