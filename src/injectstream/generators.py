@@ -229,10 +229,8 @@ def _random_bipartite(seed: int, nl: int, nr: int, p: float) -> tuple[InstanceSp
 
 def _greedy_trap(s: int) -> tuple[InstanceSplit, int]:
     # pair j is (2j, 2j+1) for j < 2s; cross i ties pair 2i to pair 2i+1
-    good = tuple(Element(id=j, payload=Edge(2 * j, 2 * j + 1)) for j in range(2 * s))
-    noise = tuple(
-        Element(id=2 * s + i, payload=Edge(4 * i + 1, 4 * i + 2)) for i in range(s)
-    )
+    good = tuple(Element(j, Edge(2 * j, 2 * j + 1)) for j in range(2 * s))
+    noise = tuple(Element(2 * s + i, Edge(4 * i + 1, 4 * i + 2)) for i in range(s))
     return InstanceSplit(good=good, noise=noise), 2 * s
 
 

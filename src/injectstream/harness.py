@@ -402,6 +402,7 @@ def _load_submod_trial(
     """(split, fixed plan, (oracle, OPT value)); the trial's runs share the oracle.
 
     An instance file ignores ``t_seed``: ``_run_trials`` loads it once.
+    Its good set must be an optimum, as a generated one is by construction.
     """
     src = config.instance
     if "file" in src:
@@ -413,6 +414,13 @@ def _load_submod_trial(
         plan = None
     oracle = CoverageOracle(instance)
     opt = brute_force_opt(oracle, instance.ground_set(), config.k)
+    if "file" in src:
+        good = oracle.evaluate(el.id for el in split.good)
+        if good != opt.value:
+            raise InvalidInstanceError(
+                f"{src['file']}: the good set must be an optimum {config.k}-set; "
+                f"it is worth {good}, the optimum {opt.value}"
+            )
     return split, plan, (oracle, opt.value)
 
 
@@ -447,12 +455,19 @@ def _submod_run(config: ExperimentConfig, streams: list, trial: tuple) -> list[t
 def _load_matching_trial(
     config: ExperimentConfig, t_seed: Optional[int]
 ) -> tuple[InstanceSplit, Optional[InjectionPlan], int]:
-    """(split, fixed plan, m*); an instance file ignores ``t_seed``."""
+    """(split, fixed plan, m*); an instance file ignores ``t_seed``, and its
+    good edges must hold a maximum matching, as generated ones do."""
     src = config.instance
     if "file" in src:
         split, plan = read_matching_instance_file(src["file"])
-        edges = edges_from_stream(split.good + split.noise)
-        return split, plan, len(exact_max_matching(edges))
+        m_star = len(exact_max_matching(edges_from_stream(split.good + split.noise)))
+        good = len(exact_max_matching(edges_from_stream(split.good)))
+        if good != m_star:
+            raise InvalidInstanceError(
+                f"{src['file']}: the good edges must hold a maximum matching; "
+                f"their largest matching has size {good}, the instance's {m_star}"
+            )
+        return split, plan, m_star
     split, m_star = generate_matching_instance(
         src["kind"], src.get("params", {}), seed=t_seed
     )

@@ -10,7 +10,18 @@ read in place from the shared M1, which only grows.  At stream end branch
 2's size is F plus its collected paths; its augmentations are applied only
 when that beats M1, and the larger branch is the output.  When m_star is
 unknown, branch 2 is replicated for geometric guesses of it, one per
-exponent of ``geomgrid.window`` around the live size of M1.  Every run reads its stream once, edge by edge.
+exponent of ``geomgrid.window`` around the live size of M1.  Every run reads
+its stream once, edge by edge.
+
+Each edge is dispatched once, to only the branches it can feed.  Let lo and
+hi be the smaller and larger M1 index of its endpoints (``Matching.index``;
+a vertex outside M1 counts as |M1|).  The edge is a wing of the prefix of
+size S exactly when lo < S <= hi: one end inside the prefix, one outside.
+An edge greedy has just taken has lo = hi and feeds no branch.  The live
+prefix sizes are nondecreasing in exponent order: a guess joins only at the
+top of the window, with S = max(|M1| at admission, its threshold), and both
+of those only grow.  So the branches an edge feeds are one slice of them,
+found by two ``bisect_right`` calls over the sorted sizes.
 
 EPS = 1/50 and BETA = (4 - 43 EPS) / (4 - 8 EPS) are the certified
 constants of the analysis; they are fixed, not settings.
@@ -30,6 +41,7 @@ matched vertices.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -50,25 +62,28 @@ GUESS_LIMIT = 10_000
 #: wing slots per matched edge (2 per endpoint) plus the edge itself
 COLLECTOR_SLOTS_PER_EDGE = 5
 
+# sets a field of a frozen value type once, in its __init__
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Edge:
     """Undirected edge; endpoints are normalized so u <= v."""
 
     u: Hashable
     v: Hashable
 
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise InvalidInstanceError(f"self-loop at vertex {self.u!r}")
-        a, b = self.u, self.v
+    def __init__(self, u: Hashable, v: Hashable) -> None:
+        if u == v:
+            raise InvalidInstanceError(f"self-loop at vertex {u!r}")
         try:
-            swap = b < a
+            swap = v < u
         except TypeError:
-            swap = repr(b) < repr(a)
+            swap = repr(v) < repr(u)
         if swap:
-            object.__setattr__(self, "u", b)
-            object.__setattr__(self, "v", a)
+            u, v = v, u
+        _set(self, "u", u)
+        _set(self, "v", v)
 
     def other(self, w: Hashable) -> Hashable:
         if w == self.u:
@@ -164,7 +179,8 @@ def phase1_threshold(m_star: int) -> int:
 
 def greedy_step(M: Matching, e: Edge) -> Matching:
     """Add e iff both endpoints are free; otherwise leave M unchanged."""
-    if M.is_free(e.u) and M.is_free(e.v):
+    matched = M.matched
+    if e.u not in matched and e.v not in matched:
         M.add(e)
     return M
 
@@ -176,13 +192,18 @@ def greedy_matching(stream: Iterable[Edge]) -> Matching:
     return M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AugPath:
     """A 3-augmenting path x - a - b - y: wings to free x, y around center in M."""
 
     wing_a: Edge
     center: Edge
     wing_b: Edge
+
+    def __init__(self, wing_a: Edge, center: Edge, wing_b: Edge) -> None:
+        _set(self, "wing_a", wing_a)
+        _set(self, "center", center)
+        _set(self, "wing_b", wing_b)
 
     def free_endpoints(self) -> tuple[Hashable, Hashable]:
         x = self.wing_a.other(self.center.u)
@@ -222,20 +243,47 @@ class AugPathStore:
         return self.size + self.stored_wings
 
     def offer(self, e: Edge) -> None:
-        """One stream edge: store as a wing if eligible, then try to commit."""
+        """One stream edge: store as a wing if eligible, then try to commit.
+
+        Only pairs with the new wing are tried: every other pair of its
+        center was tried when its own later wing arrived, and failed then
+        for good, since ``used`` and ``committed`` only grow.  The first
+        pair found is the one ``_try_commit`` would find.
+        """
+        u, v = e.u, e.v
         index, size = self.M.index, self.size
-        u_frozen = index.get(e.u, size) < size
-        if u_frozen == (index.get(e.v, size) < size):
-            return  # free-free or frozen-frozen: not a wing
-        side, free = (e.u, e.v) if u_frozen else (e.v, e.u)
-        slots = self.wings.get(side)
+        if index.get(u, size) < size:
+            if index.get(v, size) < size:
+                return  # frozen-frozen: not a wing
+            side, free = u, v
+        elif index.get(v, size) < size:
+            side, free = v, u
+        else:
+            return  # free-free: not a wing
+        wings = self.wings
+        slots = wings.get(side)
         if slots is None:
-            slots = self.wings[side] = []
-        elif len(slots) >= 2 or any(w == free for _, w in slots):
-            return
-        slots.append((e, free))
+            wings[side] = [(e, free)]
+        elif len(slots) == 1 and slots[0][1] != free:
+            slots.append((e, free))
+        else:
+            return  # two wings already, or one to the same free end
         self.stored_wings += 1
-        self._try_commit(self.M.matched[side])
+        used = self.used
+        if free in used:
+            return
+        center = self.M.matched[side]
+        new_at_u = side == center.u
+        for wing, y in wings.get(center.v if new_at_u else center.u, ()):
+            if y in used or y == free:
+                continue
+            committed = self.committed
+            if center not in committed:
+                wing_a, wing_b = (e, wing) if new_at_u else (wing, e)
+                committed[center] = AugPath(wing_a, center, wing_b)
+                used.add(free)
+                used.add(y)
+            return
 
     def _try_commit(self, center: Edge) -> None:
         if center in self.committed:
@@ -286,16 +334,18 @@ def _check_paths(store: AugPathStore) -> None:
     prefix: each center lies in it, and the free endpoints lie outside it and
     are pairwise distinct.  These are the conditions ``apply_augmentations``
     checks, in O(paths) instead of O(prefix)."""
-    index, size = store.M.index, store.size
+    index, matched, size = store.M.index, store.M.matched, store.size
     free: set = set()
     for center, path in store.committed.items():
-        in_prefix = index.get(center.u, size) < size and store.M.matched[center.u] == center
-        if path.center != center or not in_prefix:
+        a, b = center.u, center.v
+        if path.center != center or not (index.get(a, size) < size and matched[a] == center):
             raise InvariantError(f"augmenting path center not in the frozen matching: {path}")
-        for w in path.free_endpoints():
-            if index.get(w, size) < size or w in free:
-                raise InvariantError(f"augmenting path endpoints not free: {path}")
-            free.add(w)
+        x, y = path.wing_a.other(a), path.wing_b.other(b)
+        if (index.get(x, size) < size or index.get(y, size) < size
+                or x == y or x in free or y in free):
+            raise InvariantError(f"augmenting path endpoints not free: {path}")
+        free.add(x)
+        free.add(y)
 
 
 def _finish(m1: Matching, stores: Iterable[AugPathStore]) -> Matching:
@@ -315,7 +365,21 @@ def _finish(m1: Matching, stores: Iterable[AugPathStore]) -> Matching:
             best, best_size = store, augmented
     if best is None:
         return m1
-    return apply_augmentations(Matching(islice(m1.edges, best.size)), best.paths())
+    return apply_augmentations(_prefix(m1, best.size), best.paths())
+
+
+def _prefix(m1: Matching, size: int) -> Matching:
+    """M1's first ``size`` edges as a matching of their own.
+
+    M1 only grows, so they are vertex-disjoint and each vertex's index is
+    already its edge's position: the dicts are built from the prefix in one
+    pass each, without the per-edge checks of ``Matching.add``.
+    """
+    out = Matching()
+    out._edges = dict.fromkeys(islice(m1.edges, size))
+    out.matched = {w: e for e in out._edges for w in (e.u, e.v)}
+    out.index = {w: m1.index[w] for w in out.matched}
+    return out
 
 
 def match_run(stream: Iterable[Edge], m_star: int) -> Matching:
@@ -331,9 +395,12 @@ def match_run(stream: Iterable[Edge], m_star: int) -> Matching:
         raise PreconditionError("m_star must be >= 1")
     m1 = Matching()
     store = AugPathStore(m1, phase1_threshold(m_star))
+    held = 0
     for e in stream:
         greedy_step(m1, e)
-        if len(m1) >= store.size:
+        if len(m1) > held:
+            held += 1  # greedy took e: both ends share one index, so no wing
+        elif held >= store.size:
             store.offer(e)
     return _finish(m1, [store])
 
@@ -369,24 +436,37 @@ def geometric_guess_run(
     base = 1.0 + delta_guess
     upper_coef = 4.0 / float(1 - 2 * EPS)
     m1 = Matching()
-    stores: dict[int, AugPathStore] = {}  # exponent -> its branch 2, in exponent order
+    index = m1.index
+    window = range(0)             # the live exponents
+    live: list[AugPathStore] = []  # their branches 2, in exponent order
+    sizes: list[int] = []          # their prefix sizes, nondecreasing
     live_max = size = 0
     for e in stream:
         greedy_step(m1, e)
-        if len(m1) > size:
-            size = len(m1)
-            stores = {
-                i: stores[i] if i in stores
-                else AugPathStore(m1, max(size, phase1_threshold(math.ceil(base**i))))
-                for i in geomgrid.window(size, base, upper_coef)
-            }
-            live_max = max(live_max, len(stores))
-        for store in stores.values():
-            if size >= store.size:
-                store.offer(e)
+        lo, hi = index.get(e.u, size), index.get(e.v, size)
+        if lo > hi:
+            lo, hi = hi, lo
+        if lo == size:  # greedy took e: both ends got index size, so no wing
+            size += 1
+            grown = geomgrid.window(size, base, upper_coef)
+            if grown != window:
+                kept = dict(zip(window, live))
+                window = grown
+                live = [
+                    kept[i] if i in kept
+                    else AugPathStore(m1, max(size, phase1_threshold(math.ceil(base**i))))
+                    for i in window
+                ]
+                sizes = [store.size for store in live]
+                if any(a > b for a, b in zip(sizes, sizes[1:])):
+                    raise InvariantError(f"guess prefix sizes decrease in exponent order: {sizes}")
+                live_max = max(live_max, len(live))
+            continue
+        for store in live[bisect_right(sizes, lo):bisect_right(sizes, hi)]:
+            store.offer(e)  # lo < store.size <= hi: e is a wing of its prefix
     if stats is not None:
         stats.guesses_live_max = live_max
-    return _finish(m1, stores.values())
+    return _finish(m1, live)
 
 
 def live_guess_bound(delta_guess: float) -> int:

@@ -20,7 +20,6 @@ one-seed case.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -29,8 +28,11 @@ from .rng import MixedRadixRNG, PhiloxRNG, fisher_yates
 
 ENUMERATION_LIMIT = 8
 
+# sets a field of a frozen value type once, in its __init__
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Element:
     """A stream element: an opaque id plus a role-specific payload.
 
@@ -41,6 +43,13 @@ class Element:
 
     id: Hashable
     payload: Any = None
+
+    # Written out: the generated __init__ of a frozen dataclass looks up
+    # object.__setattr__ once per field, and a trial builds an Element per
+    # instance member.
+    def __init__(self, id: Hashable, payload: Any = None) -> None:
+        _set(self, "id", id)
+        _set(self, "payload", payload)
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,9 @@ class InjectionPlan:
     def validate(self, split: InstanceSplit) -> None:
         noise_ids = [e.id for e in split.noise]
         planned = [nid for _, nid in self.entries]
-        if Counter(planned) != Counter(noise_ids):
+        # noise ids are unique (InstanceSplit), so equal lengths and equal
+        # sets mean each one is planned exactly once
+        if len(planned) != len(noise_ids) or set(planned) != set(noise_ids):
             raise PlanValidationError(
                 "plan must place every noise element exactly once "
                 f"(planned {planned!r}, noise {noise_ids!r})"

@@ -708,7 +708,8 @@ def test_bad_instance_file_exits_2_once_without_csv(tmp_path, capsys, problem, b
     ("submod", "brute_force_opt"), ("matching", "exact_max_matching"),
 ])
 def test_instance_file_is_loaded_once_per_experiment(tmp_path, monkeypatch, problem, optimum):
-    """Every trial gets the file's one (split, plan, trial data), so OPT is solved once."""
+    """Every trial gets the file's one (split, plan, trial data), so OPT is solved
+    once; matching also solves its good edges once, to check they hold an optimum."""
     path = str(tmp_path / "inst.jsonl")
     if problem == "submod":
         _, split = generate_submod_instance("random", {"n": 6, "k": 2, "universe": 10}, seed=1)
@@ -726,7 +727,7 @@ def test_instance_file_is_loaded_once_per_experiment(tmp_path, monkeypatch, prob
                                 trials=3, perms=2, out=None))
     r = run_experiment(cfg)
     assert r.exit_code == 0 and len(r.records) == 6
-    assert len(calls) == 1
+    assert len(calls) == {"submod": 1, "matching": 2}[problem]
 
 
 # ---------------------------------------------------------------------- CLI
@@ -868,6 +869,11 @@ ERROR_CASES = [
      "k must equal the instance params' k; got k=4, params k=2"),
     (["matching", "run", "--instance", "NOGOOD", "--trials", "1", "--perms", "2"],
      "NOGOOD: no good element"),
+    (["submod", "run", "--instance", "SUBOPT", "--trials", "1", "--perms", "2", "--k", "2"],
+     "SUBOPT: the good set must be an optimum 2-set; it is worth 1, the optimum 3"),
+    (["matching", "run", "--instance", "MATCHOPT"],
+     "MATCHOPT: the good edges must hold a maximum matching; "
+     "their largest matching has size 1, the instance's 2"),
 ]
 
 
@@ -883,8 +889,16 @@ def test_cli_invalid_json_flag_is_one_line_and_exit_2(
     cfg_path.write_text("{bad")
     nogood_path = tmp_path / "nogood.jsonl"
     nogood_path.write_text('{"id": 1, "role": "noise", "payload": [1, 2]}\n')
+    # good sets that are not an optimum: the noise beats them
+    subopt_path = tmp_path / "subopt.jsonl"
+    subopt_path.write_text('{"id": 1, "role": "good", "payload": [1]}\n'
+                           '{"id": 2, "role": "noise", "payload": [1, 2, 3]}\n')
+    matchopt_path = tmp_path / "matchopt.jsonl"
+    matchopt_path.write_text('{"id": 1, "role": "good", "payload": [1, 2]}\n'
+                             '{"id": 2, "role": "noise", "payload": [3, 4]}\n')
     paths = {"CFG": str(cfg_path), "MISSING": str(tmp_path / "nope.json"),
-             "NOGOOD": str(nogood_path)}
+             "NOGOOD": str(nogood_path), "SUBOPT": str(subopt_path),
+             "MATCHOPT": str(matchopt_path)}
     argv = [paths.get(a, a) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -893,7 +907,9 @@ def test_cli_invalid_json_flag_is_one_line_and_exit_2(
     for name, path in paths.items():
         needle = needle.replace(name, path)
     assert needle in err
-    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "nogood.jsonl"]  # no CSV, no instance file
+    # no CSV, no instance file
+    assert sorted(os.listdir(tmp_path)) == [
+        "cfg.json", "matchopt.jsonl", "nogood.jsonl", "subopt.jsonl"]
 
 
 @pytest.mark.parametrize("argv, flag", [

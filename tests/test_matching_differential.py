@@ -1,11 +1,15 @@
 """Branch 2 frozen from M1 and the path collector against the references in
-reference_matching.py, and the collector reading a prefix of a growing M1
-against one built on that prefix alone."""
+reference_matching.py, on random streams and on the greedy trap, and the
+collector reading a prefix of a growing M1 against one built on that prefix
+alone."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from injectstream.generators import random_edge_stream
+from injectstream import matching
+from injectstream.errors import InvariantError
+from injectstream.generators import generate_matching_instance, make_plan, random_edge_stream
 from injectstream.matching import (
     AugPathStore,
     GuessRunStats,
@@ -15,6 +19,7 @@ from injectstream.matching import (
     greedy_step,
     match_run,
 )
+from injectstream.stream_model import build_stream
 from reference_matching import RefAugPathStore, ref_geometric_guess_run, ref_match_run
 
 streams = st.builds(
@@ -84,3 +89,32 @@ def test_store_on_growing_m1_matches_store_on_its_prefix(edges, seed, size):
     assert list(store.committed) == list(prefix.committed)  # commit order
     assert (store.stored_wings, store.max_slots) == (prefix.stored_wings, prefix.max_slots)
     assert store.used == prefix.used
+
+
+def trap_stream(s: int, adversary: str) -> tuple[list, int]:
+    split, m_star = generate_matching_instance("greedy_trap", {"s": s})
+    stream = build_stream(split, make_plan(split, adversary, seed=3), seed=5)
+    return [el.payload for el in stream], m_star
+
+
+@pytest.mark.parametrize("adversary", ["front", "random"])
+@pytest.mark.parametrize("s", [400, 1000])
+def test_runs_match_reference_on_the_greedy_trap(s, adversary):
+    """At trap scale, where many guesses are live at once and most edges
+    feed only some of them: the same edges in the same order."""
+    edges, m_star = trap_stream(s, adversary)
+    assert list(match_run(edges, m_star)) == list(ref_match_run(edges, m_star))
+    stats = GuessRunStats()
+    out = geometric_guess_run(edges, 0.1, stats=stats)
+    ref, ref_live_max = ref_geometric_guess_run(edges, 0.1)
+    assert list(out) == list(ref)
+    assert stats.guesses_live_max == ref_live_max
+
+
+def test_guess_run_rejects_prefix_sizes_out_of_order(monkeypatch):
+    """Edges are dispatched by bisecting the live prefix sizes, so sizes
+    that decrease in exponent order must stop the run."""
+    edges, _ = trap_stream(20, "front")
+    monkeypatch.setattr(matching, "phase1_threshold", lambda m_star: 10**6 // m_star)
+    with pytest.raises(InvariantError, match="prefix sizes decrease"):
+        geometric_guess_run(edges, 0.1)
