@@ -133,7 +133,7 @@ def _load_config(args: argparse.Namespace, **fixed) -> ExperimentConfig:
     elif getattr(args, "kind", None) is not None:
         raw["instance"] = {
             "kind": args.kind,
-            "params": _json_object(args.params, "--params") if args.params else {},
+            "params": {} if args.params is None else _json_object(args.params, "--params"),
         }
     if getattr(args, "strategy", None) is not None:
         raw["adversary"] = {"strategy": args.strategy}

@@ -130,7 +130,8 @@ class ExperimentConfig:
             _check(value in allowed, name, value, "one of " + ", ".join(allowed))
         src, adv = self.instance, self.adversary
         keys = set(src) if isinstance(src, dict) else None
-        _check(keys == {"file"} or keys in ({"kind"}, {"kind", "params"})
+        _check(keys == {"file"} and isinstance(src["file"], str)
+               or keys in ({"kind"}, {"kind", "params"})
                and isinstance(src.get("params", {}), dict),
                "instance", src, "{'file': path} or {'kind': name, 'params': {...}}")
         _check(isinstance(adv, dict) and set(adv) <= {"strategy", "seed"},
@@ -140,6 +141,7 @@ class ExperimentConfig:
                "one of " + ", ".join(ADVERSARY_STRATEGIES))
         check_seed("seed", self.seed)
         check_seed("adversary seed", adv.get("seed", 0))
+        _check(self.out is None or isinstance(self.out, str), "out", self.out, "a path or null")
         for name in ("trials", "perms", "k", "kmax", "certify_k"):
             value = getattr(self, name)
             if name != "certify_k" or value is not None:
@@ -266,13 +268,16 @@ def perm_seed(trial: int, index: int) -> int:
 
 
 def resolve_out(path: Optional[str]) -> Optional[str]:
-    """Where ``path`` is written; PreconditionError if its directory is missing."""
+    """Where ``path`` is written; PreconditionError if it names no file (it is
+    empty or a directory) or its directory is missing."""
     if path is None:
         return None
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path):
         os.makedirs(base, exist_ok=True)
         path = os.path.join(base, path)
+    if not path or os.path.isdir(path):
+        raise PreconditionError(f"output path must name a file; got {path!r}")
     folder = os.path.dirname(path)
     if folder and not os.path.isdir(folder):
         raise PreconditionError(f"output directory {folder} does not exist")
@@ -655,7 +660,7 @@ def _read_split(path: str, parse_payload) -> tuple[InstanceSplit, Optional[Injec
                 raise InvalidInstanceError(f"{where}: {exc}") from None
             elements[rec["role"]].append(Element(id=rec["id"], payload=payload))
     if not elements["good"] and not elements["noise"]:
-        raise InvalidInstanceError(f"no element records in {path}")
+        raise InvalidInstanceError(f"{path}: no element records")
     if not elements["good"]:
         raise InvalidInstanceError(f"{path}: no good element; a stream needs at least one")
     split = InstanceSplit(good=tuple(elements["good"]), noise=tuple(elements["noise"]))

@@ -13,15 +13,16 @@ unknown, branch 2 is replicated for geometric guesses of it, one per
 exponent of ``geomgrid.window`` around the live size of M1.  Every run reads
 its stream once, edge by edge.
 
-Each edge is dispatched once, to only the branches it can feed.  Let lo and
-hi be the smaller and larger M1 index of its endpoints (``Matching.index``;
-a vertex outside M1 counts as |M1|).  The edge is a wing of the prefix of
-size S exactly when lo < S <= hi: one end inside the prefix, one outside.
-An edge greedy has just taken has lo = hi and feeds no branch.  The live
-prefix sizes are nondecreasing in exponent order: a guess joins only at the
-top of the window, with S = max(|M1| at admission, its threshold), and both
-of those only grow.  So the branches an edge feeds are one slice of them,
-found by two ``bisect_right`` calls over the sorted sizes.
+One loop serves both runs; ``match_run`` is its case of one guess.  Each edge
+is dispatched once, to only the branches it can feed.  Let lo and hi be the
+smaller and larger M1 index of its endpoints (``Matching.index``; a vertex
+outside M1 counts as |M1|).  The edge is a wing of the prefix of size S
+exactly when lo < S <= hi: one end inside the prefix, one outside.  An edge
+greedy has just taken has lo = hi and feeds no branch.  The live prefix sizes
+are nondecreasing in exponent order: a guess joins only at the top of the
+window, with S = max(|M1| at admission, its threshold), and both of those
+only grow.  So the branches an edge feeds are one slice of them, found by two
+``bisect_right`` calls over the sorted sizes.
 
 EPS = 1/50 and BETA = (4 - 43 EPS) / (4 - 8 EPS) are the certified
 constants of the analysis; they are fixed, not settings.
@@ -45,7 +46,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Hashable, Iterable, KeysView, Optional, Sequence
+from typing import Callable, Hashable, Iterable, KeysView, Optional, Sequence
 
 from . import geomgrid
 from .errors import (
@@ -54,6 +55,7 @@ from .errors import (
     PreconditionError,
     SizeLimitError,
 )
+from .values import _set, value_type
 
 GENERAL_EXACT_LIMIT = 20
 BIPARTITE_EXACT_LIMIT = 10**4
@@ -62,11 +64,8 @@ GUESS_LIMIT = 10_000
 #: wing slots per matched edge (2 per endpoint) plus the edge itself
 COLLECTOR_SLOTS_PER_EDGE = 5
 
-# sets a field of a frozen value type once, in its __init__
-_set = object.__setattr__
 
-
-@dataclass(frozen=True, slots=True)
+@value_type
 class Edge:
     """Undirected edge; endpoints are normalized so u <= v."""
 
@@ -192,7 +191,7 @@ def greedy_matching(stream: Iterable[Edge]) -> Matching:
     return M
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class AugPath:
     """A 3-augmenting path x - a - b - y: wings to free x, y around center in M."""
 
@@ -389,20 +388,11 @@ def match_run(stream: Iterable[Edge], m_star: int) -> Matching:
     phase1_threshold(m_star): from the edge where |M1| reaches it, it
     collects 3-augmenting paths for that prefix and augments the prefix at
     stream end.  Output: the larger branch.  The stream is read once, edge
-    by edge.
+    by edge.  It is the one-guess case of ``geometric_guess_run``'s loop.
     """
     if m_star < 1:
         raise PreconditionError("m_star must be >= 1")
-    m1 = Matching()
-    store = AugPathStore(m1, phase1_threshold(m_star))
-    held = 0
-    for e in stream:
-        greedy_step(m1, e)
-        if len(m1) > held:
-            held += 1  # greedy took e: both ends share one index, so no wing
-        elif held >= store.size:
-            store.offer(e)
-    return _finish(m1, [store])
+    return _two_branch_run(stream, lambda size: range(1), lambda i: phase1_threshold(m_star))[0]
 
 
 @dataclass
@@ -433,8 +423,20 @@ def geometric_guess_run(
     if guesses > GUESS_LIMIT:
         raise SizeLimitError(f"delta_guess={delta_guess!r} allows {guesses} live guesses; "
                              f"guessed matching is guarded to {GUESS_LIMIT}")
-    base = 1.0 + delta_guess
-    upper_coef = 4.0 / float(1 - 2 * EPS)
+    base, upper_coef = 1.0 + delta_guess, 4.0 / float(1 - 2 * EPS)
+    out, live_max = _two_branch_run(stream, lambda size: geomgrid.window(size, base, upper_coef),
+                                    lambda i: phase1_threshold(math.ceil(base**i)))
+    if stats is not None:
+        stats.guesses_live_max = live_max
+    return out
+
+
+def _two_branch_run(stream: Iterable[Edge], live_range: Callable[[int], range],
+                    threshold: Callable[[int], int]) -> tuple[Matching, int]:
+    """One read of the stream: greedy M1, and a branch 2 for each exponent i
+    of ``live_range(|M1|)``, admitted with prefix size max(|M1|, threshold(i))
+    and dismissed when i leaves the range.  Returns ``_finish``'s output and
+    the most branches live at once."""
     m1 = Matching()
     index = m1.index
     window = range(0)             # the live exponents
@@ -448,15 +450,12 @@ def geometric_guess_run(
             lo, hi = hi, lo
         if lo == size:  # greedy took e: both ends got index size, so no wing
             size += 1
-            grown = geomgrid.window(size, base, upper_coef)
+            grown = live_range(size)
             if grown != window:
                 kept = dict(zip(window, live))
                 window = grown
-                live = [
-                    kept[i] if i in kept
-                    else AugPathStore(m1, max(size, phase1_threshold(math.ceil(base**i))))
-                    for i in window
-                ]
+                live = [kept[i] if i in kept else AugPathStore(m1, max(size, threshold(i)))
+                        for i in window]
                 sizes = [store.size for store in live]
                 if any(a > b for a, b in zip(sizes, sizes[1:])):
                     raise InvariantError(f"guess prefix sizes decrease in exponent order: {sizes}")
@@ -464,9 +463,7 @@ def geometric_guess_run(
             continue
         for store in live[bisect_right(sizes, lo):bisect_right(sizes, hi)]:
             store.offer(e)  # lo < store.size <= hi: e is a wing of its prefix
-    if stats is not None:
-        stats.guesses_live_max = live_max
-    return _finish(m1, live)
+    return _finish(m1, live), live_max
 
 
 def live_guess_bound(delta_guess: float) -> int:

@@ -25,14 +25,12 @@ from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidInstanceError, PlanValidationError, SizeLimitError
 from .rng import MixedRadixRNG, PhiloxRNG, fisher_yates
+from .values import _set, value_type
 
 ENUMERATION_LIMIT = 8
 
-# sets a field of a frozen value type once, in its __init__
-_set = object.__setattr__
 
-
-@dataclass(frozen=True, slots=True)
+@value_type
 class Element:
     """A stream element: an opaque id plus a role-specific payload.
 

@@ -100,6 +100,8 @@ BAD_CONFIG_VALUES = {
                          "instance": {"kind": "greedy_trap", "params": {"s": 0}}}),
     "param-p": ("need", {"problem": "matching",
                          "instance": {"kind": "random_bipartite", "params": {"p": 0}}}),
+    "out-number": ("out", {"out": 5}),
+    "instance-file-number": ("instance", {"instance": {"file": 0}}),
 }
 
 
@@ -665,7 +667,7 @@ def test_bool_slot_is_rejected(tmp_path, read):
 def test_instance_file_without_elements_is_rejected(tmp_path, read):
     path = tmp_path / "empty.jsonl"
     path.write_text('{"slots": []}\n')
-    with pytest.raises(InvalidInstanceError, match="no element records"):
+    with pytest.raises(InvalidInstanceError, match="^" + re.escape(f"{path}: no element records")):
         read(str(path))
 
 
@@ -874,6 +876,9 @@ ERROR_CASES = [
     (["matching", "run", "--instance", "MATCHOPT"],
      "MATCHOPT: the good edges must hold a maximum matching; "
      "their largest matching has size 1, the instance's 2"),
+    (["submod", "run", "--kind", "random", "--out", ""], "output path must name a file; got ''"),
+    (["recurrence", "--kmax", "20", "--emit", "."], "output path must name a file; got '.'"),
+    (["matching", "run", "--kind", "random", "--params", ""], "--params: invalid JSON"),
 ]
 
 

@@ -118,3 +118,43 @@ def test_guess_run_rejects_prefix_sizes_out_of_order(monkeypatch):
     monkeypatch.setattr(matching, "phase1_threshold", lambda m_star: 10**6 // m_star)
     with pytest.raises(InvariantError, match="prefix sizes decrease"):
         geometric_guess_run(edges, 0.1)
+
+
+def _record_offers(mp: pytest.MonkeyPatch) -> tuple[list, list]:
+    """Wrap ``AugPathStore.offer``: the edges offered, and those among them that
+    are not a wing of the offering store's frozen prefix (both ends inside it,
+    or both outside)."""
+    offered, non_wings = [], []
+    offer = AugPathStore.offer
+
+    def recording_offer(store, e):
+        index, size = store.M.index, store.size
+        offered.append(e)
+        if (index.get(e.u, size) < size) == (index.get(e.v, size) < size):
+            non_wings.append(e)
+        offer(store, e)
+
+    mp.setattr(AugPathStore, "offer", recording_offer)
+    return offered, non_wings
+
+
+@settings(max_examples=200, deadline=None)
+@given(streams, st.integers(1, 60), st.sampled_from([0.05, 0.1, 0.2, 0.5, 0.9]))
+def test_runs_offer_only_wings(edges, m_star, delta):
+    """Both runs dispatch an edge only to the branches whose prefix it is a wing of."""
+    with pytest.MonkeyPatch.context() as mp:
+        _, non_wings = _record_offers(mp)
+        match_run(edges, m_star)
+        geometric_guess_run(edges, delta)
+    assert non_wings == []
+
+
+@pytest.mark.parametrize("adversary", ["front", "random"])
+def test_runs_offer_only_wings_on_the_greedy_trap(monkeypatch, adversary):
+    edges, m_star = trap_stream(400, adversary)
+    offered, non_wings = _record_offers(monkeypatch)
+    match_run(edges, m_star)
+    assert offered and non_wings == []
+    del offered[:]
+    geometric_guess_run(edges, 0.1)
+    assert offered and non_wings == []

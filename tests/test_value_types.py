@@ -23,13 +23,15 @@ VALUES = {
 
 @pytest.mark.parametrize("kind", list(VALUES))
 def test_frozen_and_slotted(kind):
+    """Fields and other names alike: no write or delete gets through."""
     value = VALUES[kind]()
-    field = dataclasses.fields(value)[0].name
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(value, field, 5)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        delattr(value, field)
-    assert not hasattr(value, "__dict__")
+    for name in (dataclasses.fields(value)[0].name, "x", "__weakref__"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=repr(name)):
+            setattr(value, name, 5)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=repr(name)):
+            delattr(value, name)
+    assert not hasattr(value, "__dict__") and not hasattr(value, "x")
+    assert value == VALUES[kind]()
 
 
 @pytest.mark.parametrize("kind", list(VALUES))
