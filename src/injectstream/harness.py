@@ -130,7 +130,7 @@ class ExperimentConfig:
             _check(value in allowed, name, value, "one of " + ", ".join(allowed))
         src, adv = self.instance, self.adversary
         keys = set(src) if isinstance(src, dict) else None
-        _check(keys == {"file"} and isinstance(src["file"], str)
+        _check(keys == {"file"} and isinstance(src["file"], str) and src["file"] != ""
                or keys in ({"kind"}, {"kind", "params"})
                and isinstance(src.get("params", {}), dict),
                "instance", src, "{'file': path} or {'kind': name, 'params': {...}}")
@@ -223,7 +223,8 @@ class TrialRecord:
     plan failed); ``invariant`` marks a failure that raised
     :class:`InvariantError`.  ``wall_time_s`` is the run's share,
     1/P, of the time to realize and run the P streams of its batch (P = 1
-    outside the known-guess submod modes); see ``_run_trials``.
+    outside the known-guess submod modes); see ``_run_trials``.  Only
+    guessed matching fills ``memory``, with its ``guesses_live_max``.
     """
 
     columns: dict
@@ -449,7 +450,7 @@ def _submod_run(config: ExperimentConfig, streams: list, trial: tuple) -> list[t
             "nodes_live_max": stats.nodes_live_max,
             "oracle_calls": stats.oracle_calls,
         },
-        {"nodes_live_max": stats.nodes_live_max, "guesses_live_max": stats.guesses_live_max},
+        {},
     ) for sol, stats in results]
 
 

@@ -364,21 +364,7 @@ def _finish(m1: Matching, stores: Iterable[AugPathStore]) -> Matching:
             best, best_size = store, augmented
     if best is None:
         return m1
-    return apply_augmentations(_prefix(m1, best.size), best.paths())
-
-
-def _prefix(m1: Matching, size: int) -> Matching:
-    """M1's first ``size`` edges as a matching of their own.
-
-    M1 only grows, so they are vertex-disjoint and each vertex's index is
-    already its edge's position: the dicts are built from the prefix in one
-    pass each, without the per-edge checks of ``Matching.add``.
-    """
-    out = Matching()
-    out._edges = dict.fromkeys(islice(m1.edges, size))
-    out.matched = {w: e for e in out._edges for w in (e.u, e.v)}
-    out.index = {w: m1.index[w] for w in out.matched}
-    return out
+    return apply_augmentations(Matching(islice(m1.edges, best.size)), best.paths())
 
 
 def match_run(stream: Iterable[Edge], m_star: int) -> Matching:

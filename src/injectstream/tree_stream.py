@@ -14,19 +14,20 @@ which can happen when the guess g undershoots OPT).
 Trees live in a forest of node arrays: one row per node in creation order,
 with a ``tree`` column naming the tree the row belongs to.  A row holds the
 oracle state of the node's set, its value and gain, depth, parent row, the
-arrival that created it, the interned element ids of its path, and a bitset
-of the child keys already present.  The forest is bound to one oracle.  One
-stream position is one vectorized pass over the rows of every tree, each tree
-reading its own element (or all of them the same one): the live rows (depth <
-k, element not on the path) are grouped by element and extended through the
-oracle's ``extend_states`` once per distinct element (one call per row),
-their gains are keyed row-wise by the keyer's vectorized ``keys``, rows that
-already hold that key are dropped, and the rest get a child whose value is
-its parent's value plus its gain.  The pass returns each tree's calls, a
-``bincount`` over the ``tree`` column of the live rows; a tree's node count
-is such a ``bincount`` too, and its best node is its earliest row of maximum
-value.  ``tree.root``, ``tree.nodes`` and ``node.children`` are lazy views
-built from the arrays.
+interned element ids of its path, the last of which is the element that
+created it, and a bitset of the child keys already present.  The forest is
+bound to one oracle.  One stream position is one vectorized pass over the
+rows of every tree, each tree reading its own element (or all of them the
+same one): the live rows (depth < k, element not on the path) are grouped by
+element and extended through the oracle's ``extend_states`` once per
+distinct element (one call per row), their gains are keyed row-wise by the
+keyer's vectorized ``keys``, rows that already hold that key are dropped, and
+the rest get a child whose value is its parent's value plus its gain.  The
+pass returns each tree's calls, a ``bincount`` over the ``tree`` column of
+the live rows; a tree's node count is such a ``bincount`` too, and its best
+node is its earliest row of maximum value.  ``tree.root``, ``tree.nodes`` and
+``node.children`` are lazy views built from the arrays, and a node's element
+is the one first interned for the last id on its path.
 
 Three runs share the one forest.  ``run_tree_streams`` advances several
 streams together, one tree per stream and one keyer for all of them (the
@@ -64,7 +65,7 @@ from .submodular import SubmodularOracle, Solution
 INITIAL_ROWS = 64
 _BIT = np.array([1 << i for i in range(8)], dtype=np.uint8)
 _ABSENT = -2  # interned id of an element on no path (paths pad with -1)
-_ROWS = ("tree", "states", "values", "gains", "depth", "parent", "origin", "path", "presence")
+_ROWS = ("tree", "states", "values", "gains", "depth", "parent", "path", "presence")
 
 
 class ExactKeys:
@@ -224,9 +225,10 @@ class NodeView:
 
     @property
     def element(self) -> Optional[Element]:
-        """The arrival that created this node (None for a root)."""
-        a = int(self.tree.origin[self.index])
-        return self.tree.arrivals[a] if a >= 0 else None
+        """The element that created this node, the last on its path (None
+        for a root): the ``Element`` first interned for that id."""
+        d = self.depth
+        return self.tree.elements[self.tree.path[self.index, d - 1]] if d else None
 
     @property
     def path_ids(self) -> frozenset:
@@ -265,12 +267,12 @@ class PrefixTree:
     creation order: ``tree`` (the index of the node's tree, 0 .. trees-1),
     ``states`` and ``values`` in the layout of the oracle's
     ``empty_states``, ``gains`` (the marginal each node's element had on
-    arrival), ``depth``, ``parent`` (-1 for a root), ``origin`` (index into
-    ``arrivals`` of the element that created the node, -1 for a root),
-    ``path`` (interned element ids of the path in ``path[i, :depth[i]]``,
-    -1 after it), and ``presence`` (bit ``key`` of row i is set when row i
-    has a child with that gain key; rows at or past ``size`` have none).
-    ``keyer.keys(gains, trees)`` keys gains of rows of any trees.
+    arrival), ``depth``, ``parent`` (-1 for a root), ``path`` (interned
+    element ids of the path in ``path[i, :depth[i]]``, -1 after it), and
+    ``presence`` (bit ``key`` of row i is set when row i has a child with
+    that gain key; rows at or past ``size`` have none).  ``elements[x]`` is
+    the ``Element`` first interned as x, and ``element_index`` maps its id
+    back to x.  ``keyer.keys(gains, trees)`` keys gains of rows of any trees.
     """
 
     def __init__(self, k: int, oracle: SubmodularOracle, keyer=None, trees: int = 1) -> None:
@@ -286,11 +288,9 @@ class PrefixTree:
         self.tree = np.zeros(rows, dtype=np.int32)
         self.depth = np.zeros(rows, dtype=np.int32)
         self.parent = np.full(rows, -1, dtype=np.int32)
-        self.origin = np.full(rows, -1, dtype=np.int32)
         self.path = np.full((rows, k), -1, dtype=np.int32)
         self.presence = np.zeros((rows, 1), dtype=np.uint8)
-        self.arrivals: list[Element] = []  # arrivals that made children, one per tree if trees differ
-        self.ids: list = []                # interned id -> element id
+        self.elements: list[Element] = []  # interned id -> element
         self.element_index: dict = {}      # element id -> interned id
         self.take_trees([-1] * trees)
 
@@ -312,7 +312,7 @@ class PrefixTree:
         return self.values.item(i)
 
     def path_ids(self, i: int) -> frozenset:
-        return frozenset(self.ids[x] for x in self.path[i, : self.depth[i]].tolist())
+        return frozenset(self.elements[x].id for x in self.path[i, : self.depth[i]].tolist())
 
     def take_trees(self, sources: Sequence[int]) -> None:
         """Reshape the forest: new tree i holds the rows of old tree
@@ -322,8 +322,8 @@ class PrefixTree:
         in row order.  Each earlier one gets a copy, appended in its source's
         row order, whose presence bits are rebuilt from its children's stored
         gains by ``keyer``, which must already key the new numbering.  An old
-        tree no entry names is compacted away, with the arrivals and interned
-        ids only its rows used.  Every tree keeps its rows in creation order.
+        tree no entry names is compacted away, with the interned elements only
+        its rows used.  Every tree keeps its rows in creation order.
         """
         n, owner = self.size, self.tree[: self.size]
         keeper = np.full(self.trees, -1, dtype=np.int32)  # old tree -> new tree keeping its rows
@@ -353,7 +353,7 @@ class PrefixTree:
         new = slice(m, size)
         self.tree[new] = roots
         self.depth[new] = 0
-        self.parent[new] = self.origin[new] = self.path[new] = -1
+        self.parent[new] = self.path[new] = -1
         self.states[new], self.values[new] = self.oracle.empty_states(len(roots))
         self.gains[new] = 0
         self.presence[kept : max(n, size)] = 0
@@ -362,12 +362,12 @@ class PrefixTree:
         if kids.size:
             keys = self.keyer.keys(self.gains[kids], self.tree[kids])
             np.bitwise_or.at(self.presence, (self.parent[kids], keys >> 3), _BIT[keys & 7])
-        for name, refs in (("arrivals", self.origin[:size]), ("ids", self.path[:size])):
-            used = np.zeros(len(getattr(self, name)), dtype=bool)
-            used[refs[refs >= 0]] = True
-            refs[refs >= 0] = (np.cumsum(used) - 1)[refs[refs >= 0]]
-            setattr(self, name, [getattr(self, name)[x] for x in used.nonzero()[0].tolist()])
-        self.element_index = {eid: x for x, eid in enumerate(self.ids)}
+        refs = self.path[:size]
+        used = np.zeros(len(self.elements), dtype=bool)
+        used[refs[refs >= 0]] = True
+        refs[refs >= 0] = (np.cumsum(used) - 1)[refs[refs >= 0]]
+        self.elements = [self.elements[x] for x in used.nonzero()[0].tolist()]
+        self.element_index = {el.id: x for x, el in enumerate(self.elements)}
 
     def _reserve(self, rows: int, keys: int) -> None:
         """Room for ``rows`` nodes and ``keys`` presence bits per node."""
@@ -386,9 +386,8 @@ class PrefixTree:
             pad = np.zeros((len(self.presence), words - self.presence.shape[1]), np.uint8)
             self.presence = np.concatenate([self.presence, pad], axis=1)
 
-    def _append(self, parents: np.ndarray, states, values, gains, x, origin) -> None:
-        """Children of rows ``parents``, for elements interned as ``x`` and
-        created by ``arrivals[origin]`` (room reserved)."""
+    def _append(self, parents: np.ndarray, states, values, gains, x) -> None:
+        """Children of rows ``parents``, for elements interned as ``x`` (room reserved)."""
         n, m = self.size, len(parents)
         d = self.depth[parents]
         self.tree[n : n + m] = self.tree[parents]
@@ -397,7 +396,6 @@ class PrefixTree:
         self.gains[n : n + m] = gains
         self.depth[n : n + m] = d + 1
         self.parent[n : n + m] = parents
-        self.origin[n : n + m] = origin
         path = self.path[parents]
         path[np.arange(m), d] = x
         self.path[n : n + m] = path
@@ -422,15 +420,16 @@ def tree_process(tree: PrefixTree, e) -> np.ndarray:
     live = (tree.depth[:n] < tree.k).nonzero()[0]
     index = tree.element_index
     if isinstance(e, Element):
-        ids, group = [e.id], None
+        els, group = [e], None
     else:
         if len(e) != tree.trees:
             raise PreconditionError(f"tree_process got {len(e)} elements for {tree.trees} trees")
-        slots: dict = {}
-        of_tree = np.array([-1 if a is None else slots.setdefault(a.id, len(slots)) for a in e],
-                           dtype=np.int64)
-        ids, group = list(slots), of_tree[tree.tree[live]]
+        slots: dict = {}  # element id -> (group, the first element with that id)
+        of_tree = np.array([-1 if a is None else slots.setdefault(a.id, (len(slots), a))[0]
+                            for a in e], dtype=np.int64)
+        els, group = [a for _, a in slots.values()], of_tree[tree.tree[live]]
         live, group = live[group >= 0], group[group >= 0]
+    ids = [a.id for a in els]
     xs = [index.get(i, _ABSENT) for i in ids]
     if max(xs, default=_ABSENT) >= 0:  # an element is on some path already
         if group is None:
@@ -453,9 +452,8 @@ def tree_process(tree: PrefixTree, e) -> np.ndarray:
                  for g, (a, b) in enumerate(zip([0] + ends, ends)) if b > a]
         states = np.concatenate([s for s, _ in parts])
         values = np.concatenate([v for _, v in parts])
-    owner = tree.tree[live]
     gains = values - base
-    keys = tree.keyer.keys(gains, owner)
+    keys = tree.keyer.keys(gains, tree.tree[live])
     tree._reserve(n + live.size, tree.keyer.key_count)
     word, bit = keys >> 3, _BIT[keys & 7]
     new = ((tree.presence[live, word] & bit) == 0).nonzero()[0]
@@ -465,20 +463,13 @@ def tree_process(tree: PrefixTree, e) -> np.ndarray:
     tree.presence[parents, word[new]] |= bit[new]
     for g in [0] if group is None else np.bincount(group[new]).nonzero()[0].tolist():
         if xs[g] < 0:
-            xs[g] = index[ids[g]] = len(tree.ids)
-            tree.ids.append(ids[g])
-    if group is None:
-        x, origin = xs[0], len(tree.arrivals)
-        tree.arrivals.append(e)
-    else:  # one arrival per tree that made children
-        x = np.array(xs)[group[new]]
-        made = np.bincount(owner[new], minlength=tree.trees) > 0
-        origin = len(tree.arrivals) + (np.cumsum(made) - 1)[owner[new]]
-        tree.arrivals.extend(e[t] for t in made.nonzero()[0].tolist())
+            xs[g] = index[ids[g]] = len(tree.elements)
+            tree.elements.append(els[g])
+    x = xs[0] if group is None else np.array(xs)[group[new]]
     # a child's value is its parent's value plus its gain: with float values
     # that can differ in the last bits from f(S + e) summed in another order
     gains = gains[new]
-    tree._append(parents, states[new], base[new] + gains, gains, x, origin)
+    tree._append(parents, states[new], base[new] + gains, gains, x)
     return calls
 
 
@@ -555,8 +546,9 @@ class GuessManager:
     into runs of equal splits (classes never merge).  Each run names its
     class's tree in the ``sources`` of one ``PrefixTree.take_trees`` call:
     the top run keeps the tree, and each lower run gets a copy, rekeyed
-    under its own representative.  ``calls`` counts each pass's extensions
-    once per member of the class that made them.
+    under its own representative.  ``stats`` holds the run's counts, per
+    guess as ``RunStats`` says, but for the singleton evaluations, which
+    ``guess_run`` adds.
     """
 
     def __init__(self, k: int, delta: float, oracle: SubmodularOracle) -> None:
@@ -572,9 +564,8 @@ class GuessManager:
         self.members = np.zeros(0, dtype=np.int64)
         self.forest = PrefixTree(k, oracle, GuessBuckets(k, delta), trees=0)
         self.shared = self.forest.values.dtype.kind == "i"
-        self.guesses_live_max = 0
-        self.nodes_live = self.nodes_live_max = 0
-        self.calls = 0
+        self.stats = RunStats()
+        self.nodes_live = 0
 
     def observe(self, singleton_value) -> None:
         """Update m, the active guesses and their classes for an arriving element.
@@ -601,14 +592,14 @@ class GuessManager:
         self.window = window
         self.members = np.diff([window.start - 1] + self.tops)
         self.nodes_live = int(forest.node_counts() @ self.members)
-        self.guesses_live_max = max(self.guesses_live_max, len(window))
+        self.stats.guesses_live_max = max(self.stats.guesses_live_max, len(window))
 
     def process(self, e: Element) -> None:
-        forest = self.forest
+        forest, stats = self.forest, self.stats
         n = forest.size
-        self.calls += int(tree_process(forest, e) @ self.members)
+        stats.oracle_calls += int(tree_process(forest, e) @ self.members)
         self.nodes_live += int(self.members[forest.tree[n : forest.size]].sum())
-        self.nodes_live_max = max(self.nodes_live_max, self.nodes_live)
+        stats.nodes_live_max = max(stats.nodes_live_max, self.nodes_live)
 
     def best(self) -> Solution:
         """The best surviving class's solution; ties go to the smallest guess."""
@@ -684,15 +675,12 @@ def guess_run(
     Returns the best solution over the runs surviving at stream end.
     """
     manager = GuessManager(k, float(delta_fraction(delta)), oracle)
-    singletons = 0
     for e in stream:
         manager.observe(oracle.evaluate((e.id,)))
-        singletons += 1
+        manager.stats.oracle_calls += 1
         manager.process(e)
     if stats is not None:
-        stats.nodes_live_max = manager.nodes_live_max
-        stats.guesses_live_max = manager.guesses_live_max
-        stats.oracle_calls = singletons + manager.calls
+        vars(stats).update(vars(manager.stats))
     return manager.best()
 
 

@@ -42,6 +42,12 @@ from injectstream.recurrence import certify_diagonal
 from injectstream.stream_model import Element, InjectionPlan, InstanceSplit, build_stream
 
 
+def csv_rows(path, reader=csv.DictReader) -> list:
+    """The rows ``reader`` reads from the CSV file at ``path``, which it closes."""
+    with open(path, newline="") as f:
+        return list(reader(f))
+
+
 # ------------------------------------------------------------------- config
 
 
@@ -219,9 +225,9 @@ def test_submod_experiment_and_replay(tmp_path):
     assert r1.exit_code == 0
     assert r1.summary is not None and r1.summary.failures == 0
     assert len(r1.records) == 6
-    blob1 = open(r1.csv_path, "rb").read()
+    blob1 = Path(r1.csv_path).read_bytes()
     r2 = run_experiment(submod_config(tmp_path, out=str(tmp_path / "again.csv")))
-    assert open(r2.csv_path, "rb").read() == blob1  # byte-identical replay, any path
+    assert Path(r2.csv_path).read_bytes() == blob1  # byte-identical replay, any path
 
     rows = list(csv.reader(blob1.decode().splitlines()))
     assert tuple(rows[0]) == SUBMOD_COLUMNS
@@ -234,14 +240,14 @@ def test_submod_experiment_and_replay(tmp_path):
 def test_submod_wall_time_outside_csv(tmp_path):
     r = run_experiment(submod_config(tmp_path))
     assert all(rec.wall_time_s >= 0 for rec in r.records)
-    header = open(r.csv_path).readline()
+    header = Path(r.csv_path).read_text().splitlines()[0]
     assert "wall" not in header
 
 
 def test_submod_guess_mode(tmp_path):
     r = run_experiment(submod_config(tmp_path, guess="auto", mode="bucketed"))
     assert r.exit_code == 0
-    rows = list(csv.DictReader(open(r.csv_path)))
+    rows = csv_rows(r.csv_path)
     assert all(row["guess_mode"] == "auto" for row in rows)
 
 
@@ -258,7 +264,7 @@ def test_matching_experiment(tmp_path):
     ))
     r = run_experiment(cfg)
     assert r.exit_code == 0
-    rows = list(csv.DictReader(open(r.csv_path)))
+    rows = csv_rows(r.csv_path)
     assert tuple(rows[0].keys()) == MATCHING_COLUMNS
     for row in rows:
         assert row["algo"] == "match"
@@ -280,7 +286,7 @@ def test_matching_greedy_mode_stalls_on_trap(tmp_path):
         match_mode="greedy",
     ))
     r = run_experiment(cfg)
-    rows = list(csv.DictReader(open(r.csv_path)))
+    rows = csv_rows(r.csv_path)
     assert all(float(row["ratio"]) == 0.5 for row in rows)
 
 
@@ -290,7 +296,7 @@ def test_recurrence_experiment_emit_and_certify(tmp_path):
                                 table_mode="float", out=out))
     r = run_experiment(cfg)
     assert r.exit_code == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = csv_rows(out)
     assert tuple(rows[0].keys()) == RECURRENCE_COLUMNS
     assert rows[0]["k"] == "1"
     assert abs(float(rows[0]["R(k,k)"]) - 5 / 9) < 1e-12
@@ -331,7 +337,7 @@ def test_failed_trials_recorded_not_raised(tmp_path, monkeypatch):
     assert all(rec.error for rec in r.records)
     assert r.summary is None or r.summary.failures > 0
     # failed rows are kept out of the CSV
-    rows = list(csv.reader(open(r.csv_path)))
+    rows = csv_rows(r.csv_path, csv.reader)
     assert len(rows) == 1  # header only
 
 
@@ -365,7 +371,7 @@ def test_failed_run_exit_code_from_exception_type(
     monkeypatch.setattr(harness, name, second_run_fails)
     out = str(tmp_path / "runs.csv")
     assert main(argv + ["--trials", "1", "--perms", "3", "--seed", "2", "--out", out]) == code
-    rows = list(csv.DictReader(open(out)))
+    rows = csv_rows(out)
     assert [row["perm_index"] for row in rows] == ["0", "2"]
     assert f"{type(exc).__name__}: {exc}" in capsys.readouterr().err
 
@@ -390,7 +396,7 @@ def test_failed_forest_fails_every_perm_it_holds(tmp_path, monkeypatch, exc, cod
     error = f"{type(exc).__name__}: {exc}"
     assert [rec.error for rec in r.records] == [error] * 2 + [None] * 3
     assert [rec.invariant for rec in r.records] == [code == 3] * 2 + [False] * 3
-    assert [row["perm_index"] for row in csv.DictReader(open(out))] == ["2", "3", "4"]
+    assert [row["perm_index"] for row in csv_rows(out)] == ["2", "3", "4"]
 
 
 def test_failed_load_is_one_record_naming_its_seed(tmp_path, monkeypatch, capsys):
@@ -455,7 +461,7 @@ def test_every_perm_gets_one_record(tmp_path, monkeypatch, problem, knobs, fores
     assert [(rec.columns["seed"], rec.columns["perm_index"]) for rec in r.records] == [
         (trial_seed(5, i // 3), i % 3) for i in range(6)
     ]
-    rows = [(row["seed"], row["perm_index"]) for row in csv.DictReader(open(out))]
+    rows = [(row["seed"], row["perm_index"]) for row in csv_rows(out)]
     assert rows == [(str(trial_seed(5, i // 3)), str(i % 3)) for i in range(6) if i not in failed]
 
 
@@ -531,7 +537,7 @@ def test_bad_plan_fails_every_perm_of_its_trial(tmp_path, monkeypatch):
     assert errors and errors[0].startswith("PlanValidationError: slot ")
     assert [rec.error for rec in r.records] == [None] * 5 + [errors[0]] * 5
     assert not any(rec.invariant for rec in r.records)
-    rows = [(row["seed"], row["perm_index"]) for row in csv.DictReader(open(out))]
+    rows = [(row["seed"], row["perm_index"]) for row in csv_rows(out)]
     assert rows == [(str(trial_seed(4, 0)), str(p)) for p in range(5)]
 
 
@@ -768,7 +774,7 @@ def test_cli_matching_run_with_config_file(tmp_path, capsys):
     }))
     rc = main(["matching", "run", "--config", str(cfg_path)])
     assert rc == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = csv_rows(out)
     assert rows and all(float(r["ratio"]) >= 0.9 for r in rows)
 
 
@@ -782,7 +788,7 @@ def test_cli_flag_overrides_config(tmp_path):
     }))
     rc = main(["submod", "run", "--config", str(cfg_path), "--seed", "9"])
     assert rc == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = csv_rows(out)
     assert rows[0]["seed"].endswith(str(trial_seed(9, 0)))
 
 
@@ -812,7 +818,7 @@ def test_cli_gen_and_consume(tmp_path):
                "--perms", "2", "--seed", "0", "--out", out, "--k", "2",
                "--mode", "exact"])
     assert rc == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = csv_rows(out)
     assert len(rows) == 2
 
 
@@ -879,6 +885,10 @@ ERROR_CASES = [
     (["submod", "run", "--kind", "random", "--out", ""], "output path must name a file; got ''"),
     (["recurrence", "--kmax", "20", "--emit", "."], "output path must name a file; got '.'"),
     (["matching", "run", "--kind", "random", "--params", ""], "--params: invalid JSON"),
+    (["submod", "run", "--instance", ""], "instance must be {'file': path} or "
+     "{'kind': name, 'params': {...}}; got {'file': ''}"),
+    (["matching", "run", "--instance", ""], "instance must be {'file': path} or "
+     "{'kind': name, 'params': {...}}; got {'file': ''}"),
 ]
 
 

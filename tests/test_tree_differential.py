@@ -87,8 +87,9 @@ def oracle_and_stream(draw, count=None, kinds=ORACLE_KINDS):
 
 def node_rows(nodes):
     """Nodes in creation order as comparable tuples; a node's element is
-    the arrival that created it, payload included."""
-    return [(n.element, n.gain, n.value, n.depth, n.path_ids) for n in nodes]
+    read by its id (None for a root)."""
+    return [(None if n.element is None else n.element.id, n.gain, n.value, n.depth, n.path_ids)
+            for n in nodes]
 
 
 def tree_nodes(forest, t):
@@ -303,7 +304,7 @@ def test_small_delta_shares_trees_in_small_memory():
 
 def test_guess_forest_compacts_dismissed_guesses():
     """Singletons 1, then 50, then 2000 move the window up twice: each move
-    dismisses the lowest guesses, whose rows, arrivals and interned ids are
+    dismisses the lowest guesses, whose rows and interned elements are
     compacted away, and admits new guesses as fresh roots mid-stream.  (m
     only grows, so a dismissed guess never comes back.)"""
     weights = {0: 1, 1: 50, 2: 3, 3: 2000, 4: 7, 5: 40}
@@ -323,8 +324,7 @@ def test_guess_forest_compacts_dismissed_guesses():
     forest = manager.forest
     assert forest.trees == len(manager.window) and forest.size == len(forest.nodes)
     on_paths = set().union(*(n.path_ids for n in forest.nodes))
-    assert set(forest.ids) == on_paths
-    assert len(forest.arrivals) == len({id(n.element) for n in forest.nodes if n.depth})
+    assert sorted(el.id for el in forest.elements) == sorted(on_paths)
     assert manager.best() == ref_sol
     stats = RunStats()
     assert guess_run(iter(stream), k, delta, AdditiveOracle(weights), stats=stats) == ref_sol
@@ -353,7 +353,7 @@ def test_splits_keys_one_guess_at_a_time():
 def test_take_trees_keeps_drops_copies_and_adds():
     """Four trees, each fed its own stream, become five: a copy of tree 2,
     tree 1 kept, another copy of tree 2, a fresh root, and tree 2 kept.
-    Trees 0 and 3 go, with the arrivals and interned ids only they used."""
+    Trees 0 and 3 go, with the interned elements only they used."""
     rects = {i: frozenset(range(i, 2 * i + 3)) for i in range(8)}
     streams = [[0, 6, 1], [1, 2, 3, 1], [2, 4, 5, 0, 3], [7, 6]]
     keyer = GuessBuckets(3, 0.5)
@@ -364,7 +364,7 @@ def test_take_trees_keeps_drops_copies_and_adds():
                               for t, i in enumerate(elements)])
     sources = [2, 1, 2, -1, 2]
     before = [node_rows(tree_nodes(forest, t)) for t in range(forest.trees)]
-    assert {6, 7} <= set(forest.ids)  # only trees 0 and 3 read 6 and 7
+    assert {6, 7} <= {el.id for el in forest.elements}  # only trees 0 and 3 read 6 and 7
     keyer.use([1, 4, 3, 5, 6])  # the kept trees keep their guesses
     forest.take_trees(sources)
     n = forest.size
@@ -380,12 +380,10 @@ def test_take_trees_keeps_drops_copies_and_adds():
     assert [presence_keys(forest, node.index) for node in forest.nodes] == \
         [sorted(node.children) for node in forest.nodes]
     assert not forest.presence[n:].any()
-    origin = forest.origin[:n]
-    assert sorted(set(origin[origin >= 0].tolist())) == list(range(len(forest.arrivals)))
-    assert {a.payload for a in forest.arrivals} == {1, 2}
-    assert set(forest.ids) == set().union(*(node.path_ids for node in forest.nodes))
-    assert {6, 7}.isdisjoint(forest.ids)
-    assert forest.element_index == {eid: x for x, eid in enumerate(forest.ids)}
+    ids = [el.id for el in forest.elements]
+    assert sorted(ids) == sorted(set().union(*(node.path_ids for node in forest.nodes)))
+    assert {6, 7}.isdisjoint(ids)
+    assert forest.element_index == {eid: x for x, eid in enumerate(ids)}
 
 
 def test_take_no_trees_empties_the_forest():
@@ -396,8 +394,41 @@ def test_take_no_trees_empties_the_forest():
     forest.take_trees([])
     assert forest.trees == forest.size == 0
     assert forest.node_counts().tolist() == []
-    assert forest.arrivals == forest.ids == [] and forest.element_index == {}
+    assert forest.elements == [] and forest.element_index == {}
     assert not forest.presence.any()
+
+
+@given(st.sampled_from([2, 5]).flatmap(oracle_and_stream), st.integers(1, 3),
+       st.lists(st.integers(-1, 4), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_elements_hold_one_element_per_interned_id(case, k, sources):
+    """Streams repeat ids with other payloads, within a stream and across the
+    trees of a pass: a node's element is an arrival of its path's last id,
+    ``elements`` holds one element per id on some path, and ``take_trees``
+    drops the ids only the dropped trees used."""
+    make, streams = case
+    forest = PrefixTree(k, make(), ExactKeys(), trees=len(streams))
+    for elements in zip_longest(*streams):
+        tree_process(forest, elements)
+    arrivals = {id(a) for stream in streams for a in stream}
+
+    def check():
+        for n in forest.nodes:
+            if n.depth:
+                parent = forest.nodes[forest.parent[n.index]]
+                assert id(n.element) in arrivals
+                assert forest.path[n.index, n.depth - 1] == forest.element_index[n.element.id]
+                assert n.path_ids == parent.path_ids | {n.element.id}
+        ids = [el.id for el in forest.elements]
+        assert sorted(ids) == sorted(set().union(*(n.path_ids for n in forest.nodes)))
+        assert forest.element_index == {eid: x for x, eid in enumerate(ids)}
+
+    check()
+    sources = [t for t in sources if t < forest.trees]  # -1 is a fresh root
+    kept = set().union(*(n.path_ids for n in forest.nodes if forest.tree[n.index] in sources))
+    forest.take_trees(sources)
+    assert {el.id for el in forest.elements} == kept
+    check()
 
 
 @pytest.mark.parametrize("trees", [0, 3])
