@@ -7,7 +7,8 @@ The tree uses x = the largest singleton value and coef = k/delta; matching
 uses x = |M1| and coef = 4/(1 - 2 eps).  Exponent bounds computed via float
 logarithms get snapped by direct power comparisons (with a 1e-12 relative
 slack) so a value sitting exactly on a grid power cannot flip its exponent
-by one ulp.  x only grows in both wrappers, so ``window`` only moves up.
+by one ulp.  x only grows in both wrappers, so ``window`` only moves up,
+and ``window_and_recheck`` says how far x may grow before it can move.
 """
 
 from __future__ import annotations
@@ -50,6 +51,21 @@ def window(x, base: float, coef: float) -> range:
     if not math.isfinite(top):
         raise PreconditionError(f"guess window top {coef!r} * x is not finite for x={x!r}")
     return range(snap_ceil_log(base, x / base), snap_floor_log(base, top) + 1)
+
+
+def window_and_recheck(x: int, base: float, coef: float) -> tuple[range, int]:
+    """``window(x, base, coef)`` for an integer x, and an integer y > x such
+    that the window is the same at every integer in [x, y).
+
+    The bottom exponent can only rise once x/base exceeds base**start and the
+    top only once coef*x reaches base**stop, so y is the smaller of
+    base**(start+1) and base**stop/coef, shrunk by a relative 1e-9 to cover
+    ``window``'s 1e-12 snapping slack and rounded down.  A low y costs only
+    an extra call.
+    """
+    held = window(x, base, coef)
+    move = min(base ** (held.start + 1), base**held.stop / coef) * (1 - 1e-9)
+    return held, max(x + 1, math.floor(move))
 
 
 def live_guess_bound(base: float, coef: float) -> int:

@@ -10,8 +10,9 @@ read in place from the shared M1, which only grows.  At stream end branch
 2's size is F plus its collected paths; its augmentations are applied only
 when that beats M1, and the larger branch is the output.  When m_star is
 unknown, branch 2 is replicated for geometric guesses of it, one per
-exponent of ``geomgrid.window`` around the live size of M1.  Every run reads
-its stream once, edge by edge.
+exponent of ``geomgrid.window`` around the live size of M1; the window is
+looked up again only at the size where ``geomgrid.window_and_recheck`` says
+it can move.  Every run reads its stream once, edge by edge.
 
 One loop serves both runs; ``match_run`` is its case of one guess.  Each edge
 is dispatched once, to only the branches it can feed.  Let lo and hi be the
@@ -31,12 +32,15 @@ The path collector is a bounded-memory stand-in for the cited 3-Aug-Paths
 subroutine, built to its contract: if the suffix holds BETA*|M| disjoint
 3-augmenting paths it must return at least (BETA^2/32)*|M| of them using
 O(|M|) space.  Internals: per matched vertex it stores the first two wing
-edges with distinct free endpoints and commits a path greedily as soon as
-both sides of a center hold wings with unused distinct free endpoints.
-Every wing pair is tried when its later wing arrives and used vertices stay
-used, so a final sweep over the centers would never commit a path.
-Free-free edges are ignored (they are not wings), as are edges between two
-matched vertices.
+edges with distinct free endpoints, in two dicts keyed by that vertex (its
+first wing, its second wing) that hold the edges themselves: a wing's free
+endpoint is its end that is not the key, so a stored wing makes no
+container of its own.  It commits a path greedily as soon as both sides
+of a center hold wings with unused distinct free endpoints.  Every wing
+pair is tried when its later wing arrives and used vertices stay used, so
+a final sweep over the centers would never commit a path.  Free-free edges
+are ignored (they are not wings), as are edges between two matched
+vertices.
 """
 
 from __future__ import annotations
@@ -205,9 +209,11 @@ class AugPath:
         _set(self, "wing_b", wing_b)
 
     def free_endpoints(self) -> tuple[Hashable, Hashable]:
-        x = self.wing_a.other(self.center.u)
-        y = self.wing_b.other(self.center.v)
-        return x, y
+        """x and y; InvariantError if a wing does not touch its end of the center."""
+        try:
+            return self.wing_a.other(self.center.u), self.wing_b.other(self.center.v)
+        except PreconditionError:
+            raise InvariantError(f"augmenting path wing off its center: {self}") from None
 
 
 class AugPathStore:
@@ -217,17 +223,18 @@ class AugPathStore:
     default: in the two-branch algorithm, the prefix of M1 that branch 2
     froze, read in place.  M may keep growing while the store reads it, but
     edges are offered only once M holds ``size`` edges.  Per frozen vertex
-    it keeps at most the first 2 wing edges with distinct free endpoints,
-    so stored edges never exceed COLLECTOR_SLOTS_PER_EDGE * size,
-    independent of the stream length.
+    it keeps at most the first 2 wing edges with distinct free endpoints:
+    ``first[vertex]`` and ``second[vertex]``, each the wing edge itself,
+    whose free endpoint is its other end.  So stored edges never exceed
+    COLLECTOR_SLOTS_PER_EDGE * size, independent of the stream length.
     """
 
     def __init__(self, M: Matching, size: Optional[int] = None) -> None:
         self.M = M
         self.size = len(M) if size is None else size
-        # wings[frozen vertex] -> list of (wing edge, free endpoint), made on
-        # the vertex's first wing; its center is M.matched[vertex]
-        self.wings: dict[Hashable, list] = {}
+        # frozen vertex -> its first, its second wing; its center is M.matched[vertex]
+        self.first: dict[Hashable, Edge] = {}
+        self.second: dict[Hashable, Edge] = {}
         self.committed: dict[Edge, AugPath] = {}
         self.used: set = set()
         self.stored_wings = 0
@@ -259,12 +266,12 @@ class AugPathStore:
             side, free = v, u
         else:
             return  # free-free: not a wing
-        wings = self.wings
-        slots = wings.get(side)
-        if slots is None:
-            wings[side] = [(e, free)]
-        elif len(slots) == 1 and slots[0][1] != free:
-            slots.append((e, free))
+        first, second = self.first, self.second
+        held = first.get(side)
+        if held is None:
+            first[side] = e
+        elif side not in second and (held.v if held.u == side else held.u) != free:
+            second[side] = e
         else:
             return  # two wings already, or one to the same free end
         self.stored_wings += 1
@@ -273,7 +280,11 @@ class AugPathStore:
             return
         center = self.M.matched[side]
         new_at_u = side == center.u
-        for wing, y in wings.get(center.v if new_at_u else center.u, ()):
+        other = center.v if new_at_u else center.u
+        for wing in (first.get(other), second.get(other)):
+            if wing is None:
+                return
+            y = wing.v if wing.u == other else wing.u
             if y in used or y == free:
                 continue
             committed = self.committed
@@ -287,10 +298,17 @@ class AugPathStore:
     def _try_commit(self, center: Edge) -> None:
         if center in self.committed:
             return
-        for wa, x in self.wings.get(center.u, ()):
+        a, b = center.u, center.v
+        for wa in (self.first.get(a), self.second.get(a)):
+            if wa is None:
+                return
+            x = wa.v if wa.u == a else wa.u
             if x in self.used:
                 continue
-            for wb, y in self.wings.get(center.v, ()):
+            for wb in (self.first.get(b), self.second.get(b)):
+                if wb is None:
+                    break
+                y = wb.v if wb.u == b else wb.u
                 if y in self.used or y == x:
                     continue
                 path = AugPath(wing_a=wa, center=center, wing_b=wb)
@@ -330,16 +348,19 @@ def apply_augmentations(M: Matching, paths: Sequence[AugPath]) -> Matching:
 
 def _check_paths(store: AugPathStore) -> None:
     """Raise InvariantError unless the committed paths augment the frozen
-    prefix: each center lies in it, and the free endpoints lie outside it and
-    are pairwise distinct.  These are the conditions ``apply_augmentations``
-    checks, in O(paths) instead of O(prefix)."""
+    prefix: each center lies in it, each wing touches its center, and the
+    free endpoints lie outside the prefix and are pairwise distinct.  These
+    are the conditions ``apply_augmentations`` checks, in O(paths) instead
+    of O(prefix)."""
     index, matched, size = store.M.index, store.M.matched, store.size
     free: set = set()
     for center, path in store.committed.items():
-        a, b = center.u, center.v
-        if path.center != center or not (index.get(a, size) < size and matched[a] == center):
+        a = center.u
+        held = matched[a] if index.get(a, size) < size else None
+        if not ((held is center or held == center)
+                and (path.center is center or path.center == center)):
             raise InvariantError(f"augmenting path center not in the frozen matching: {path}")
-        x, y = path.wing_a.other(a), path.wing_b.other(b)
+        x, y = path.free_endpoints()
         if (index.get(x, size) < size or index.get(y, size) < size
                 or x == y or x in free or y in free):
             raise InvariantError(f"augmenting path endpoints not free: {path}")
@@ -378,7 +399,8 @@ def match_run(stream: Iterable[Edge], m_star: int) -> Matching:
     """
     if m_star < 1:
         raise PreconditionError("m_star must be >= 1")
-    return _two_branch_run(stream, lambda size: range(1), lambda i: phase1_threshold(m_star))[0]
+    return _two_branch_run(stream, lambda size: (range(1), math.inf),
+                           lambda i: phase1_threshold(m_star))[0]
 
 
 @dataclass
@@ -410,25 +432,29 @@ def geometric_guess_run(
         raise SizeLimitError(f"delta_guess={delta_guess!r} allows {guesses} live guesses; "
                              f"guessed matching is guarded to {GUESS_LIMIT}")
     base, upper_coef = 1.0 + delta_guess, 4.0 / float(1 - 2 * EPS)
-    out, live_max = _two_branch_run(stream, lambda size: geomgrid.window(size, base, upper_coef),
+    out, live_max = _two_branch_run(stream,
+                                    lambda size: geomgrid.window_and_recheck(size, base, upper_coef),
                                     lambda i: phase1_threshold(math.ceil(base**i)))
     if stats is not None:
         stats.guesses_live_max = live_max
     return out
 
 
-def _two_branch_run(stream: Iterable[Edge], live_range: Callable[[int], range],
+def _two_branch_run(stream: Iterable[Edge], live_range: Callable[[int], tuple[range, float]],
                     threshold: Callable[[int], int]) -> tuple[Matching, int]:
     """One read of the stream: greedy M1, and a branch 2 for each exponent i
-    of ``live_range(|M1|)``, admitted with prefix size max(|M1|, threshold(i))
-    and dismissed when i leaves the range.  Returns ``_finish``'s output and
-    the most branches live at once."""
+    of the live range at |M1|, admitted with prefix size max(|M1|, threshold(i))
+    and dismissed when i leaves the range.  ``live_range(size)`` gives that
+    range and a larger size below which it stays the same, so it is called
+    again only from there.  Returns ``_finish``'s output and the most
+    branches live at once."""
     m1 = Matching()
     index = m1.index
     window = range(0)             # the live exponents
     live: list[AugPathStore] = []  # their branches 2, in exponent order
     sizes: list[int] = []          # their prefix sizes, nondecreasing
     live_max = size = 0
+    recheck = 1                    # the next |M1| at which the range may move
     for e in stream:
         greedy_step(m1, e)
         lo, hi = index.get(e.u, size), index.get(e.v, size)
@@ -436,7 +462,9 @@ def _two_branch_run(stream: Iterable[Edge], live_range: Callable[[int], range],
             lo, hi = hi, lo
         if lo == size:  # greedy took e: both ends got index size, so no wing
             size += 1
-            grown = live_range(size)
+            if size < recheck:
+                continue
+            grown, recheck = live_range(size)
             if grown != window:
                 kept = dict(zip(window, live))
                 window = grown

@@ -36,7 +36,7 @@ from injectstream.matching import (
     robust_greedy_check,
     validate_matching,
 )
-from injectstream import matching
+from injectstream import geomgrid, matching
 from injectstream.rng import PhiloxRNG
 
 from reference_matching import count_3_augmentable
@@ -374,6 +374,46 @@ def test_runs_copy_and_validate_only_after_the_stream(monkeypatch, run):
     assert seen and all(seen)
 
 
+def held_windows(sizes: range, base: float, coef: float):
+    """Walk ``sizes`` upward as the guessed run walks |M1|, looking the window
+    up only at the size ``window_and_recheck`` last named; yield each size
+    with the range held there."""
+    held, recheck = None, sizes.start
+    for size in sizes:
+        if size >= recheck:
+            held, recheck = geomgrid.window_and_recheck(size, base, coef)
+        yield size, held
+
+
+GUESS_DELTAS = [0.05, 0.1, 0.2, 0.5, 0.9]
+UPPER_COEF = 4.0 / float(1 - 2 * EPS)
+
+
+@pytest.mark.parametrize("delta", GUESS_DELTAS)
+def test_recheck_rule_holds_the_window_from_size_one(delta):
+    """Sizes 1..5000 pass every ceil(base**j) and ceil(base**j / coef) below
+    5000, where the window's bottom and top move."""
+    base = 1.0 + delta
+    for size, held in held_windows(range(1, 5001), base, UPPER_COEF):
+        assert held == geomgrid.window(size, base, UPPER_COEF)
+
+
+@given(st.sampled_from(GUESS_DELTAS), st.floats(0, 1), st.booleans(),
+       st.integers(0, 50), st.integers(1, 200))
+@settings(max_examples=300, deadline=None)
+def test_recheck_rule_holds_the_window_across_a_grid_power(delta, height, over_coef,
+                                                           before, after):
+    """A walk that starts ``before`` sizes below ceil(base**j) or
+    ceil(base**j / coef), for sizes up to 10**12, holds geomgrid.window at
+    every size."""
+    base = 1.0 + delta
+    j = int(height * math.log(10**12, base))
+    anchor = math.ceil(base**j / UPPER_COEF if over_coef else base**j)
+    sizes = range(max(1, anchor - before), anchor + after)
+    for size, held in held_windows(sizes, base, UPPER_COEF):
+        assert held == geomgrid.window(size, base, UPPER_COEF)
+
+
 def test_guess_run_on_trap_stream():
     s = 10
     stream = [Edge(4 * i + 1, 4 * i + 2) for i in range(s)] + [
@@ -425,6 +465,7 @@ BAD_LOSER_PATHS = {
         AugPath(Edge(8, 2), Edge(2, 3), Edge(3, 10)),
     ],
     "center outside the prefix": [AugPath(Edge(4, 11), Edge(4, 5), Edge(5, 12))],
+    "wing off its center": [AugPath(Edge(5, 8), Edge(0, 1), Edge(1, 9))],
 }
 
 

@@ -3,11 +3,13 @@ reference_matching.py, on random streams and on the greedy trap, and the
 collector reading a prefix of a growing M1 against one built on that prefix
 alone."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from injectstream import matching
+from injectstream import geomgrid, matching
 from injectstream.errors import InvariantError
 from injectstream.generators import generate_matching_instance, make_plan, random_edge_stream
 from injectstream.matching import (
@@ -109,6 +111,36 @@ def test_runs_match_reference_on_the_greedy_trap(s, adversary):
     ref, ref_live_max = ref_geometric_guess_run(edges, 0.1)
     assert list(out) == list(ref)
     assert stats.guesses_live_max == ref_live_max
+
+
+@pytest.mark.parametrize("adversary", ["front", "random"])
+def test_guess_run_looks_the_window_up_only_where_it_can_move(monkeypatch, adversary):
+    """|M1| grows thousands of times on the s=4000 trap, while the live
+    range takes 106 (front) and 117 (random) distinct values: the run calls
+    geomgrid.window at most twice per distinct window, plus once."""
+    edges, _ = trap_stream(4000, adversary)
+    base, coef = 1.1, 4.0 / float(1 - 2 * matching.EPS)
+    sizes = range(1, len(greedy_matching(edges)) + 1)
+    distinct = len({geomgrid.window(s, base, coef) for s in sizes})
+    calls = []
+    window = geomgrid.window
+    monkeypatch.setattr(geomgrid, "window", lambda *args: calls.append(args) or window(*args))
+    geometric_guess_run(edges, 0.1)
+    assert distinct <= len(calls) <= 2 * distinct + 1
+
+
+def test_guess_run_on_the_trap_stays_small_in_memory():
+    """Wings are stored as bare edges in two dicts per branch, with no
+    tuple per wing or list per vertex: s=1000 under ``front`` peaks under
+    4 MiB (4.4 MiB with a tuple and a list each)."""
+    edges, _ = trap_stream(1000, "front")
+    tracemalloc.start()
+    try:
+        geometric_guess_run(edges, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_guess_run_rejects_prefix_sizes_out_of_order(monkeypatch):
