@@ -36,8 +36,8 @@ _MATCHING_ALIASES = {"random": "random_bipartite", "case1": "greedy_trap"}
 ADVERSARY_STRATEGIES = ("front", "back", "spread", "random")
 
 
-#: generator kind -> its params and their defaults; figure2's optimum is a
-#: fixed 2-set, so it accepts the k the harness passes and ignores it
+#: generator kind -> its params and their defaults; figure2's instance is
+#: fixed, and its good set is an optimum of the k the harness passes
 KIND_PARAMS = {
     "figure2": {"k": 2},
     "random": {"n": 20, "k": 3, "universe": 30, "max_points": 6},
@@ -128,15 +128,15 @@ def generate_submod_instance(
 ) -> tuple[CoverageInstance, InstanceSplit]:
     """Coverage instance plus a good/noise split; good = an optimal k-set.
 
-    Kinds: figure2 (the fixed 4-rectangle instance, k=2); random (n sets
+    Kinds: figure2 (the fixed 4-rectangle instance, param k); random (n sets
     over a point universe, params n/k/universe/max_points); decoy_front
     (k disjoint blocks as the optimum, noise sets are block subsets one
     point short, params k/block/decoys_per_block).
     """
     kind, params = kind_params("submod", kind, params)
     if kind == "figure2":
-        instance, k = figure2_instance()
-        return instance, _split_by_opt(instance, k)
+        instance, _ = figure2_instance()
+        return instance, _split_by_opt(instance, params["k"])
     if kind == "random":
         return _random_coverage(seed, **params)
     return _decoy_front(seed, **params)

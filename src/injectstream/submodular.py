@@ -39,6 +39,9 @@ from .errors import InvariantError, PreconditionError, SizeLimitError
 FLOAT_TOL = 1e-9
 AXIOM_EXHAUSTIVE_LIMIT = 12
 BRUTE_FORCE_GUARD = 10**6
+#: coverage rows of 2 up to this many words are extended one word column at
+#: a time; wider rows stride too far between a column's words to gain by it
+_COLUMN_WORDS = 4
 
 
 @dataclass(frozen=True)
@@ -168,9 +171,24 @@ class CoverageOracle(SubmodularOracle):
 
     def extend_states(self, states, values, e: Hashable):
         self.call_counter += len(values)
-        covered = states | self._row[e]
-        counts = np.bitwise_count(covered)
-        return covered, counts[:, 0] if self.words == 1 else counts.sum(axis=1, dtype=np.int64)
+        row = self._row[e]
+        if not 1 < self.words <= _COLUMN_WORDS:
+            covered = states | row
+            counts = np.bitwise_count(covered)
+            return covered, counts[:, 0] if self.words == 1 else counts.sum(axis=1, dtype=np.int64)
+        # one word column at a time: a broadcast or over rows this short and
+        # a row-wise sum are numpy's slow paths; the outputs are allocated once
+        covered = np.empty_like(states)
+        counts = np.empty(len(states), dtype=np.int64)
+        popcount = np.empty(len(states), dtype=np.uint8)
+        for w in range(self.words):
+            column = np.bitwise_or(states[:, w], row[w], out=covered[:, w])
+            np.bitwise_count(column, out=popcount)
+            if w:
+                counts += popcount
+            else:
+                counts[:] = popcount
+        return covered, counts
 
 
 def _check_weight(w, what: str) -> None:

@@ -22,10 +22,12 @@ same one): the live rows (depth < k, element not on the path) are grouped by
 element and extended through the oracle's ``extend_states`` once per
 distinct element (one call per row), their gains are keyed row-wise by the
 keyer's vectorized ``keys``, rows that already hold that key are dropped, and
-the rest get a child whose value is its parent's value plus its gain.  The
-pass returns each tree's calls, a ``bincount`` over the ``tree`` column of
-the live rows; a tree's node count is such a ``bincount`` too, and its best
-node is its earliest row of maximum value.  ``tree.root``, ``tree.nodes`` and
+the rest get a child whose value is its parent's value plus its gain.  Rows
+are gathered with ``ndarray.take``, and a key's presence bit is read and set
+in one flat cell of the bitsets, row * words + key // 8.  The pass returns
+each tree's calls, a ``bincount`` over the ``tree`` column of the live rows;
+a tree's node count is such a ``bincount`` too, and its best node is its
+earliest row of maximum value.  ``tree.root``, ``tree.nodes`` and
 ``node.children`` are lazy views built from the arrays, and a node's element
 is the one first interned for the last id on its path.
 
@@ -39,11 +41,13 @@ around the running maximum singleton value m, which holds g in [m/(1+delta),
 contiguous range of exponents keyed as its representative, the highest one.
 With integer value rows every gain at a pass lies in 0..m, so the guesses
 whose keys of the integers 0..m cut them alike share a class; other rows keep
-one guess per class.  When m grows, one ``take_trees`` call reshapes the
-forest: a class emptied by dismissals loses its tree, a class whose members
-now split 0..m differently is split, each lower part getting a copy of the
-tree, and the admitted guesses get fresh roots at the current stream
-position.  The best surviving tree wins.
+one guess per class.  A guess cuts 0..m in at most min(ceil(k/delta), m)
+places, each at a float ceil(j*width) or one above it, so comparing guesses
+keys two integers per cut, not all of 0..m.  When m grows, one
+``take_trees`` call reshapes the forest: a class emptied by dismissals loses
+its tree, a class whose members now split 0..m differently is split, each
+lower part getting a copy of the tree, and the admitted guesses get fresh
+roots at the current stream position.  The best surviving tree wins.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise, zip_longest
+from itertools import zip_longest
 from typing import Hashable, Iterable, Optional, Union
 
 import numpy as np
@@ -65,6 +69,10 @@ from .submodular import SubmodularOracle, Solution
 INITIAL_ROWS = 64
 _BIT = np.array([1 << i for i in range(8)], dtype=np.uint8)
 _ABSENT = -2  # interned id of an element on no path (paths pad with -1)
+#: below this many gains a dict lookup per gain costs less than np.unique
+_UNIQUE_ROWS = 512
+_CUT_CELLS = 1 << 15  # cuts that ``GuessBuckets.splits`` finds at once
+_NEAR = np.array([0.0, 1.0])[:, None, None]  # probes from a float ceil(j * width) up
 _ROWS = ("tree", "states", "values", "gains", "depth", "parent", "path", "presence")
 
 
@@ -87,9 +95,23 @@ class ExactKeys:
         return gain
 
     def keys(self, gains: np.ndarray, trees=None) -> np.ndarray:
-        """Dense ids of ``gains``; the ids do not depend on the ``trees`` of the rows."""
+        """Dense ids of ``gains``; the ids do not depend on the ``trees`` of the rows.
+
+        A numeric array of ``_UNIQUE_ROWS`` gains or more sends only its
+        distinct values through the dict, and interns the new ones in order
+        of first appearance, so every id is the one a dict lookup per row
+        gives: each NaN is distinct and -0.0 is 0.0, as dict keys.
+        """
         ids = self._ids
-        return np.array([ids.setdefault(g, len(ids)) for g in gains.tolist()], dtype=np.int64)
+        if gains.dtype.kind == "O" or len(gains) < _UNIQUE_ROWS:
+            return np.array([ids.setdefault(g, len(ids)) for g in gains.tolist()], dtype=np.int64)
+        values, inverse = np.unique(gains, return_inverse=True, equal_nan=False)
+        distinct = np.array([ids.get(g, -1) for g in values.tolist()], dtype=np.int64)
+        if (distinct < 0).any():
+            rows = (distinct[inverse] < 0).nonzero()[0]
+            for u in dict.fromkeys(inverse[rows].tolist()):
+                distinct[u] = ids[values[u].item()] = len(ids)
+        return distinct[inverse]
 
 
 def delta_fraction(delta: Union[float, str, Fraction]) -> Fraction:
@@ -97,9 +119,9 @@ def delta_fraction(delta: Union[float, str, Fraction]) -> Fraction:
     return Fraction(str(delta)) if isinstance(delta, float) else Fraction(delta)
 
 
-def _float_width(g: float, k: int, d: Fraction) -> float:
-    """The width delta*g/k of a float guess g, rejected if it underflows to 0."""
-    width = float(d) * g / k
+def _float_width(g: float, k: int, d: float) -> float:
+    """The width d*g/k of a float guess g, rejected if it underflows to 0."""
+    width = d * g / k
     if width == 0:
         raise PreconditionError(f"guess g={g!r} gives bucket width delta*g/k = {width!r} (underflow)")
     return width
@@ -134,7 +156,7 @@ class IncreaseBuckets:
             top = -(-self.bucket_count * self._p // self._q)
             self._top = top if top * self._q < 2**63 else None
         else:
-            self.width = _float_width(g, k, d)
+            self.width = _float_width(g, k, float(d))
             self._p = None
 
     def key(self, gain) -> int:
@@ -168,14 +190,14 @@ class GuessBuckets:
 
     def __init__(self, k: int, delta: Union[float, str, Fraction]) -> None:
         self.k, self.delta = k, delta_fraction(delta)
+        self._d = float(self.delta)
         self.bucket_count = math.ceil(k / self.delta)
         self.key_count = self.bucket_count + 1
         self.use(())
 
     def _widths(self, exponents: Sequence[int]) -> np.ndarray:
-        base = 1.0 + float(self.delta)
-        return np.array([_float_width(base**j, self.k, self.delta) for j in exponents],
-                        dtype=np.float64)
+        base, k, d = 1.0 + self._d, self.k, self._d
+        return np.array([_float_width(base**j, k, d) for j in exponents], dtype=np.float64)
 
     def use(self, exponents: Sequence[int]) -> None:
         """Key tree i as the guess of exponent ``exponents[i]`` from now on."""
@@ -183,10 +205,11 @@ class GuessBuckets:
 
     def _keys(self, gains: np.ndarray, widths: np.ndarray) -> np.ndarray:
         raw = gains.astype(np.float64, copy=False) // widths
-        return np.minimum(np.maximum(raw, 0), self.bucket_count).astype(np.int64)
+        np.maximum(raw, 0, out=raw)
+        return np.minimum(raw, self.bucket_count, out=raw).astype(np.int64)
 
     def keys(self, gains: np.ndarray, trees: np.ndarray) -> np.ndarray:
-        return self._keys(gains, self.widths[trees])
+        return self._keys(gains, self.widths.take(trees))
 
     def splits(self, exponents: Sequence[int], m: int) -> np.ndarray:
         """Whether guesses ``exponents[i]`` and ``exponents[i + 1]`` split the
@@ -194,12 +217,53 @@ class GuessBuckets:
 
         A guess splits 0..m at the x in 1..m whose key differs from x - 1's,
         as ``keys`` keys them.  Guesses with equal splits make the same child
-        decisions on integer gains in 0..m.  One guess is keyed at a time, so
-        at most two rows of m cuts are held.
+        decisions on integer gains in 0..m.  A guess has at most
+        min(bucket_count, m) cuts, found by ``_cuts`` without keying all of
+        0..m, and the guesses are taken in blocks of at most ``_CUT_CELLS``
+        cuts, so time and memory do not grow with m.
         """
-        gains = np.arange(m + 1, dtype=np.float64)
-        cuts = (np.diff(self._keys(gains, width)) != 0 for width in self._widths(exponents))
-        return np.array([not np.array_equal(a, b) for a, b in pairwise(cuts)], dtype=bool)
+        widths = self._widths(exponents)
+        step = max(1, _CUT_CELLS // max(1, min(self.bucket_count, m)))
+        parts, last = [], None
+        for a in range(0, len(widths), step):
+            cuts = self._cuts(widths[a : a + step], m)
+            if last is not None:
+                cuts = np.concatenate([last, cuts])
+            parts.append((cuts[1:] != cuts[:-1]).any(axis=1))
+            last = cuts[-1:]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
+
+    def _cuts(self, widths: np.ndarray, m: int) -> np.ndarray:
+        """Row i: the cuts of 0..m under ``widths[i]`` in ascending order,
+        padded with m + 1 to min(bucket_count, m) columns.
+
+        Keys never fall as x grows.  From a width of 1 up they rise by at
+        most one per x, so cut j is the first x keyed j or more; a width
+        above m has no cut.  Below a width of 1 they rise at every x until
+        the clamp bucket, so the cuts are 1..c, with c the first x keyed
+        bucket_count (or m).
+        """
+        levels = np.arange(1, min(self.bucket_count, m) + 2)  # slots, then the clamp
+        levels[-1] = self.bucket_count
+        slots = levels[:-1]
+        first = self._first_keyed(levels, widths[:, None], m)
+        fine = np.where(slots <= first[:, -1:], slots, m + 1)
+        return np.where(widths[:, None] < 1, fine, first[:, :-1])
+
+    def _first_keyed(self, levels: np.ndarray, widths: np.ndarray, m: int) -> np.ndarray:
+        """The first x in 1..m keyed ``levels[j]`` (all >= 1) or more under
+        ``widths[i, 0]``, at [i, j], or m + 1 if none is.
+
+        Key j is first reached at N = ceil(j*w).  Rounding is monotone and
+        N - 1 and N are floats, so the float product lies between them and
+        its ceil is N - 1 or N: it and the integer above it are keyed.
+        Probes stop at m + 1, where +1 is still exact in floats (past 2^53
+        it would not be).
+        """
+        near = np.minimum(np.ceil(levels * widths), m + 1)
+        probes = np.minimum(near + _NEAR, m + 1)
+        hit = self._keys(probes, widths) >= levels
+        return np.where(hit, probes, m + 1).min(axis=0)
 
 
 class NodeView:
@@ -342,7 +406,8 @@ class PrefixTree:
         size = m + len(roots)
         self._reserve(size, self.keyer.key_count)
         for name in _ROWS:
-            getattr(self, name)[:m] = getattr(self, name)[take]
+            a = getattr(self, name)
+            a[:m] = a.take(take, axis=0)
         self.tree[:m] = np.concatenate(trees)
         moved, start = np.full(n, -1, dtype=np.int32), 0
         for rows in blocks:  # a parent lies in its child's block
@@ -361,7 +426,8 @@ class PrefixTree:
         kids = kept + (self.parent[kept:m] >= 0).nonzero()[0]
         if kids.size:
             keys = self.keyer.keys(self.gains[kids], self.tree[kids])
-            np.bitwise_or.at(self.presence, (self.parent[kids], keys >> 3), _BIT[keys & 7])
+            cells = self.parent[kids] * self.presence.shape[1] + (keys >> 3)
+            np.bitwise_or.at(self.presence.reshape(-1), cells, _BIT[keys & 7])
         refs = self.path[:size]
         used = np.zeros(len(self.elements), dtype=bool)
         used[refs[refs >= 0]] = True
@@ -389,15 +455,15 @@ class PrefixTree:
     def _append(self, parents: np.ndarray, states, values, gains, x) -> None:
         """Children of rows ``parents``, for elements interned as ``x`` (room reserved)."""
         n, m = self.size, len(parents)
-        d = self.depth[parents]
-        self.tree[n : n + m] = self.tree[parents]
+        d = self.depth.take(parents)
+        self.tree[n : n + m] = self.tree.take(parents)
         self.states[n : n + m] = states
         self.values[n : n + m] = values
         self.gains[n : n + m] = gains
         self.depth[n : n + m] = d + 1
         self.parent[n : n + m] = parents
-        path = self.path[parents]
-        path[np.arange(m), d] = x
+        path = self.path.take(parents, axis=0)
+        path.reshape(-1)[np.arange(0, m * self.k, self.k) + d] = x  # cell (i, d[i])
         self.path[n : n + m] = path
         self.size = n + m
 
@@ -433,17 +499,17 @@ def tree_process(tree: PrefixTree, e) -> np.ndarray:
     xs = [index.get(i, _ABSENT) for i in ids]
     if max(xs, default=_ABSENT) >= 0:  # an element is on some path already
         if group is None:
-            live = live[(tree.path[live] != xs[0]).all(axis=1)]
+            live = live[(tree.path.take(live, axis=0) != xs[0]).all(axis=1)]
         else:
-            off = (tree.path[live] != np.array(xs)[group][:, None]).all(axis=1)
+            off = (tree.path.take(live, axis=0) != np.array(xs)[group][:, None]).all(axis=1)
             live, group = live[off], group[off]
-    calls = np.bincount(tree.tree[live], minlength=tree.trees)
+    calls = np.bincount(tree.tree.take(live), minlength=tree.trees)
     if not live.size:
         return calls
     if len(ids) > 1:  # contiguous rows per element; each tree keeps its row order
         order = np.argsort(group, kind="stable")
         live, group = live[order], group[order]
-    oracle, states, base = tree.oracle, tree.states[live], tree.values[live]
+    oracle, states, base = tree.oracle, tree.states.take(live, axis=0), tree.values.take(live)
     if len(ids) == 1:
         states, values = oracle.extend_states(states, base, ids[0])
     else:
@@ -453,14 +519,16 @@ def tree_process(tree: PrefixTree, e) -> np.ndarray:
         states = np.concatenate([s for s, _ in parts])
         values = np.concatenate([v for _, v in parts])
     gains = values - base
-    keys = tree.keyer.keys(gains, tree.tree[live])
+    keys = tree.keyer.keys(gains, tree.tree.take(live))
     tree._reserve(n + live.size, tree.keyer.key_count)
-    word, bit = keys >> 3, _BIT[keys & 7]
-    new = ((tree.presence[live, word] & bit) == 0).nonzero()[0]
+    # presence bits as flat cells: row r's word w is cell r * words + w of a view
+    presence = tree.presence.reshape(-1)
+    cells, bit = live * tree.presence.shape[1] + (keys >> 3), _BIT.take(keys & 7)
+    new = ((presence.take(cells) & bit) == 0).nonzero()[0]
     if not new.size:
         return calls
     parents = live[new]
-    tree.presence[parents, word[new]] |= bit[new]
+    presence[cells[new]] |= bit[new]  # one cell per live row: no repeats
     for g in [0] if group is None else np.bincount(group[new]).nonzero()[0].tolist():
         if xs[g] < 0:
             xs[g] = index[ids[g]] = len(tree.elements)
@@ -469,7 +537,7 @@ def tree_process(tree: PrefixTree, e) -> np.ndarray:
     # a child's value is its parent's value plus its gain: with float values
     # that can differ in the last bits from f(S + e) summed in another order
     gains = gains[new]
-    tree._append(parents, states[new], base[new] + gains, gains, x)
+    tree._append(parents, states.take(new, axis=0), base[new] + gains, gains, x)
     return calls
 
 

@@ -89,6 +89,17 @@ def test_figure2_kind():
     assert oracle.evaluate({e.id for e in split.good}) == 5
 
 
+@pytest.mark.parametrize("kind", SUBMOD_KINDS)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_generated_good_set_is_an_optimum_of_the_runs_k(kind, k):
+    """Every submod kind's good set is worth OPT at the run's k, figure2's too."""
+    inst, split = generate_submod_instance(kind, {"k": k}, seed=k)
+    oracle = CoverageOracle(inst)
+    assert len(split.good) <= k
+    good = oracle.evaluate({e.id for e in split.good})
+    assert good == brute_force_opt(oracle, inst.ground_set(), k).value
+
+
 def test_random_kind_good_is_optimum():
     for seed in range(5):
         inst, split = generate_submod_instance(

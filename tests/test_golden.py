@@ -39,7 +39,13 @@ CSV_CASES = {
     "submod-figure2-k3": (
         SUBMOD + ["--kind", "figure2", "--adversary", "back", "--k", "3",
                   "--mode", "exact", "--out"],
-        "9d07db260be0a7032f2bd7395e512bb0702525258dd7afafb6d8844952206041",
+        "88771c7ef8c0e578719b21cc32e07cbec64a7caa29acde19311f2b2f2d087311",
+    ),
+    "submod-readme-auto": (
+        ["submod", "run", "--kind", "decoy_front", "--params", '{"block": 6}',
+         "--adversary", "front", "--trials", "10", "--perms", "50", "--seed", "3",
+         "--k", "3", "--mode", "bucketed", "--delta", "0.1", "--guess", "auto", "--out"],
+        "2c5bf4da8c02e8fb4c91d4bc4fcb16ebc1f739e5c0fb2ad0ce8b559dcfa213b3",
     ),
     "matching-greedy": (
         MATCHING + ["--kind", "greedy_trap", "--params", '{"s": 6}',

@@ -283,6 +283,39 @@ def wide_instance(words: int) -> CoverageInstance:
     )
 
 
+@pytest.mark.parametrize("points, words",
+                         [(10, 1), (64, 1), (100, 2), (256, 4), (257, 5), (8187, 128)])
+def test_coverage_extend_states_matches_eval(points, words):
+    """Batched extensions, whole-row and word-by-word, give the covered
+    count of S + e for every row, and states that extend correctly again;
+    universes that are not a multiple of 64 points leave the top word part
+    empty.  Zero rows give empty results of the batch layout."""
+    rng = np.random.default_rng(points)
+    rects = {i: frozenset(rng.choice(points, size=1 + i * points // 10, replace=False).tolist())
+             for i in range(5)}
+    inst = CoverageInstance({**rects, 5: frozenset(range(points))})
+    oracle = CoverageOracle(inst)
+    assert oracle.words == words
+    subsets = [frozenset(), frozenset({0}), frozenset({2, 5}), frozenset({1, 3, 4}),
+               frozenset(range(6))]
+    states, values = oracle.empty_states(len(subsets))
+    for e in range(6):
+        rows = [i for i, sub in enumerate(subsets) if e in sub]
+        states[rows], values[rows] = oracle.extend_states(states[rows], values[rows], e)
+    assert values.tolist() == [oracle._eval(sub) for sub in subsets]
+    for e in range(6):
+        calls = oracle.call_counter
+        covered, counts = oracle.extend_states(states, values, e)
+        assert oracle.call_counter == calls + len(subsets)
+        assert covered.shape == states.shape and counts.dtype.kind in "iu"
+        assert counts.tolist() == [oracle._eval(sub | {e}) for sub in subsets]
+        again = oracle.extend_states(covered, counts, (e + 1) % 6)[1]
+        assert again.tolist() == [oracle._eval(sub | {e, (e + 1) % 6}) for sub in subsets]
+    states, values = oracle.empty_states(0)
+    covered, counts = oracle.extend_states(states, values, 0)
+    assert covered.shape == (0, words) and counts.shape == (0,)
+
+
 def test_brute_force_opt_matches_the_scan_on_wide_rows():
     """128-word rows: C(16, 7) rows of 1032 bytes exceed the 8 MB a level
     pass may hold at k=8, so the search splits on the least member; the

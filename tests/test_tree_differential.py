@@ -350,6 +350,78 @@ def test_splits_keys_one_guess_at_a_time():
     assert peak < 16 * 2**20
 
 
+def key_matrix_splits(keyer, exponents, m):
+    """``splits`` read off the whole guesses x (m+1) key matrix."""
+    keys = keyer.keys(np.repeat(np.arange(m + 1), len(exponents)),
+                      np.tile(np.arange(len(exponents)), m + 1)).reshape(m + 1, -1).T
+    cuts = keys[:, 1:] != keys[:, :-1]
+    return (cuts[1:] != cuts[:-1]).any(axis=1).tolist()
+
+
+@pytest.mark.parametrize("k, delta, exponents, m", [
+    (4, 1, range(-4, 9), 12),         # width 2**j/4 is exactly 1 at j = 2
+    (3, 0.5, range(-3, 12), 39),      # exponent 9 first keys the clamp bucket at x = m
+    (3, 0.5, range(-3, 6), 6),        # as exponent 4 does with a width below 1
+    (2, 0.25, range(20, 30), 7),      # every width above m: no cuts anywhere
+    (3, 0.5, range(100, 140), 50),    # j * width passes 2**53
+    (4, 0.1, range(-80, -40), 300),   # widths far below 1: cuts at every x
+    (2, 0.001, range(0, 5), 0),       # m = 0 has no cuts
+    (1, 0.5, range(3, 4), 9),         # one guess: no pairs
+])
+def test_splits_match_the_key_matrix_at_the_edges(k, delta, exponents, m):
+    keyer = GuessBuckets(k, delta)
+    keyer.use(exponents)
+    assert keyer.splits(exponents, m).tolist() == key_matrix_splits(keyer, exponents, m)
+
+
+@given(st.integers(1, 6), st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.5, 0.9, 1]),
+       st.integers(-60, 80), st.integers(0, 30), st.integers(0, 300))
+@settings(max_examples=300, deadline=None)
+def test_splits_match_the_key_matrix(k, delta, low, count, m):
+    keyer = GuessBuckets(k, delta)
+    exponents = range(low, low + count)
+    keyer.use(exponents)
+    assert keyer.splits(exponents, m).tolist() == key_matrix_splits(keyer, exponents, m)
+
+
+@pytest.mark.parametrize("exponents, m", [(range(6000, 6100), 5000), (range(6000, 9100, 7), 300)])
+def test_splits_in_blocks_compare_across_block_edges(exponents, m):
+    """4,000 buckets per guess: min(4000, m) cuts per guess leave room for 8
+    (m = 5000) or 109 (m = 300) guesses per block, so pairs straddle block
+    edges; the second case also crosses from widths below 1 to above."""
+    keyer = GuessBuckets(4, 0.001)
+    keyer.use(exponents)
+    split = keyer.splits(exponents, m).tolist()
+    assert split == key_matrix_splits(keyer, exponents, m)
+    assert 0 < sum(split) < len(split)
+
+
+@pytest.mark.parametrize("scale", [1, 0.1])
+def test_exact_presence_widens_between_passes(scale):
+    """Exact keys interned one new gain per pass: key_count passes 8 and 16
+    mid-stream, so every row's presence bitset widens from one byte to two
+    and then three between passes; the tree still equals the reference,
+    every row's presence bits hold its children's keys, and the flat cells
+    the pass reads are a view of the bitsets."""
+    weights = {i: (i % 20 + 1) * scale for i in range(26)}
+    stream = [Element(i) for i in list(range(26)) + [3, 21]]
+    ref_sol, ref_stats, ref_tree = ref_run(stream, 2, ExactKeys(), AdditiveOracle(weights))
+    oracle = AdditiveOracle(weights)
+    tree = PrefixTree(2, oracle, ExactKeys())
+    widths = []
+    for e in stream:
+        tree_process(tree, e)
+        widths.append(tree.presence.shape[1])
+        assert np.shares_memory(tree.presence.reshape(-1), tree.presence)
+    assert tree.keyer.key_count > 16
+    assert widths[0] == 1 and {2, 3} <= set(widths) and sorted(widths) == widths
+    assert node_rows(tree.nodes) == node_rows(ref_tree.nodes)
+    assert best_solution(tree) == ref_sol and oracle.call_counter == ref_stats.oracle_calls
+    for node, ref in zip(tree.nodes, ref_tree.nodes):
+        held = tree.keyer.keys(np.array(list(ref.children), dtype=tree.gains.dtype))
+        assert presence_keys(tree, node.index) == sorted(held.tolist())
+
+
 def test_take_trees_keeps_drops_copies_and_adds():
     """Four trees, each fed its own stream, become five: a copy of tree 2,
     tree 1 kept, another copy of tree 2, a fresh root, and tree 2 kept.
