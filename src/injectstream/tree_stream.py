@@ -69,8 +69,6 @@ from .submodular import SubmodularOracle, Solution
 INITIAL_ROWS = 64
 _BIT = np.array([1 << i for i in range(8)], dtype=np.uint8)
 _ABSENT = -2  # interned id of an element on no path (paths pad with -1)
-#: below this many gains a dict lookup per gain costs less than np.unique
-_UNIQUE_ROWS = 512
 _CUT_CELLS = 1 << 15  # cuts that ``GuessBuckets.splits`` finds at once
 _NEAR = np.array([0.0, 1.0])[:, None, None]  # probes from a float ceil(j * width) up
 _ROWS = ("tree", "states", "values", "gains", "depth", "parent", "path", "presence")
@@ -97,21 +95,10 @@ class ExactKeys:
     def keys(self, gains: np.ndarray, trees=None) -> np.ndarray:
         """Dense ids of ``gains``; the ids do not depend on the ``trees`` of the rows.
 
-        A numeric array of ``_UNIQUE_ROWS`` gains or more sends only its
-        distinct values through the dict, and interns the new ones in order
-        of first appearance, so every id is the one a dict lookup per row
-        gives: each NaN is distinct and -0.0 is 0.0, as dict keys.
+        Ids are dict keys: each NaN is distinct and -0.0 is 0.0.
         """
         ids = self._ids
-        if gains.dtype.kind == "O" or len(gains) < _UNIQUE_ROWS:
-            return np.array([ids.setdefault(g, len(ids)) for g in gains.tolist()], dtype=np.int64)
-        values, inverse = np.unique(gains, return_inverse=True, equal_nan=False)
-        distinct = np.array([ids.get(g, -1) for g in values.tolist()], dtype=np.int64)
-        if (distinct < 0).any():
-            rows = (distinct[inverse] < 0).nonzero()[0]
-            for u in dict.fromkeys(inverse[rows].tolist()):
-                distinct[u] = ids[values[u].item()] = len(ids)
-        return distinct[inverse]
+        return np.array([ids.setdefault(g, len(ids)) for g in gains.tolist()], dtype=np.int64)
 
 
 def delta_fraction(delta: Union[float, str, Fraction]) -> Fraction:
@@ -462,8 +449,9 @@ class PrefixTree:
         self.gains[n : n + m] = gains
         self.depth[n : n + m] = d + 1
         self.parent[n : n + m] = parents
-        path = self.path.take(parents, axis=0)
-        path.reshape(-1)[np.arange(0, m * self.k, self.k) + d] = x  # cell (i, d[i])
+        path, cells = self.path.take(parents, axis=0), np.arange(0, m * self.k, self.k)
+        cells += d  # cell (i, d[i]), with one index array alive
+        path.reshape(-1)[cells] = x
         self.path[n : n + m] = path
         self.size = n + m
 
