@@ -29,12 +29,12 @@ from typing import Optional
 from .errors import InvalidInstanceError, InvariantError, PlanValidationError, PreconditionError
 from .generators import (
     ADVERSARY_STRATEGIES,
-    edges_from_stream,
     generate_matching_instance,
     generate_submod_instance,
     kind_params,
     make_plan,
 )
+from .generators import edges_from_stream  # noqa: F401 - perfbench's tracer wraps it by this name
 from .matching import (
     GUESS_LIMIT,
     Edge,
@@ -466,8 +466,8 @@ def _load_matching_trial(
     src = config.instance
     if "file" in src:
         split, plan = read_matching_instance_file(src["file"])
-        m_star = len(exact_max_matching(edges_from_stream(split.good + split.noise)))
-        good = len(exact_max_matching(edges_from_stream(split.good)))
+        m_star = len(exact_max_matching([el.payload for el in split.good + split.noise]))
+        good = len(exact_max_matching([el.payload for el in split.good]))
         if good != m_star:
             raise InvalidInstanceError(
                 f"{src['file']}: the good edges must hold a maximum matching; "

@@ -37,10 +37,10 @@ first wing, its second wing) that hold the edges themselves: a wing's free
 endpoint is its end that is not the key, so a stored wing makes no
 container of its own.  It commits a path greedily as soon as both sides
 of a center hold wings with unused distinct free endpoints.  Every wing
-pair is tried when its later wing arrives and used vertices stay used, so
-a final sweep over the centers would never commit a path.  Free-free edges
-are ignored (they are not wings), as are edges between two matched
-vertices.
+pair is tried when its later wing arrives, and a pair that fails then
+fails for good, since used vertices stay used: no end-of-stream pass over
+the centers could commit a path.  Free-free edges are ignored (they are
+not wings), as are edges between two matched vertices.
 """
 
 from __future__ import annotations
@@ -237,7 +237,11 @@ class AugPathStore:
         self.second: dict[Hashable, Edge] = {}
         self.committed: dict[Edge, AugPath] = {}
         self.used: set = set()
-        self.stored_wings = 0
+
+    @property
+    def stored_wings(self) -> int:
+        """Wings stored so far: each goes into exactly one of the two dicts."""
+        return len(self.first) + len(self.second)
 
     @property
     def max_slots(self) -> int:
@@ -253,8 +257,8 @@ class AugPathStore:
 
         Only pairs with the new wing are tried: every other pair of its
         center was tried when its own later wing arrived, and failed then
-        for good, since ``used`` and ``committed`` only grow.  The first
-        pair found is the one ``_try_commit`` would find.
+        for good, since ``used`` and ``committed`` only grow.  So the pair
+        found is the one an all-pairs search in storage order would find.
         """
         u, v = e.u, e.v
         index, size = self.M.index, self.size
@@ -274,7 +278,6 @@ class AugPathStore:
             second[side] = e
         else:
             return  # two wings already, or one to the same free end
-        self.stored_wings += 1
         used = self.used
         if free in used:
             return
@@ -295,37 +298,12 @@ class AugPathStore:
                 used.add(y)
             return
 
-    def _try_commit(self, center: Edge) -> None:
-        if center in self.committed:
-            return
-        a, b = center.u, center.v
-        for wa in (self.first.get(a), self.second.get(a)):
-            if wa is None:
-                return
-            x = wa.v if wa.u == a else wa.u
-            if x in self.used:
-                continue
-            for wb in (self.first.get(b), self.second.get(b)):
-                if wb is None:
-                    break
-                y = wb.v if wb.u == b else wb.u
-                if y in self.used or y == x:
-                    continue
-                path = AugPath(wing_a=wa, center=center, wing_b=wb)
-                self.committed[center] = path
-                self.used.add(x)
-                self.used.add(y)
-                return
-
     def sweep(self) -> None:
-        """Final pass over the frozen centers, in matching order; it commits nothing.
+        """Commits nothing, and stays only so that perfbench's tracer can wrap it by name.
 
-        ``offer`` tries every wing pair of a center when the later wing
-        arrives, and ``used`` and ``committed`` only grow, so a pair that
-        failed then fails here too.
+        ``offer`` already tries every wing pair of a center when its later
+        wing arrives, and a pair that fails then fails for good.
         """
-        for center in islice(self.M.edges, self.size):
-            self._try_commit(center)
 
     def paths(self) -> list[AugPath]:
         """The committed paths in the frozen matching's order."""

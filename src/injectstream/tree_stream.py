@@ -740,6 +740,7 @@ def guess_run(
     return manager.best()
 
 
-def live_guess_bound(k: int, delta: float) -> int:
+def live_guess_bound(k: int, delta: Union[float, str, Fraction]) -> int:
     """The guess-count cap: floor(log base (1+delta) of k(1+delta)/delta) + 1."""
-    return geomgrid.live_guess_bound(1.0 + delta, k / delta)
+    d = float(delta_fraction(delta))
+    return geomgrid.live_guess_bound(1.0 + d, k / d)

@@ -81,7 +81,8 @@ def _verdict(line):
 
 
 def battery_instance(i, rng):
-    """Instance i of the shared 50-instance submodular battery (criteria 5, 6)."""
+    """Instance i of the shared 50-instance submodular battery (criteria 5, 6
+    and the exact-expectation test)."""
     k = (2, 3, 4)[i % 3]
     if i % 2 == 0:
         n = 15 + rng.randbelow(14)
@@ -95,6 +96,19 @@ def battery_instance(i, rng):
         )
         strat = "front"
     return inst, split, k, make_plan(split, strat, seed=i)
+
+
+def expected_ratios(split, plan, k, oracle, opt):
+    """E[best]/OPT as a Fraction over all |good|! orders of the good set, for
+    the exact tree, the bucketed tree at g = OPT and ``guess_run``, at delta 0.1."""
+    streams = enumerate_streams(split, plan)
+    values = {
+        "exact": [s.value for s, _ in run_tree_streams(streams, k, "0.1", oracle, mode="exact")],
+        "bucketed": [s.value for s, _ in run_tree_streams(
+            streams, k, "0.1", oracle, mode="bucketed", g=opt)],
+        "guessed": [guess_run(s, k, "0.1", oracle).value for s in streams],
+    }
+    return {mode: Fraction(sum(v), len(streams) * opt) for mode, v in values.items()}
 
 
 def test_criterion_01_certified_recurrence_bound():
@@ -197,6 +211,22 @@ def test_criterion_05_empirical_055():
                 total += sol.value / opt.value
             assert total / 200 >= 0.53
         assert time.perf_counter() - t0 < 600.0
+
+
+def test_exact_expectation_on_the_criterion_05_battery():
+    """Criterion 5's battery with the expectation taken exactly: in every
+    mode, E[best]/OPT over all orders is at least 11/20 on each instance,
+    and the battery minimum is pinned."""
+    rng = PhiloxRNG(55)
+    lowest = {}
+    for i in range(50):
+        inst, split, k, plan = battery_instance(i, rng)
+        oracle = CoverageOracle(inst)
+        opt = brute_force_opt(oracle, inst.ground_set(), k).value
+        for mode, ratio in expected_ratios(split, plan, k, oracle, opt).items():
+            assert ratio >= Fraction(11, 20), (i, mode, ratio)
+            lowest[mode] = min(lowest.get(mode, (ratio, i)), (ratio, i))
+    assert lowest == dict.fromkeys(("exact", "bucketed", "guessed"), (Fraction(65, 68), 2))
 
 
 def test_criterion_06_guessing_overhead():

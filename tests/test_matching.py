@@ -647,16 +647,3 @@ def test_collector_slots_bounded(edges, seed):
         assert p.center in m
         assert m.is_free(p.free_endpoints()[0])
         assert m.is_free(p.free_endpoints()[1])
-
-
-@given(edge_streams, edge_streams)
-@settings(max_examples=200, deadline=None)
-def test_collector_sweep_commits_nothing(prefix, suffix):
-    """Every wing pair is tried when its later wing arrives and used vertices
-    stay used, so the end-of-stream sweep adds no path."""
-    store = AugPathStore(greedy_matching(prefix))
-    for e in suffix:
-        store.offer(e)
-    committed, used = dict(store.committed), set(store.used)
-    store.sweep()
-    assert store.committed == committed and store.used == used

@@ -375,6 +375,19 @@ def test_live_guess_bound_value():
     assert live_guess_bound(3, 0.2) == 16
 
 
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.2, 0.5, 0.9])
+def test_live_guess_bound_reads_delta_as_guess_run_does(fig2_oracle, delta):
+    """A float delta, its str and its Fraction give one cap, and a run given
+    the str stays within it."""
+    for k in range(1, 7):
+        bound = live_guess_bound(k, delta)
+        assert live_guess_bound(k, str(delta)) == live_guess_bound(k, Fraction(str(delta))) == bound
+    oracle, k = fig2_oracle
+    stats = RunStats()
+    guess_run(stream_of("A", "B", "C", "D"), k, str(delta), oracle, stats=stats)
+    assert 0 < stats.guesses_live_max <= live_guess_bound(k, str(delta))
+
+
 @pytest.mark.parametrize("x, base, coef, size", [(2.0, 2.0, 4.0, 4), (1.0, 1.1, 1.0, 2)])
 def test_live_guess_bound_counts_both_ends_on_the_grid(x, base, coef, size):
     """When coef*base is a power of base and x/base sits on the grid, both
